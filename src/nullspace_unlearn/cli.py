@@ -190,7 +190,7 @@ def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict, labeled=None) -
     return report
 
 
-def ablation_rows(cfg: RunConfig, sp: data.Splits, nets: dict) -> list:
+def ablation_rows(sp: data.Splits, nets: dict) -> list:
     rows = []
     for method in ABLATION_METHODS:
         rep = evaluate.utility(nets[method], sp.test_remaining, sp.test_unlearn)
@@ -423,12 +423,12 @@ def ablate_cmd(ctx):
     cache = _load_cache(cfg, workdir, ds.n_classes)
     nets = {
         "original": net_o,
-        "retrain": train_retrain(cfg, sp),
+        "retrain": _load_net(workdir, "retrain"),
         "random-label": run_unlearn_variant(cfg, net_o, sp, None, "random-label").network,
         "random-label+nullspace": run_unlearn_variant(cfg, net_o, sp, cache, "random-label+nullspace").network,
         "calibrated": run_unlearn_variant(cfg, net_o, sp, cache, "calibrated").network,
     }
-    rows = ablation_rows(cfg, sp, nets)
+    rows = ablation_rows(sp, nets)
     csv_path = os.path.join(workdir, "ablation.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,acc_remaining_test,acc_unlearn_test\n")

@@ -8,17 +8,13 @@ standard normals mapped through the Cholesky factor of its covariance.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .determinism import PortableRng
 from .linalg import as_matrix
-
-_PRESET_DIR = Path(__file__).parent / "presets"
 
 
 @dataclass
@@ -313,41 +309,3 @@ def save_idx(dataset: Dataset, images_path, labels_path, image_shape) -> None:
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", _IDX_LABEL_MAGIC, len(dataset)))
         fh.write(dataset.labels.astype(np.uint8).tobytes())
-
-
-def load(path, fmt: str, **kwargs):
-    """Format dispatcher: csv and idx give Datasets, checkpoint-json gives a Network."""
-    if fmt == "csv":
-        return load_csv(path, **kwargs)
-    if fmt == "idx":
-        return load_idx(path, **kwargs)
-    if fmt == "checkpoint-json":
-        from . import nn
-
-        return nn.load_checkpoint(path)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def save(obj, path, fmt: str, **kwargs) -> None:
-    if fmt == "csv":
-        save_csv(obj, path, **kwargs)
-    elif fmt == "idx":
-        save_idx(obj, path, **kwargs)
-    elif fmt == "checkpoint-json":
-        from . import nn
-
-        nn.save_checkpoint(obj, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def load_preset(name: str = "toy") -> dict:
-    """Versioned bundled preset: generation parameters plus the default run config."""
-    path = _PRESET_DIR / f"{name}.json"
-    if not path.exists():
-        raise ValueError(f"no preset named {name!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        preset = json.load(fh)
-    if preset.get("preset_version") != 1:
-        raise ValueError(f"unsupported preset_version {preset.get('preset_version')!r}")
-    return preset

@@ -1,9 +1,9 @@
 """Dense linear algebra kernels: deterministic SVD, energy-rank selection, null projectors.
 
-Everything here is float64 and deterministic: the same input bytes give the
-same output bytes on every run.  The SVD is a one-sided Jacobi iteration,
-which is slow compared to LAPACK but easy to audit, exactly reproducible,
-and accurate enough for the small matrices this package works with.
+Everything here is float64.  The SVD is LAPACK's, through numpy; with the
+same BLAS build and thread count, the same input bytes give the same output
+bytes on every run, and a fixed sign convention keeps the singular vectors
+byte-stable too.
 """
 
 from __future__ import annotations
@@ -43,132 +43,33 @@ class SvdResult:
     vt: np.ndarray
 
 
-# Rotations stop once every column pair satisfies |c_i . c_j| <= _JACOBI_TOL * |c_i| |c_j|.
-_JACOBI_TOL = 1.0e-14
-_MAX_SWEEPS = 60
-
-
-def _jacobi_orthogonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Jacobi: return (b, v) with b = a @ v, b's columns orthogonal, v orthogonal.
-
-    Cyclic pair order (i, j), i < j, fixed across runs.  The rotation angle is
-    the Rutishauser formulation, numerically stable for near-parallel columns.
-    """
-    b = a.copy()
-    n = b.shape[1]
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci = b[:, i]
-                cj = b[:, j]
-                aii = ci @ ci
-                ajj = cj @ cj
-                aij = ci @ cj
-                if aii == 0.0 or ajj == 0.0:
-                    continue
-                if abs(aij) <= _JACOBI_TOL * np.sqrt(aii * ajj):
-                    continue
-                rotated = True
-                tau = (ajj - aii) / (2.0 * aij)
-                at = abs(tau)
-                if at >= 1.0:
-                    # sqrt(1 + tau^2) rewritten so tau^2 cannot overflow
-                    inv = 1.0 / at
-                    root = at * np.sqrt(1.0 + inv * inv)
-                else:
-                    root = np.sqrt(1.0 + tau * tau)
-                t = np.sign(tau) / (at + root)
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bi = b[:, i].copy()
-                b[:, i] = c * bi - s * b[:, j]
-                b[:, j] = s * bi + c * b[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
-        if not rotated:
-            break
-    return b, v
-
-
-def _complete_columns(q: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """Replace the flagged columns of q with a deterministic orthonormal completion.
-
-    Gram-Schmidt over the standard basis in index order; q's live columns are
-    assumed orthonormal already.
-    """
-    q = q.copy()
-    live = [q[:, k] for k in range(q.shape[1]) if not dead[k]]
-    for k in np.flatnonzero(dead):
-        for c in range(q.shape[0]):
-            cand = np.zeros(q.shape[0])
-            cand[c] = 1.0
-            for w in live:
-                cand -= (w @ cand) * w
-            norm = np.linalg.norm(cand)
-            if norm > 1.0e-6:
-                cand /= norm
-                q[:, k] = cand
-                live.append(cand)
-                break
-        else:  # pragma: no cover - cannot happen for fewer columns than rows
-            raise NumericError("failed to complete an orthonormal basis")
-    return q
+# Singular values at or below this fraction of the largest are rounding noise.
+_NOISE_FLOOR = 1.0e-13
 
 
 def svd(m) -> SvdResult:
-    """Thin SVD by one-sided Jacobi, deterministic sign convention.
+    """Thin SVD by LAPACK (``np.linalg.svd``), with a deterministic sign convention.
 
-    The iteration runs on whichever orientation has the fewer columns, so the
-    cost is O(min(r, c)^2 * max(r, c)) per sweep.  Columns whose singular value
-    underflows relative to the largest (below 1e-13 * s_max) carry no reliable
-    direction; their singular vectors are rebuilt by deterministic
-    Gram-Schmidt completion so u and vt stay orthonormal.
+    u and vt are orthonormal even where a singular value is zero.  Each left
+    singular vector is flipped, together with its right partner, so that its
+    largest-magnitude entry is positive.
     """
     a = as_matrix(m, "svd input")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
+    if a.size == 0:
         raise ValueError(f"svd input must be non-empty, got shape {a.shape}")
-    transposed = cols > rows
-    work = a.T.copy() if transposed else a.copy()
-    b, v = _jacobi_orthogonalize(work)
-
-    norms = np.linalg.norm(b, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-
-    cutoff = s[0] * 1.0e-13 if s.size and s[0] > 0.0 else 0.0
-    dead = s <= cutoff
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(dead[np.newaxis, :], 0.0, b / np.where(s == 0.0, 1.0, s)[np.newaxis, :])
-    q = _complete_columns(q, dead)
-
-    if transposed:
-        u, vt = v, q.T
-    else:
-        u, vt = q, v.T
-
-    # Sign fix: largest-magnitude entry of each left singular vector positive.
-    for k in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, k])))
-        if u[idx, k] < 0.0:
-            u[:, k] = -u[:, k]
-            vt[k, :] = -vt[k, :]
-    return SvdResult(u=u, s=s, vt=vt)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    signs = np.where(peak < 0.0, -1.0, 1.0)
+    return SvdResult(u=u * signs, s=s, vt=vt * signs[:, np.newaxis])
 
 
 def rank_cutoff(s, epsilon: float) -> int:
     """Smallest k whose leading k squared singular values hold epsilon of the energy.
 
-    epsilon = 1.0 keeps every direction with a strictly positive singular
-    value; the cumulative-sum comparison is bypassed there so float rounding
-    cannot drop a genuinely nonzero direction.
+    epsilon = 1.0 keeps every direction whose singular value exceeds 1e-13 of
+    the largest; anything smaller is rounding noise of the SVD.  The
+    cumulative-sum comparison is bypassed there so float rounding cannot drop
+    a genuine direction.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -186,7 +87,7 @@ def rank_cutoff(s, epsilon: float) -> int:
     if total == 0.0:
         raise ValueError("all singular values are zero; no direction carries energy")
     if epsilon == 1.0:
-        return int(np.count_nonzero(s))
+        return int(np.count_nonzero(s > _NOISE_FLOOR * s[0]))
     cum = np.cumsum(energy)
     return int(np.searchsorted(cum, epsilon * total, side="left")) + 1
 

@@ -251,7 +251,7 @@ def _activation_mask(z: np.ndarray, activation: str):
     return (z > 0.0).astype(np.float64) if activation == "relu" else None
 
 
-def _forward_pass(net: Network, batch, record: bool):
+def _forward_pass(net: Network, batch):
     """Run the network; return (logits, aug_inputs, preacts) in column form."""
     x = as_matrix(batch, "batch")
     aug_inputs = []
@@ -304,7 +304,7 @@ def _forward_pass(net: Network, batch, record: bool):
 
 def forward(net: Network, batch, record: bool = False):
     """Logits (classes, samples) for a (samples, features) batch; optionally the trace."""
-    logits, aug_inputs, _ = _forward_pass(net, batch, record)
+    logits, aug_inputs, _ = _forward_pass(net, batch)
     if record:
         return logits, ActivationTrace(per_layer=aug_inputs)
     return logits, None
@@ -337,7 +337,7 @@ def loss_and_grads(net: Network, batch, labels):
         raise ValueError("empty batch")
     if (y < 0).any() or (y >= net.n_classes).any():
         raise ValueError(f"labels must lie in [0, {net.n_classes})")
-    logits, aug_inputs, preacts = _forward_pass(net, x, record=True)
+    logits, aug_inputs, preacts = _forward_pass(net, x)
     loss = cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise NumericError("loss is non-finite")

@@ -161,8 +161,8 @@ class ProjectorCache:
     """Lazily merges and caches one NullProjector per excluded class.
 
     Holds every class's subspace; `for_excluded(c)` merges all the others.
-    Projectors are built once and reused, since the merge SVD is the
-    expensive step of an unlearning run.
+    Projectors are built once and reused, so an unlearning run merges once
+    per excluded class instead of once per batch group in every epoch.
     """
 
     def __init__(self, subspaces: dict, epsilons):

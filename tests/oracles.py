@@ -1,15 +1,15 @@
 """Independent reference implementations used as oracles by the tests.
 
-Everything here is deliberately naive -- explicit loops, or LAPACK routines
-the package itself never calls -- so agreement with the library is evidence,
-not circularity.
+Everything here is deliberately naive -- explicit loops, or plain LAPACK
+calls without the package's validation, sign convention or noise floor -- so
+agreement with the library is evidence, not circularity.
 """
 
 import numpy as np
 
 
 def reference_singular_values(a):
-    """LAPACK singular values, descending (the package uses its own Jacobi)."""
+    """LAPACK singular values, descending, straight from numpy with no wrapper."""
     return np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)
 
 

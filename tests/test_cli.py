@@ -161,6 +161,12 @@ def test_missing_artifact_exits_2(env):
     result = run(runner, cfg_path, workdir, "report")  # nothing to join yet
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
 
+    for step in ("train", "subspace"):
+        assert run(runner, cfg_path, workdir, step).exit_code == 0
+    result = run(runner, cfg_path, workdir, "ablate")  # needs retrain.json
+    assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
+    assert "retrain" in stderr_error(result)["message"]
+
 
 def test_invalid_config_exits_3(env):
     runner, cfg_path, workdir = env
@@ -217,7 +223,7 @@ def test_random_label_variant_runs_without_subspaces(env):
 
 def test_report_refuses_mismatched_hashes(env, tmp_path):
     runner, cfg_path, workdir = env
-    for step in (("gen-data",), ("train",), ("subspace",), ("unlearn",), ("evaluate",), ("ablate",)):
+    for step in (("gen-data",), ("train",), ("retrain",), ("subspace",), ("unlearn",), ("evaluate",), ("ablate",)):
         result = run(runner, cfg_path, workdir, *step)
         assert result.exit_code == 0, result.output
     evaluate_path = tmp_path / "work" / "evaluate.json"

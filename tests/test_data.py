@@ -266,15 +266,3 @@ def test_idx_error_cases(tmp_path):
         data.load_idx(trunc, labels, n_classes=2)
     with pytest.raises(ValueError, match="outside"):
         data.load_idx(images, labels, n_classes=1)
-
-
-def test_format_dispatch(tmp_path):
-    ds = blob_dataset(seed=14, n_per_class=3)
-    path = tmp_path / "ds.csv"
-    data.save(ds, path, fmt="csv")
-    back = data.load(path, fmt="csv", n_classes=3)
-    npt.assert_array_equal(back.features, ds.features)
-    with pytest.raises(ValueError, match="unknown format"):
-        data.load(path, fmt="parquet")
-    with pytest.raises(ValueError, match="unknown format"):
-        data.save(ds, path, fmt="parquet")

@@ -75,8 +75,15 @@ def test_svd_rank_deficient_reconstruction_and_column_space():
     # The leading singular vectors span the same column space LAPACK finds.
     mine = res.u[:, :2] @ res.u[:, :2].T
     npt.assert_allclose(mine, oracles.reference_column_space_projector(a), atol=1e-8)
-    # Dead directions are completed orthonormally, not left as junk.
+    # Directions with zero singular value are still orthonormal, not junk.
     npt.assert_allclose(res.u.T @ res.u, np.eye(5), atol=1e-8)
+
+
+@pytest.mark.parametrize("rows,cols", [(7, 5), (5, 7)])
+def test_full_energy_rank_ignores_svd_noise(rows, cols):
+    # LAPACK leaves rounding-level singular values where the exact ones are zero.
+    a = random_matrix(seed=21, rows=rows, cols=cols, rank=2)
+    assert linalg.rank_cutoff(linalg.svd(a).s, 1.0) == 2
 
 
 def test_svd_zero_matrix():

@@ -41,6 +41,8 @@ class MissingArtifact(FileNotFoundError):
 
 
 def _file_hash(path) -> str:
+    if not os.path.exists(path):
+        raise MissingArtifact(f"artifact not found: {path}")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -101,8 +103,6 @@ def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
     """Read back dataset.csv, verified against its sidecar metadata."""
     path = dataset_path(workdir)
     meta = _read_json(os.path.join(workdir, "dataset.meta.json"), "dataset metadata")
-    if not os.path.exists(path):
-        raise MissingArtifact(f"dataset artifact not found: {path}")
     data_hash = _file_hash(path)
     if data_hash != meta.get("data_hash"):
         raise ConfigError(
@@ -146,9 +146,9 @@ def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlea
     if variant not in _VARIANT_PLANS:
         raise ConfigError(f"unknown unlearn variant {variant!r}; expected one of {sorted(_VARIANT_PLANS)}")
     plan = cfg.unlearn_plan(**_VARIANT_PLANS[variant])
-    if plan.use_null_space:
-        return unlearn.calibrated_unlearn(net_o, sp.d_u, cache, plan) if variant == "calibrated" else unlearn.baseline_unlearn(net_o, sp.d_u, plan, cache)
-    return unlearn.baseline_unlearn(net_o, sp.d_u, plan)
+    if variant == "calibrated":
+        return unlearn.calibrated_unlearn(net_o, sp.d_u, cache, plan)
+    return unlearn.baseline_unlearn(net_o, sp.d_u, plan, cache)
 
 
 def _save_net(net: nn.Network, path, cfg: RunConfig, data_hash: str) -> None:
@@ -156,20 +156,33 @@ def _save_net(net: nn.Network, path, cfg: RunConfig, data_hash: str) -> None:
     nn.save_checkpoint(net, path)
 
 
-def _load_net(workdir, name: str) -> nn.Network:
+def _require_lineage(what: str, recorded, expected) -> None:
+    """Refuse an upstream artifact that records another run's hashes."""
+    if recorded != expected:
+        raise ConfigError(f"{what} records {recorded}, but this run expects {expected}")
+
+
+def _load_net(cfg: RunConfig, workdir, name: str, data_hash: str) -> nn.Network:
+    """A checkpoint, refused unless this run's config and dataset produced it."""
     path = checkpoint_path(workdir, name)
     if not os.path.exists(path):
         raise MissingArtifact(f"{name} checkpoint not found: {path}")
-    return nn.load_checkpoint(path)
+    net = nn.load_checkpoint(path)
+    made_by = (net.metadata.get("config_hash"), net.metadata.get("data_hash"))
+    _require_lineage(f"{name} checkpoint (config hash, data hash)", made_by, (cfg.hash, data_hash))
+    return net
 
 
 def _load_cache(cfg: RunConfig, workdir, n_classes: int) -> subspace.ProjectorCache:
+    """Class subspaces, refused unless they were built from the current original.json."""
+    source_hash = _file_hash(checkpoint_path(workdir, "original"))
     subs = {}
     for c in range(n_classes):
         path = os.path.join(workdir, f"subspace_class_{c}.json")
         if not os.path.exists(path):
             raise MissingArtifact(f"class-{c} subspace artifact not found: {path}")
         subs[c] = subspace.load_subspace(path)
+        _require_lineage(f"{path} source checkpoint hash", subs[c].source_checkpoint_hash, source_hash)
     return subspace.ProjectorCache(subs, cfg.epsilon)
 
 
@@ -298,7 +311,7 @@ def subspace_cmd(ctx):
     cfg, workdir = _setup(ctx)
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
-    net = _load_net(workdir, "original")
+    net = _load_net(cfg, workdir, "original", data_hash)
     ckpt_hash = _file_hash(checkpoint_path(workdir, "original"))
     subs, _ = build_subspaces(cfg, net, sp.train)
     for c, sub in subs.items():
@@ -324,7 +337,7 @@ def unlearn_cmd(ctx, variant):
     cfg, workdir = _setup(ctx)
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
-    net_o = _load_net(workdir, "original")
+    net_o = _load_net(cfg, workdir, "original", data_hash)
     plan = cfg.unlearn_plan(**_VARIANT_PLANS[variant])
     cache = _load_cache(cfg, workdir, ds.n_classes) if plan.use_null_space else None
     res = run_unlearn_variant(cfg, net_o, sp, cache, variant)
@@ -343,7 +356,7 @@ def unlearn_cmd(ctx, variant):
     click.echo(json.dumps({"checkpoint": checkpoint_path(workdir, name), "variant": variant}))
 
 
-def _gather_models(workdir) -> dict:
+def _gather_models(cfg: RunConfig, workdir, data_hash: str) -> dict:
     nets = {}
     for name, fname in (
         ("original", "original"),
@@ -353,9 +366,8 @@ def _gather_models(workdir) -> dict:
         ("random-label+nullspace", "unlearned_random-label+nullspace"),
         ("gradient-ascent", "unlearned_gradient-ascent"),
     ):
-        path = checkpoint_path(workdir, fname)
-        if os.path.exists(path):
-            nets[name] = nn.load_checkpoint(path)
+        if os.path.exists(checkpoint_path(workdir, fname)):
+            nets[name] = _load_net(cfg, workdir, fname, data_hash)
     return nets
 
 
@@ -367,7 +379,7 @@ def evaluate_cmd(ctx):
     cfg, workdir = _setup(ctx)
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
-    nets = _gather_models(workdir)
+    nets = _gather_models(cfg, workdir, data_hash)
     if "original" not in nets:
         raise MissingArtifact(f"original checkpoint not found: {checkpoint_path(workdir, 'original')}")
     labeled = None
@@ -398,9 +410,9 @@ def contour_cmd(ctx, model):
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
     fname = {"original": "original", "calibrated": "unlearned_calibrated", "retrain": "retrain"}[model]
-    net = _load_net(workdir, fname)
+    net = _load_net(cfg, workdir, fname, data_hash)
     cache = _load_cache(cfg, workdir, ds.n_classes)
-    proj = cache.for_excluded(cfg.unlearn_plan().unlearn_classes[0])
+    proj = cache.for_excluded(*cfg.unlearn_plan().unlearn_classes)
     null_dir, off_dir = evaluate.contour_directions(proj, net, cfg.seed_for("contour-dirs"))
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))
@@ -419,11 +431,11 @@ def ablate_cmd(ctx):
     cfg, workdir = _setup(ctx)
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
-    net_o = _load_net(workdir, "original")
+    net_o = _load_net(cfg, workdir, "original", data_hash)
     cache = _load_cache(cfg, workdir, ds.n_classes)
     nets = {
         "original": net_o,
-        "retrain": _load_net(workdir, "retrain"),
+        "retrain": _load_net(cfg, workdir, "retrain", data_hash),
         "random-label": run_unlearn_variant(cfg, net_o, sp, None, "random-label").network,
         "random-label+nullspace": run_unlearn_variant(cfg, net_o, sp, cache, "random-label+nullspace").network,
         "calibrated": run_unlearn_variant(cfg, net_o, sp, cache, "calibrated").network,

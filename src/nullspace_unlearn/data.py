@@ -1,4 +1,4 @@
-"""Datasets: seeded Gaussian-mixture generation, stratified splits, CSV/IDX round-trips.
+"""Datasets: seeded Gaussian-mixture generation, stratified splits, CSV round-trips.
 
 Generation is fully portable: all randomness comes from
 `determinism.PortableRng` (Philox words, Box-Muller normals) and samples are
@@ -8,7 +8,6 @@ standard normals mapped through the Cholesky factor of its covariance.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,79 +232,3 @@ def load_csv(path, n_classes: int) -> Dataset:
         n_classes=n_classes,
         provenance={"source": str(path), "format": "csv"},
     )
-
-
-_IDX_IMAGE_MAGIC = 0x00000803
-_IDX_LABEL_MAGIC = 0x00000801
-
-
-def load_idx(images_path, labels_path, n_classes: int, normalize: bool = True) -> Dataset:
-    """Big-endian IDX image/label pair; pixel rows are flattened, /255 when normalize."""
-    with open(images_path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise ValueError(f"{images_path}: truncated header at byte {len(head)}")
-        magic, count, rows, cols = struct.unpack(">IIII", head)
-        if magic != _IDX_IMAGE_MAGIC:
-            raise ValueError(
-                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGE_MAGIC:08x}"
-            )
-        body = fh.read(count * rows * cols)
-        if len(body) != count * rows * cols:
-            raise ValueError(
-                f"{images_path}: expected {count * rows * cols} pixel bytes, found {len(body)}"
-            )
-    with open(labels_path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ValueError(f"{labels_path}: truncated header at byte {len(head)}")
-        magic, label_count = struct.unpack(">II", head)
-        if magic != _IDX_LABEL_MAGIC:
-            raise ValueError(
-                f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}"
-            )
-        label_body = fh.read(label_count)
-        if len(label_body) != label_count:
-            raise ValueError(
-                f"{labels_path}: expected {label_count} label bytes, found {len(label_body)}"
-            )
-    if label_count != count:
-        raise ValueError(f"{images_path} holds {count} images but {labels_path} {label_count} labels")
-    labels = np.frombuffer(label_body, dtype=np.uint8).astype(np.int64)
-    bad = np.flatnonzero(labels >= n_classes)
-    if bad.size:
-        offset = 8 + int(bad[0])
-        raise ValueError(
-            f"{labels_path}: label {labels[bad[0]]} at byte offset {offset} outside [0, {n_classes})"
-        )
-    pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
-    if normalize:
-        pixels = pixels / 255.0
-    return Dataset(
-        features=pixels,
-        labels=labels,
-        n_classes=n_classes,
-        provenance={
-            "source": str(images_path),
-            "labels_source": str(labels_path),
-            "format": "idx",
-            "image_shape": [1, int(rows), int(cols)],
-            "normalized": bool(normalize),
-        },
-    )
-
-
-def save_idx(dataset: Dataset, images_path, labels_path, image_shape) -> None:
-    """Write features (assumed in [0, 1]) back to the byte-valued IDX pair."""
-    c, h, w = (int(v) for v in image_shape)
-    if c != 1:
-        raise ValueError("IDX image files hold single-channel images")
-    if dataset.features.shape[1] != h * w:
-        raise ValueError(f"features have {dataset.features.shape[1]} columns, expected {h * w}")
-    pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IDX_IMAGE_MAGIC, len(dataset), h, w))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", _IDX_LABEL_MAGIC, len(dataset)))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())

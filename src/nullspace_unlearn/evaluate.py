@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from .determinism import PortableRng, derive_seed
-from .linalg import as_matrix
+from .linalg import apply_projection, as_matrix
 from .subspace import NullProjector
 
 
@@ -287,19 +287,20 @@ def loss_contour(net: nn.Network, null_dir, off_dir, alphas, betas, remaining_se
 def contour_directions(projector: NullProjector, net: nn.Network, seed: int):
     """Seeded unit per-layer directions inside (null_dir) and off (off_dir) the null space.
 
-    Gaussian blocks are projected with P (null) and I - P (retained) and
-    normalized per layer; a block whose projection norm falls below 1e-12 is
-    left identically zero, which happens exactly when that layer's null space
-    (or retained space) is trivial.
+    Gaussian blocks are projected off the retained basis B, g - (g B) B^T
+    (null), and onto it, (g B) B^T (retained), and normalized per layer; a
+    block whose projection norm falls below 1e-12 is left identically zero,
+    which happens exactly when that layer's null space (or retained space) is
+    trivial.
     """
     rng = PortableRng(derive_seed(seed, "contour"))
     null_dir = []
     off_dir = []
-    for w, p in zip(net.weights, projector.projectors):
+    for w, b in zip(net.weights, projector.bases):
         g_null = rng.standard_normal(w.shape)
         g_off = rng.standard_normal(w.shape)
-        nb = g_null @ p
-        ob = g_off @ (np.eye(p.shape[0]) - p)
+        nb = apply_projection(g_null, b)
+        ob = g_off - apply_projection(g_off, b)
         n_norm = float(np.linalg.norm(nb))
         o_norm = float(np.linalg.norm(ob))
         null_dir.append(nb / n_norm if n_norm > 1.0e-12 else np.zeros_like(w))

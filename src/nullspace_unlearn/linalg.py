@@ -1,6 +1,8 @@
-"""Dense linear algebra kernels: deterministic SVD, energy-rank selection, null projectors.
+"""Dense linear algebra kernels: deterministic SVD, energy-rank selection, null-space projection.
 
-Everything here is float64.  The SVD is LAPACK's, through numpy; with the
+A retained subspace is held as an orthonormal basis B (n x k), never as a
+dense n x n projector: projecting a gradient off it costs two thin products,
+g - (g B) B^T.  Everything here is float64.  The SVD is LAPACK's, through numpy; with the
 same BLAS build and thread count, the same input bytes give the same output
 bytes on every run, and a fixed sign convention keeps the singular vectors
 byte-stable too.
@@ -95,7 +97,8 @@ def rank_cutoff(s, epsilon: float) -> int:
 def null_projector(basis) -> np.ndarray:
     """P = I - B B^T for an orthonormal-column basis B; symmetric and idempotent.
 
-    The orthonormality precondition is checked to 1e-8 and the error message
+    The dense form of what apply_projection does with B itself; kept as the
+    reference the tests compare against.  The orthonormality precondition is checked to 1e-8 and the error message
     reports the worst deviation, since a skewed basis silently breaks the
     idempotence guarantee downstream.
     """
@@ -116,14 +119,19 @@ def null_projector(basis) -> np.ndarray:
     return (p + p.T) / 2.0
 
 
-def apply_projection(grad, p) -> np.ndarray:
-    """Project a gradient block onto a subspace from the right: grad @ p."""
+def apply_projection(grad, basis) -> np.ndarray:
+    """Project gradient rows off span(basis): g - (g B) B^T for an orthonormal-column B.
+
+    A spanning basis (k == n) returns exact zeros: g - (g B) B^T would keep
+    rounding dust that downstream SGD steps happily accumulate.
+    """
     g = as_matrix(grad, "gradient")
-    proj = as_matrix(p, "projector")
-    if proj.shape[0] != proj.shape[1]:
-        raise ValueError(f"projector must be square, got shape {proj.shape}")
-    if g.shape[1] != proj.shape[0]:
-        raise ValueError(
-            f"gradient columns ({g.shape[1]}) do not match projector dimension ({proj.shape[0]})"
-        )
-    return g @ proj
+    b = as_matrix(basis, "projector basis")
+    n, k = b.shape
+    if k > n:
+        raise ValueError(f"basis has more columns ({k}) than rows ({n})")
+    if g.shape[1] != n:
+        raise ValueError(f"gradient columns ({g.shape[1]}) do not match basis dimension ({n})")
+    if k == n:
+        return np.zeros_like(g)
+    return g - (g @ b) @ b.T

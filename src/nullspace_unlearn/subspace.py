@@ -1,13 +1,14 @@
-"""Per-class activation subspaces and merged null-space projectors.
+"""Per-class activation subspaces and the merged retained basis of an unlearn set.
 
 A class subspace is the SVD of the recorded layer inputs for one class: the
 full set of left singular vectors together with their singular values.  No
-truncation happens at the class level.  When projectors are built, the kept
-subspaces are merged per layer by concatenating each basis scaled by its
-singular values - column-equivalent to concatenating the raw activation
+truncation happens at the class level.  For an unlearn set, the subspaces of
+every other class are merged per layer by concatenating each basis scaled by
+its singular values - column-equivalent to concatenating the raw activation
 matrices themselves - then a single SVD plus energy cutoff picks the retained
-directions and P = I - S S^T annihilates them.  Scaling by the singular
-values is what lets one energy threshold weigh classes against each other;
+directions, kept as an orthonormal basis B (n x k).  Updates are projected
+off span(B) with `linalg.apply_projection`.  Scaling by the singular values
+is what lets one energy threshold weigh classes against each other;
 concatenating bare orthonormal bases would flatten the spectrum.
 """
 
@@ -19,19 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .linalg import as_matrix, null_projector, rank_cutoff, svd
+from .linalg import as_matrix, rank_cutoff, svd
 
 SUBSPACE_FORMAT_VERSION = 1
 
 
 @dataclass
 class ClassSubspace:
-    """Layer-wise activation basis for one class: full U and singular values per layer."""
+    """Layer-wise activation basis for one class: full U and singular values per layer.
+
+    source_checkpoint_hash names the checkpoint the activations came from.
+    load_subspace fills it from the artifact; a subspace built in memory
+    leaves it empty.
+    """
 
     class_id: int
     sample_count: int
     bases: list
     singular_values: list
+    source_checkpoint_hash: str = ""
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -78,18 +85,22 @@ def class_subspace(net: nn.Network, class_batch) -> ClassSubspace:
 
 @dataclass
 class NullProjector:
-    """Per-layer projectors onto the null space of the merged retained subspaces."""
+    """Per-layer orthonormal bases B (n x k) of the merged retained subspaces.
+
+    Updates are projected onto the null space, g - (g B) B^T; no dense
+    n x n projector is ever formed.
+    """
 
     merged_classes: tuple
     excluded_classes: tuple
     epsilons: tuple
-    projectors: list
+    bases: list
     ranks: tuple
 
     def __post_init__(self):
         self.merged_classes = tuple(sorted(int(c) for c in self.merged_classes))
         self.excluded_classes = tuple(sorted(int(c) for c in self.excluded_classes))
-        self.projectors = [as_matrix(p, f"layer {i} projector") for i, p in enumerate(self.projectors)]
+        self.bases = [as_matrix(b, f"layer {i} retained basis") for i, b in enumerate(self.bases)]
 
 
 def _layer_epsilons(epsilons, n_layers: int) -> tuple:
@@ -106,12 +117,13 @@ def _layer_epsilons(epsilons, n_layers: int) -> tuple:
 
 
 def merge_null_projector(subspaces, epsilons, excluded_classes=()) -> NullProjector:
-    """Merge class subspaces layer-wise and return null projectors of the kept energy.
+    """Merge class subspaces layer-wise and return the retained basis of the kept energy.
 
     Per layer: concatenate U_c * diag(s_c) over the supplied classes, SVD the
-    concatenation, keep the smallest rank holding epsilon of the squared
-    energy, and project off it.  Duplicate or overlapping class subspaces add
-    energy but no new directions, so the merge is order-invariant.
+    concatenation, and keep the leading left singular vectors of the smallest
+    rank holding epsilon of the squared energy.  Duplicate or overlapping
+    class subspaces add energy but no new directions, so the merge is
+    order-invariant.
     """
     subs = list(subspaces)
     if not subs:
@@ -124,45 +136,42 @@ def merge_null_projector(subspaces, epsilons, excluded_classes=()) -> NullProjec
         if len(s.bases) != n_layers:
             raise ValueError("subspaces disagree on layer count")
     eps = _layer_epsilons(epsilons, n_layers)
-    projectors = []
-    ranks = []
+    bases = []
     for li in range(n_layers):
         scaled = [s.bases[li] * s.singular_values[li][np.newaxis, :] for s in subs]
         concat = np.hstack(scaled)
         res = svd(concat)
         k = rank_cutoff(res.s, eps[li])
-        basis = res.u[:, :k]
-        projectors.append(null_projector(basis))
-        ranks.append(k)
+        bases.append(np.ascontiguousarray(res.u[:, :k]))
     return NullProjector(
         merged_classes=tuple(sorted(ids)),
         excluded_classes=tuple(excluded_classes),
         epsilons=eps,
-        projectors=projectors,
-        ranks=tuple(ranks),
+        bases=bases,
+        ranks=tuple(b.shape[1] for b in bases),
     )
 
 
 def retained_energy(projector: NullProjector, trace: nn.ActivationTrace) -> list[float]:
-    """Per layer, the fraction of activation energy the projector removes: ||(I-P)R||_F^2 / ||R||_F^2."""
-    if len(trace.per_layer) != len(projector.projectors):
+    """Per layer, the fraction of activation energy inside the retained basis: ||B^T R||_F^2 / ||R||_F^2."""
+    if len(trace.per_layer) != len(projector.bases):
         raise ValueError("trace and projector disagree on layer count")
     out = []
-    for p, r in zip(projector.projectors, trace.per_layer):
+    for b, r in zip(projector.bases, trace.per_layer):
         total = float(np.sum(r * r))
         if total == 0.0:
             raise ValueError("trace layer carries no energy")
-        removed = r - p @ r
-        out.append(float(np.sum(removed * removed)) / total)
+        kept = b.T @ r
+        out.append(float(np.sum(kept * kept)) / total)
     return out
 
 
 class ProjectorCache:
-    """Lazily merges and caches one NullProjector per excluded class.
+    """Lazily merges and caches one NullProjector per excluded set of classes.
 
-    Holds every class's subspace; `for_excluded(c)` merges all the others.
-    Projectors are built once and reused, so an unlearning run merges once
-    per excluded class instead of once per batch group in every epoch.
+    Holds every class's subspace; `for_excluded(*class_ids)` merges all the
+    others into one retained basis.  An unlearn run excludes its whole unlearn
+    set, so it merges once, and the merge is reused across runs.
     """
 
     def __init__(self, subspaces: dict, epsilons):
@@ -173,16 +182,17 @@ class ProjectorCache:
         self.epsilons = epsilons
         self._cache: dict = {}
 
-    def for_excluded(self, class_id: int) -> NullProjector:
-        c = int(class_id)
-        if c not in self.subspaces:
-            raise ValueError(f"no subspace recorded for class {c}")
-        if c not in self._cache:
-            kept = [s for cid, s in sorted(self.subspaces.items()) if cid != c]
+    def for_excluded(self, *class_ids: int) -> NullProjector:
+        excluded = tuple(sorted({int(c) for c in class_ids}))
+        for c in excluded:
+            if c not in self.subspaces:
+                raise ValueError(f"no subspace recorded for class {c}")
+        if excluded not in self._cache:
+            kept = [s for cid, s in sorted(self.subspaces.items()) if cid not in excluded]
             if not kept:
-                raise ValueError("cannot exclude the only recorded class")
-            self._cache[c] = merge_null_projector(kept, self.epsilons, excluded_classes=(c,))
-        return self._cache[c]
+                raise ValueError(f"excluding {list(excluded)} leaves no recorded class to merge")
+            self._cache[excluded] = merge_null_projector(kept, self.epsilons, excluded_classes=excluded)
+        return self._cache[excluded]
 
 
 def save_subspace(sub: ClassSubspace, path, epsilon=None, source_checkpoint_hash: str = "") -> None:
@@ -227,4 +237,5 @@ def load_subspace(path) -> ClassSubspace:
         sample_count=int(doc["sample_count"]),
         bases=bases,
         singular_values=svals,
+        source_checkpoint_hash=doc["source_checkpoint_hash"],
     )

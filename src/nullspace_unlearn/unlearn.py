@@ -2,10 +2,11 @@
 
 The full method relabels every forget-set sample with the original model's
 best prediction outside the unlearn classes, then fine-tunes with each
-gradient block projected onto the null space of the remaining classes'
-activation subspaces.  Baselines swap the labeling rule (random labels,
-kept labels with gradient ascent) and/or drop the projection, which is
-exactly the ablation grid the evaluation suite compares.
+gradient block projected off the retained basis B of the remaining classes'
+activations, g - (g B) B^T, so updates stay in its null space.  Baselines
+swap the labeling rule (random labels, kept labels with gradient ascent)
+and/or drop the projection, which is exactly the ablation grid the
+evaluation suite compares.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import nn
 from .determinism import PortableRng, derive_seed
 from .linalg import NumericError, apply_projection
-from .subspace import ProjectorCache
+from .subspace import NullProjector, ProjectorCache
 
 _LABELINGS = ("pseudo", "random", "keep")
 
@@ -92,23 +93,11 @@ class UnlearnResult:
     labeled: PseudoLabeledSet
 
 
-def pseudo_label(net_o: nn.Network, x, y: int, unlearn_classes) -> int:
-    """Original model's most probable class outside the unlearn set (lowest index on ties)."""
-    classes = sorted(int(c) for c in unlearn_classes)
-    y = int(y)
-    if y not in classes:
-        raise ValueError(f"sample label {y} is not an unlearn class {classes}")
-    k = net_o.n_classes
-    if set(classes) >= set(range(k)):
-        raise ValueError("unlearn classes cover every class; no pseudo-label target remains")
-    probs = nn.predict_proba(net_o, np.asarray(x, dtype=np.float64).reshape(1, -1))[:, 0]
-    masked = probs.copy()
-    masked[classes] = -np.inf
-    return int(np.argmax(masked))
-
-
 def pseudo_label_set(net_o: nn.Network, d_u, unlearn_classes) -> PseudoLabeledSet:
-    """Vectorized pseudo_label over a forget set."""
+    """Relabel each forget sample with the original model's most probable class outside the unlearn set.
+
+    Ties go to the lowest class index.
+    """
     classes = sorted(int(c) for c in unlearn_classes)
     k = net_o.n_classes
     if set(classes) >= set(range(k)):
@@ -150,40 +139,33 @@ def random_label_set(d_u, n_classes: int, unlearn_classes, seed: int) -> PseudoL
 def _finetune(
     net: nn.Network,
     labeled: PseudoLabeledSet,
-    cache: ProjectorCache | None,
+    projector: NullProjector | None,
     plan: UnlearnPlan,
 ) -> UnlearnResult:
-    """Shared SGD engine: mini-batches grouped by original class, optional projection/ascent.
+    """Shared SGD engine: seeded mini-batches over the forget set, optional projection/ascent.
 
-    Grouping by original class is what lets each batch use the projector that
-    excludes exactly that class.  Classes iterate in sorted order and each
-    group is reshuffled per epoch from one seeded stream, so runs are
-    bit-reproducible.
+    The whole forget set is reshuffled each epoch from one seeded stream, so
+    runs are bit-reproducible.  Every step is projected off the same retained
+    basis, the one that excludes the whole unlearn set.
     """
     out = net.copy()
     feats = labeled.features
     y_train = labeled.assigned_labels
-    y_orig = labeled.original_labels
-    groups = {int(c): np.flatnonzero(y_orig == c) for c in np.unique(y_orig)}
+    bases = projector.bases if projector is not None else None
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
     losses = []
     for _ in range(plan.epochs):
         total = 0.0
-        count = 0
-        for c in sorted(groups):
-            idx = groups[c]
-            proj = cache.for_excluded(c).projectors if cache is not None else None
-            perm = idx[rng.permutation(idx.size)]
-            for start in range(0, perm.size, plan.batch_size):
-                sel = perm[start : start + plan.batch_size]
-                loss, grads = nn.loss_and_grads(out, feats[sel], y_train[sel])
-                total += loss * sel.size
-                count += sel.size
-                for li, (w, g) in enumerate(zip(out.weights, grads.per_layer)):
-                    step = apply_projection(g, proj[li]) if proj is not None else g
-                    w += sign * plan.lr * step
-        epoch_loss = total / count
+        perm = rng.permutation(y_train.size)
+        for start in range(0, perm.size, plan.batch_size):
+            sel = perm[start : start + plan.batch_size]
+            loss, grads = nn.loss_and_grads(out, feats[sel], y_train[sel])
+            total += loss * sel.size
+            for li, (w, g) in enumerate(zip(out.weights, grads.per_layer)):
+                step = apply_projection(g, bases[li]) if bases is not None else g
+                w += sign * plan.lr * step
+        epoch_loss = total / perm.size
         if not math.isfinite(epoch_loss):
             raise NumericError("unlearning loss went non-finite")
         losses.append(epoch_loss)
@@ -212,7 +194,7 @@ def calibrated_unlearn(net_o: nn.Network, d_u, cache: ProjectorCache, plan: Unle
     if plan.labeling != "pseudo" or not plan.use_null_space:
         raise ValueError("calibrated_unlearn runs the pseudo+nullspace plan; use baseline_unlearn for variants")
     labeled = _label_for_plan(net_o, d_u, plan)
-    return _finetune(net_o, labeled, cache, plan)
+    return _finetune(net_o, labeled, cache.for_excluded(*plan.unlearn_classes), plan)
 
 
 def baseline_unlearn(
@@ -222,7 +204,8 @@ def baseline_unlearn(
     if plan.use_null_space and cache is None:
         raise ValueError("plan requests null-space projection but no projector cache was supplied")
     labeled = _label_for_plan(net_o, d_u, plan)
-    return _finetune(net_o, labeled, cache if plan.use_null_space else None, plan)
+    projector = cache.for_excluded(*plan.unlearn_classes) if plan.use_null_space else None
+    return _finetune(net_o, labeled, projector, plan)
 
 
 def retrain(d_r_train, d_r_val, specs, input_shape, schedule: nn.TrainSchedule, seed: int) -> nn.Network:

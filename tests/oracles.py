@@ -1,11 +1,13 @@
 """Independent reference implementations used as oracles by the tests.
 
-Everything here is deliberately naive -- explicit loops, or plain LAPACK
-calls without the package's validation, sign convention or noise floor -- so
-agreement with the library is evidence, not circularity.
+Everything here is deliberately naive -- explicit loops, one row at a time,
+or plain LAPACK calls without the package's validation, sign convention or
+noise floor -- so agreement with the library is evidence, not circularity.
 """
 
 import numpy as np
+
+from nullspace_unlearn import nn
 
 
 def reference_singular_values(a):
@@ -141,3 +143,20 @@ def gram_schmidt_rank(a, tol=1e-10):
         if norm > tol * max(1.0, np.linalg.norm(col)):
             basis.append(v / norm)
     return len(basis)
+
+
+def pseudo_label(net_o, x, y, unlearn_classes):
+    """One sample's pseudo-label: the original model's most probable class outside the unlearn set.
+
+    Scored one row at a time, lowest index on ties.
+    """
+    classes = sorted(int(c) for c in unlearn_classes)
+    y = int(y)
+    if y not in classes:
+        raise ValueError(f"sample label {y} is not an unlearn class {classes}")
+    if set(classes) >= set(range(net_o.n_classes)):
+        raise ValueError("unlearn classes cover every class; no pseudo-label target remains")
+    probs = nn.predict_proba(net_o, np.asarray(x, dtype=np.float64).reshape(1, -1))[:, 0]
+    masked = probs.copy()
+    masked[classes] = -np.inf
+    return int(np.argmax(masked))

@@ -235,6 +235,32 @@ def test_report_refuses_mismatched_hashes(env, tmp_path):
     assert "disagree" in stderr_error(result)["message"]
 
 
+def test_checkpoint_from_another_config_is_refused(env):
+    runner, cfg_path, workdir = env
+    for step in (("gen-data",), ("train",), ("--set", "train.epochs=0", "retrain"), ("subspace",)):
+        assert run(runner, cfg_path, workdir, *step).exit_code == 0
+    for step in ("ablate", "evaluate"):
+        result = run(runner, cfg_path, workdir, step)
+        assert result.exit_code == cli.EXIT_VALIDATION, step
+        assert "retrain checkpoint" in stderr_error(result)["message"]
+    # An original retrained after `subspace` no longer matches this run either.
+    assert run(runner, cfg_path, workdir, "--set", "train.epochs=1", "train").exit_code == 0
+    result = run(runner, cfg_path, workdir, "unlearn")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "original checkpoint" in stderr_error(result)["message"]
+
+
+def test_subspaces_from_another_original_are_refused(env):
+    runner, cfg_path, workdir = env
+    other = ("--set", "train.epochs=1")
+    for step in (("gen-data",), (*other, "train"), (*other, "subspace"), ("train",)):
+        assert run(runner, cfg_path, workdir, *step).exit_code == 0
+    for step in (("unlearn",), ("contour", "--model", "original"), ("ablate",)):
+        result = run(runner, cfg_path, workdir, *step)
+        assert result.exit_code == cli.EXIT_VALIDATION, step
+        assert "source checkpoint hash" in stderr_error(result)["message"]
+
+
 def test_tampered_dataset_is_rejected(env, tmp_path):
     runner, cfg_path, workdir = env
     run(runner, cfg_path, workdir, "gen-data")

@@ -1,7 +1,5 @@
 """Synthetic data generation, stratified splits, and file round trips."""
 
-import struct
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -213,56 +211,3 @@ def test_csv_skips_blank_trailing_lines(tmp_path):
     path.write_text("f0,label\n0.5,1\n\n")
     back = data.load_csv(path, n_classes=2)
     assert len(back) == 1
-
-
-# ---------------------------------------------------------------------------
-# IDX round trip
-# ---------------------------------------------------------------------------
-
-
-def idx_pair(tmp_path, pixels, labels, rows=2, cols=2):
-    images = tmp_path / "img.idx"
-    lab = tmp_path / "lab.idx"
-    with open(images, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, len(labels), rows, cols))
-        fh.write(bytes(pixels))
-    with open(lab, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, len(labels)))
-        fh.write(bytes(labels))
-    return images, lab
-
-
-def test_idx_load_and_normalization(tmp_path):
-    images, labels = idx_pair(tmp_path, pixels=[0, 255, 128, 64] * 2, labels=[1, 0])
-    ds = data.load_idx(images, labels, n_classes=2)
-    assert ds.features.shape == (2, 4)
-    npt.assert_allclose(ds.features[0], [0.0, 1.0, 128 / 255.0, 64 / 255.0])
-    npt.assert_array_equal(ds.labels, [1, 0])
-    raw = data.load_idx(images, labels, n_classes=2, normalize=False)
-    npt.assert_array_equal(raw.features[0], [0.0, 255.0, 128.0, 64.0])
-
-
-def test_idx_round_trip(tmp_path):
-    images, labels = idx_pair(tmp_path, pixels=list(range(8)), labels=[0, 1])
-    ds = data.load_idx(images, labels, n_classes=2)
-    out_i = tmp_path / "out_img.idx"
-    out_l = tmp_path / "out_lab.idx"
-    data.save_idx(ds, out_i, out_l, image_shape=(1, 2, 2))
-    assert images.read_bytes() == out_i.read_bytes()
-    assert labels.read_bytes() == out_l.read_bytes()
-
-
-def test_idx_error_cases(tmp_path):
-    images, labels = idx_pair(tmp_path, pixels=list(range(8)), labels=[0, 1])
-    bad = tmp_path / "badmagic.idx"
-    bad.write_bytes(struct.pack(">IIII", 0x00000804, 2, 2, 2) + bytes(range(8)))
-    with pytest.raises(ValueError, match="bad magic"):
-        data.load_idx(bad, labels, n_classes=2)
-    with pytest.raises(ValueError, match="bad magic"):
-        data.load_idx(images, images, n_classes=2)
-    trunc = tmp_path / "trunc.idx"
-    trunc.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(range(4)))
-    with pytest.raises(ValueError, match="pixel bytes"):
-        data.load_idx(trunc, labels, n_classes=2)
-    with pytest.raises(ValueError, match="outside"):
-        data.load_idx(images, labels, n_classes=1)

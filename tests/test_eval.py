@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import blob_splits, dense_net, dense_specs, trained_dense_net
-from nullspace_unlearn import data, evaluate, nn, subspace, unlearn
+from nullspace_unlearn import data, evaluate, linalg, nn, subspace, unlearn
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +145,8 @@ def test_audit_passes_null_space_updates(fitted):
     proj = subspace.merge_null_projector([subs[1], subs[2]], 1.0)
     moved = net.copy()
     rng = np.random.default_rng(3)
-    for w, p in zip(moved.weights, proj.projectors):
-        w += 0.05 * (rng.standard_normal(w.shape) @ p)
+    for w, b in zip(moved.weights, proj.bases):
+        w += 0.05 * linalg.apply_projection(rng.standard_normal(w.shape), b)
     rep = evaluate.orthogonality_audit(net, moved, trace, build)
     assert max(rep.per_layer_residual) <= 1e-6
     assert rep.loss_delta <= 1e-4
@@ -230,7 +230,8 @@ def test_contour_directions_are_unit_and_separated(fitted):
     }
     proj = subspace.merge_null_projector([subs[1], subs[2]], 0.99, excluded_classes=(0,))
     null_dir, off_dir = evaluate.contour_directions(proj, net, seed=9)
-    for nb, ob, p in zip(null_dir, off_dir, proj.projectors):
+    for nb, ob, b in zip(null_dir, off_dir, proj.bases):
+        p = linalg.null_projector(b)
         n_norm = np.linalg.norm(nb)
         o_norm = np.linalg.norm(ob)
         assert n_norm == pytest.approx(1.0) or n_norm == 0.0
@@ -248,7 +249,7 @@ def test_contour_directions_zero_block_for_trivial_null_space(fitted):
         merged_classes=(1, 2),
         excluded_classes=(0,),
         epsilons=(1.0, 1.0),
-        projectors=[np.zeros((w.shape[1], w.shape[1])) for w in net.weights],
+        bases=[np.eye(w.shape[1]) for w in net.weights],
         ranks=(5, 9),
     )
     null_dir, off_dir = evaluate.contour_directions(full, net, seed=4)

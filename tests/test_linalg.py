@@ -245,13 +245,15 @@ def test_null_projector_property_idempotent(n, seed, data):
 
 
 def test_apply_projection_projects_rows():
-    b = orthonormal_basis(seed=17, n=6, k=2)
-    p = linalg.null_projector(b)
     g = random_matrix(seed=18, rows=4, cols=6)
-    out = linalg.apply_projection(g, p)
-    npt.assert_allclose(out, g @ p, atol=0.0)
-    # Projected rows have no component along the basis.
-    npt.assert_allclose(out @ b, np.zeros((4, 2)), atol=1e-12)
+    for k in (2, 6):
+        b = orthonormal_basis(seed=17, n=6, k=k)
+        out = linalg.apply_projection(g, b)
+        npt.assert_allclose(out, g @ linalg.null_projector(b), atol=1e-12)
+        # Projected rows have no component along the basis.
+        npt.assert_allclose(out @ b, np.zeros((4, k)), atol=1e-12)
+    # A spanning basis leaves exact zeros, not rounding dust.
+    npt.assert_array_equal(out, np.zeros((4, 6)))
 
 
 def test_apply_projection_validation():

@@ -1,11 +1,11 @@
-"""Class activation subspaces, merged null projectors, and their cache."""
+"""Class activation subspaces, merged retained bases, and their cache."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import blob_splits, trained_dense_net
-from nullspace_unlearn import nn, subspace
+from nullspace_unlearn import linalg, nn, subspace
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +72,10 @@ def test_merged_projector_properties(fitted):
     proj = subspace.merge_null_projector([subs[1], subs[2]], 0.99, excluded_classes=(0,))
     assert proj.merged_classes == (1, 2)
     assert proj.excluded_classes == (0,)
-    assert len(proj.projectors) == 2
-    for p, k in zip(proj.projectors, proj.ranks):
-        npt.assert_allclose(p @ p, p, atol=1e-10)
-        npt.assert_array_equal(p, p.T)
-        assert round(np.trace(p)) == p.shape[0] - k
+    assert len(proj.bases) == 2
+    for b, k in zip(proj.bases, proj.ranks):
+        assert b.shape[1] == k
+        npt.assert_allclose(b.T @ b, np.eye(k), atol=1e-10)
 
 
 def test_merge_is_order_invariant(fitted):
@@ -84,8 +83,9 @@ def test_merge_is_order_invariant(fitted):
     ab = subspace.merge_null_projector([subs[1], subs[2]], 0.99)
     ba = subspace.merge_null_projector([subs[2], subs[1]], 0.99)
     assert ab.ranks == ba.ranks
-    for pa, pb in zip(ab.projectors, ba.projectors):
-        npt.assert_allclose(pa, pb, atol=1e-8)
+    # Singular vectors may differ in sign and rotation; the spans may not.
+    for qa, qb in zip(ab.bases, ba.bases):
+        npt.assert_allclose(qa @ qa.T, qb @ qb.T, atol=1e-8)
 
 
 def test_full_energy_projector_annihilates_build_activations(fitted):
@@ -94,8 +94,8 @@ def test_full_energy_projector_annihilates_build_activations(fitted):
     for c in (1, 2):
         batch = sp.train.class_filter((c,), keep=True)
         _, trace = nn.forward(net, batch.features, record=True)
-        for p, r in zip(proj.projectors, trace.per_layer):
-            assert np.linalg.norm(p @ r) <= 1e-8 * np.linalg.norm(r)
+        for b, r in zip(proj.bases, trace.per_layer):
+            assert np.linalg.norm(linalg.apply_projection(r.T, b)) <= 1e-8 * np.linalg.norm(r)
 
 
 def test_rank_grows_with_epsilon(fitted):
@@ -150,7 +150,15 @@ def test_cache_builds_once_and_matches_direct_merge(fitted):
     assert cache.for_excluded(0) is first
     direct = subspace.merge_null_projector([subs[1], subs[2]], 0.99, excluded_classes=(0,))
     assert first.merged_classes == direct.merged_classes
-    for pa, pb in zip(first.projectors, direct.projectors):
+    for pa, pb in zip(first.bases, direct.bases):
+        npt.assert_array_equal(pa, pb)
+    # An unlearn set is one merge over the classes outside it, in any order.
+    pair = cache.for_excluded(0, 1)
+    assert cache.for_excluded(1, 0) is pair
+    assert pair.merged_classes == (2,)
+    assert pair.excluded_classes == (0, 1)
+    direct = subspace.merge_null_projector([subs[2]], 0.99)
+    for pa, pb in zip(pair.bases, direct.bases):
         npt.assert_array_equal(pa, pb)
 
 
@@ -158,8 +166,10 @@ def test_cache_validation(fitted):
     _, _, subs = fitted
     with pytest.raises(ValueError, match="no subspace recorded"):
         subspace.ProjectorCache(subs, 0.99).for_excluded(7)
-    with pytest.raises(ValueError, match="only recorded class"):
+    with pytest.raises(ValueError, match="no recorded class"):
         subspace.ProjectorCache({1: subs[1]}, 0.99).for_excluded(1)
+    with pytest.raises(ValueError, match="no recorded class"):
+        subspace.ProjectorCache(subs, 0.99).for_excluded(0, 1, 2)
     with pytest.raises(ValueError, match="carries class_id"):
         subspace.ProjectorCache({0: subs[1]}, 0.99)
 
@@ -176,6 +186,7 @@ def test_subspace_round_trip_is_bit_exact(fitted, tmp_path):
     back = subspace.load_subspace(path)
     assert back.class_id == subs[0].class_id
     assert back.sample_count == subs[0].sample_count
+    assert back.source_checkpoint_hash == "abc123"
     for b0, b1 in zip(subs[0].bases, back.bases):
         npt.assert_array_equal(b0, b1)
     for s0, s1 in zip(subs[0].singular_values, back.singular_values):

@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from conftest import dense_specs, trained_dense_net
-from nullspace_unlearn import nn, subspace, unlearn
+from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
+from nullspace_unlearn.config import load_config
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def test_pseudo_label_picks_best_class_outside_unlearn_set(fitted):
     d_u = sp.d_u
     probs = nn.predict_proba(net, d_u.features)
     for i in range(min(6, len(d_u))):
-        got = unlearn.pseudo_label(net, d_u.features[i], 0, (0,))
+        got = oracles.pseudo_label(net, d_u.features[i], 0, (0,))
         masked = probs[:, i].copy()
         masked[0] = -np.inf
         assert got == int(np.argmax(masked))
@@ -46,9 +48,10 @@ def test_pseudo_label_tie_breaks_to_lowest_index():
     # argmax must fall back to the lowest index outside the unlearn set.
     specs = dense_specs()
     net = nn.Network(specs=specs, weights=[np.zeros(s.weight_shape()) for s in specs], input_shape=(4,))
-    assert unlearn.pseudo_label(net, np.ones(4), 0, (0,)) == 1
-    assert unlearn.pseudo_label(net, np.ones(4), 1, (1,)) == 0
-    assert unlearn.pseudo_label(net, np.ones(4), 0, (0, 1)) == 2
+    for y, classes, want in ((0, (0,), 1), (1, (1,), 0), (0, (0, 1), 2)):
+        assert oracles.pseudo_label(net, np.ones(4), y, classes) == want
+        d_u = data.Dataset(features=np.ones((1, 4)), labels=[y], n_classes=3)
+        assert unlearn.pseudo_label_set(net, d_u, classes).assigned_labels.tolist() == [want]
 
 
 def test_pseudo_label_set_matches_scalar_rule(fitted):
@@ -57,16 +60,16 @@ def test_pseudo_label_set_matches_scalar_rule(fitted):
     assert labeled.labeling == "pseudo"
     npt.assert_array_equal(labeled.original_labels, sp.d_u.labels)
     for i in range(len(sp.d_u)):
-        assert labeled.assigned_labels[i] == unlearn.pseudo_label(net, sp.d_u.features[i], 0, (0,))
+        assert labeled.assigned_labels[i] == oracles.pseudo_label(net, sp.d_u.features[i], 0, (0,))
     assert not np.isin(labeled.assigned_labels, [0]).any()
 
 
 def test_pseudo_label_validation(fitted):
     net, sp, _ = fitted
     with pytest.raises(ValueError, match="not an unlearn class"):
-        unlearn.pseudo_label(net, np.ones(4), 1, (0,))
+        oracles.pseudo_label(net, np.ones(4), 1, (0,))
     with pytest.raises(ValueError, match="every class"):
-        unlearn.pseudo_label(net, np.ones(4), 0, (0, 1, 2))
+        oracles.pseudo_label(net, np.ones(4), 0, (0, 1, 2))
     with pytest.raises(ValueError, match="every class"):
         unlearn.pseudo_label_set(net, sp.d_u, (0, 1, 2))
     with pytest.raises(ValueError, match="outside the unlearn classes"):
@@ -207,6 +210,39 @@ def test_full_energy_projection_freezes_build_outputs(fitted):
     delta = abs(nn.mean_loss(res.network, build.features, build.labels)
                 - nn.mean_loss(net, build.features, build.labels))
     assert delta <= 1e-4
+
+
+def test_two_class_unlearn_merges_once_over_the_remaining_classes(fitted, monkeypatch):
+    # Forgetting {0, 1} protects class 2 alone: one merge, not one per forget class.
+    net, sp, subs = fitted
+    merges = []
+    real_merge = subspace.merge_null_projector
+
+    def spy(*args, **kwargs):
+        merges.append(real_merge(*args, **kwargs))
+        return merges[-1]
+
+    monkeypatch.setattr(subspace, "merge_null_projector", spy)
+    d_u = sp.train.class_filter((0, 1), keep=True)
+    cache = subspace.ProjectorCache(subs, 0.99)
+    unlearn.calibrated_unlearn(net, d_u, cache, plan(unlearn_classes=(0, 1)))
+    assert [m.merged_classes for m in merges] == [(2,)]
+
+
+def test_two_class_unlearn_on_the_toy_preset_forgets_both():
+    # The benchmark's shortened schedule at seed 1.  Projecting class-0 steps
+    # to protect class 1, which is also being forgotten, left 0.44 here.
+    cfg = load_config(
+        overrides=("train.epochs=200", "train.milestones=[160]", "split.unlearn_classes=[0,1]")
+    ).with_seed(1)
+    sp = cfg.splits(cfg.dataset())
+    net_o = cli.train_original(cfg, sp)
+    _, cache = cli.build_subspaces(cfg, net_o, sp.train)
+    res = cli.run_unlearn_variant(cfg, net_o, sp, cache, "calibrated")
+    after = evaluate.utility(res.network, sp.test_remaining, sp.test_unlearn)
+    before = evaluate.utility(net_o, sp.test_remaining, sp.test_unlearn)
+    assert after.acc_unlearn_test < 0.30
+    assert after.acc_remaining_test >= before.acc_remaining_test
 
 
 def test_gradient_ascent_raises_forget_loss(fitted):

@@ -37,24 +37,24 @@ class UtilityReport:
 def utility(net: nn.Network, test_remaining, test_unlearn=None) -> UtilityReport:
     """Score a model on the remaining-class test set and, when present, the unlearn-class test set.
 
-    An empty remaining test set is an error; an empty (or absent) unlearn test
+    Every number comes from one forward pass over both sets stacked.  An
+    empty remaining test set is an error; an empty (or absent) unlearn test
     set just leaves acc_unlearn_test unset.  Per-class accuracy covers the
     union, None for classes with no test samples.
     """
     if len(test_remaining) == 0:
         raise ValueError("remaining test set is empty; utility is undefined")
-    acc_rt = nn.accuracy(net, test_remaining.features, test_remaining.labels)
-    loss_rt = nn.mean_loss(net, test_remaining.features, test_remaining.labels)
-    acc_ut = None
-    feats = [test_remaining.features]
-    labels = [test_remaining.labels]
+    parts = [test_remaining]
     if test_unlearn is not None and len(test_unlearn) > 0:
-        acc_ut = nn.accuracy(net, test_unlearn.features, test_unlearn.labels)
-        feats.append(test_unlearn.features)
-        labels.append(test_unlearn.labels)
-    all_x = np.vstack(feats)
-    all_y = np.concatenate(labels)
-    preds = nn.predict(net, all_x)
+        parts.append(test_unlearn)
+    n_r = len(test_remaining)
+    all_y = np.concatenate([p.labels for p in parts])
+    logits, _ = nn.forward(net, np.vstack([p.features for p in parts]))
+    preds = np.argmax(logits, axis=0)
+    hits = preds == all_y
+    acc_rt = float(np.mean(hits[:n_r]))
+    acc_ut = float(np.mean(hits[n_r:])) if len(parts) == 2 else None
+    loss_rt = nn.cross_entropy(logits[:, :n_r], all_y[:n_r])
     per_class = []
     for c in range(net.n_classes):
         mask = all_y == c
@@ -120,15 +120,13 @@ def mia(
     conf_n = _max_confidence(net, nonmember_holdout.features[:n])
     candidates = np.unique(np.concatenate([conf_m, conf_n]))
     candidates = np.append(candidates, candidates[-1] + 1.0)
-    best_t = candidates[0]
-    best_score = -1.0
-    for t in candidates:
-        tpr = float(np.mean(conf_m >= t))
-        tnr = float(np.mean(conf_n < t))
-        score = 0.5 * (tpr + tnr)
-        if score > best_score or (score == best_score and t > best_t):
-            best_score = score
-            best_t = float(t)
+    # Counts below each candidate: members >= t are n minus those below t.
+    tpr = (n - np.searchsorted(np.sort(conf_m), candidates, side="left")) / n
+    tnr = np.searchsorted(np.sort(conf_n), candidates, side="left") / n
+    scores = 0.5 * (tpr + tnr)
+    best = len(scores) - 1 - int(np.argmax(scores[::-1]))  # the last maximum: the largest threshold
+    best_t = float(candidates[best])
+    best_score = float(scores[best])
     conf_u = _max_confidence(net, d_u.features)
     return MiaReport(
         threshold=best_t,

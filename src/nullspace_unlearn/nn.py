@@ -251,60 +251,75 @@ def _activation_mask(z: np.ndarray, activation: str):
     return (z > 0.0).astype(np.float64) if activation == "relu" else None
 
 
-def _forward_pass(net: Network, batch):
-    """Run the network; return (logits, aug_inputs, preacts) in column form."""
+def _forward_pass(net: Network, batch, record: bool = False):
+    """Run the network; return (logits, aug_inputs, preacts) in column form.
+
+    Only record=True keeps each layer's augmented input and pre-activation;
+    otherwise both lists come back empty and each layer's arrays are let go
+    once the next layer has consumed them.  A dense layer writes its
+    activation straight into the next dense layer's augmented input.
+    """
     x = as_matrix(batch, "batch")
     aug_inputs = []
     preacts = []
-    current = None  # either ("flat", cols (d, n)) or ("image", maps (n,c,h,w))
     n = x.shape[0]
     if len(net.input_shape) == 1:
         if x.shape[1] != net.input_shape[0]:
             raise ValueError(
                 f"batch has {x.shape[1]} features, network expects {net.input_shape[0]}"
             )
-        current = ("flat", x.T)
+        current = x.T  # flat columns (d, n) or image maps (n, c, h, w)
     else:
         c, h, w = net.input_shape
         if x.shape[1] != c * h * w:
             raise ValueError(
                 f"batch has {x.shape[1]} features, network expects {c}x{h}x{w}={c * h * w}"
             )
-        current = ("image", x.reshape(n, c, h, w))
+        current = x.reshape(n, c, h, w)
+    aug = None  # the next dense layer's augmented input, when already written
     for li, spec in enumerate(net.specs):
         w_mat = net.weights[li]
         if spec.kind == "dense":
-            if current[0] == "image":
-                maps = current[1]
-                cols = maps.reshape(n, -1).T
-            else:
-                cols = current[1]
-            aug = _augment(cols)
+            if aug is None:
+                aug = _augment(current.reshape(n, -1).T if current.ndim == 4 else current)
             z = w_mat @ aug
-            aug_inputs.append(aug)
-            preacts.append(z)
-            current = ("flat", _activate(z, spec.activation))
+            if record:
+                aug_inputs.append(aug)
+                preacts.append(z)
+            if li + 1 == len(net.specs):
+                current = z  # the identity logit head
+            else:  # a dense layer only ever feeds a dense layer
+                aug = np.empty((z.shape[0] + 1, n))
+                aug[-1] = 1.0
+                if spec.activation == "relu":
+                    np.maximum(z, 0.0, out=aug[:-1])
+                else:
+                    aug[:-1] = z
         else:
-            maps = current[1]
-            patch_cols = extract_patches(maps, spec.kernel_size, spec.stride)
-            aug = _augment(patch_cols)
-            z_cols = w_mat @ aug
-            aug_inputs.append(aug)
-            preacts.append(z_cols)
+            patches = _augment(extract_patches(current, spec.kernel_size, spec.stride))
+            z_cols = w_mat @ patches
+            if record:
+                aug_inputs.append(patches)
+                preacts.append(z_cols)
             c, h, w = net._plan[li][1][1]
             ho = (h - spec.kernel_size) // spec.stride + 1
             wo = (w - spec.kernel_size) // spec.stride + 1
             maps_out = z_cols.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
-            current = ("image", _activate(maps_out, spec.activation))
-    logits = current[1]
+            current = _activate(maps_out, spec.activation)
+    logits = current
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
     return logits, aug_inputs, preacts
 
 
 def forward(net: Network, batch, record: bool = False):
-    """Logits (classes, samples) for a (samples, features) batch; optionally the trace."""
-    logits, aug_inputs, _ = _forward_pass(net, batch)
+    """Logits (classes, samples) for a (samples, features) batch; optionally the trace.
+
+    Only record=True keeps the per-layer augmented inputs, returned as the
+    ActivationTrace; without it each layer's arrays are let go once the next
+    layer has consumed them.
+    """
+    logits, aug_inputs, _ = _forward_pass(net, batch, record)
     if record:
         return logits, ActivationTrace(per_layer=aug_inputs)
     return logits, None
@@ -337,7 +352,7 @@ def loss_and_grads(net: Network, batch, labels):
         raise ValueError("empty batch")
     if (y < 0).any() or (y >= net.n_classes).any():
         raise ValueError(f"labels must lie in [0, {net.n_classes})")
-    logits, aug_inputs, preacts = _forward_pass(net, x)
+    logits, aug_inputs, preacts = _forward_pass(net, x, record=True)
     loss = cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise NumericError("loss is non-finite")
@@ -441,7 +456,7 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
     rng = PortableRng(derive_seed(schedule.seed, "shuffle"))
     n = x_tr.shape[0]
     lr = schedule.lr
-    best_weights = [w.copy() for w in out.weights]
+    best_weights = out.weights
     best_acc = accuracy(out, x_val, y_val)
     best_epoch = 0
     epochs_run = 0
@@ -452,14 +467,14 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
         for start in range(0, n, schedule.batch_size):
             idx = perm[start : start + schedule.batch_size]
             _, grads = loss_and_grads(out, x_tr[idx], y_tr[idx])
-            for w, g in zip(out.weights, grads.per_layer):
-                w -= lr * g
+            # Rebind rather than update in place, so a kept best list stays as it was.
+            out.weights = [w - lr * g for w, g in zip(out.weights, grads.per_layer)]
         epochs_run = epoch
         val_acc = accuracy(out, x_val, y_val)
         if val_acc >= best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_weights = [w.copy() for w in out.weights]
+            best_weights = out.weights
         elif schedule.patience is not None and epoch - best_epoch >= schedule.patience:
             break
     out.weights = best_weights

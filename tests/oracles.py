@@ -130,6 +130,32 @@ def best_balanced_threshold(conf_member, conf_nonmember):
     return best_t, best_score
 
 
+def utility_by_set(net, test_remaining, test_unlearn=None):
+    """The utility report as JSON, scoring each set with its own forward passes.
+
+    Remaining accuracy and loss, forget accuracy and the predictions on the
+    union each come from a separate nn.accuracy / nn.mean_loss / nn.predict
+    call, so every test row goes through the network more than once.
+    """
+    x, y = test_remaining.features, test_remaining.labels
+    acc_unlearn = None
+    if test_unlearn is not None and len(test_unlearn) > 0:
+        acc_unlearn = nn.accuracy(net, test_unlearn.features, test_unlearn.labels)
+        x = np.vstack([x, test_unlearn.features])
+        y = np.concatenate([y, test_unlearn.labels])
+    preds = nn.predict(net, x)
+    per_class = []
+    for c in range(net.n_classes):
+        mask = y == c
+        per_class.append(float(np.mean(preds[mask] == c)) if mask.any() else None)
+    return {
+        "acc_remaining_test": nn.accuracy(net, test_remaining.features, test_remaining.labels),
+        "acc_unlearn_test": acc_unlearn,
+        "per_class_acc": per_class,
+        "loss_remaining": nn.mean_loss(net, test_remaining.features, test_remaining.labels),
+    }
+
+
 def gram_schmidt_rank(a, tol=1e-10):
     """Column rank by classical Gram-Schmidt with re-orthogonalization."""
     a = np.asarray(a, dtype=np.float64)

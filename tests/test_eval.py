@@ -57,25 +57,61 @@ def test_utility_without_unlearn_set(fitted):
         evaluate.utility(net, sp.test_remaining.subset(np.array([], dtype=int)))
 
 
+def test_utility_runs_one_forward_pass(fitted, monkeypatch):
+    net, sp = fitted
+    rows = []
+    real = nn.forward
+
+    def spy(model, batch, record=False):
+        rows.append(len(batch))
+        return real(model, batch, record)
+
+    monkeypatch.setattr(nn, "forward", spy)
+    evaluate.utility(net, sp.test_remaining, sp.test_unlearn)
+    assert rows == [len(sp.test_remaining) + len(sp.test_unlearn)]
+    rows.clear()
+    evaluate.utility(net, sp.test_remaining)
+    assert rows == [len(sp.test_remaining)]
+
+
+def test_utility_equals_the_per_set_oracle(fitted):
+    net, sp = fitted
+    for model in (net, constant_net()):
+        for test_unlearn in (sp.test_unlearn, None):
+            rep = evaluate.utility(model, sp.test_remaining, test_unlearn)
+            assert rep.to_json() == oracles.utility_by_set(model, sp.test_remaining, test_unlearn)
+
+
 # ---------------------------------------------------------------------------
 # membership inference
 # ---------------------------------------------------------------------------
 
 
-def test_mia_threshold_matches_brute_force_oracle(fitted):
+def test_mia_threshold_matches_brute_force_oracle(fitted, monkeypatch):
     net, sp = fitted
     member = sp.d_r
     nonmember = sp.test_remaining
-    rep = evaluate.mia(net, sp.d_u, member, nonmember)
     n = min(len(member), len(nonmember))
-    conf_m = nn.predict_proba(net, member.features[:n]).max(axis=0)
-    conf_n = nn.predict_proba(net, nonmember.features[:n]).max(axis=0)
-    t_ref, score_ref = oracles.best_balanced_threshold(conf_m, conf_n)
-    assert rep.threshold == t_ref
-    assert rep.balanced_accuracy == pytest.approx(score_ref)
-    conf_u = nn.predict_proba(net, sp.d_u.features).max(axis=0)
-    assert rep.acc_mia == pytest.approx(float(np.mean(conf_u < t_ref)))
-    assert rep.n_member == rep.n_nonmember == n
+    exact = evaluate._max_confidence
+
+    def rounded(model, features):
+        return np.round(exact(model, features), 1)
+
+    # The second case rounds confidences to one decimal, so most candidates tie.
+    for confidence in (exact, rounded):
+        monkeypatch.setattr(evaluate, "_max_confidence", confidence)
+        rep = evaluate.mia(net, sp.d_u, member, nonmember)
+        conf_m = nn.predict_proba(net, member.features[:n]).max(axis=0)
+        conf_n = nn.predict_proba(net, nonmember.features[:n]).max(axis=0)
+        conf_u = nn.predict_proba(net, sp.d_u.features).max(axis=0)
+        if confidence is rounded:
+            conf_m, conf_n, conf_u = (np.round(c, 1) for c in (conf_m, conf_n, conf_u))
+            assert np.unique(np.concatenate([conf_m, conf_n])).size < n // 4
+        t_ref, score_ref = oracles.best_balanced_threshold(conf_m, conf_n)
+        assert rep.threshold == t_ref
+        assert rep.balanced_accuracy == pytest.approx(score_ref)
+        assert rep.acc_mia == pytest.approx(float(np.mean(conf_u < t_ref)))
+        assert rep.n_member == rep.n_nonmember == n
 
 
 def test_mia_on_uniform_confidences_leans_nonmember(fitted):

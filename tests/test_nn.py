@@ -89,6 +89,32 @@ def test_forward_without_record_returns_none_trace():
     assert logits.shape == (3, 2)
 
 
+def test_forward_logits_do_not_depend_on_recording():
+    # Dense layers write their activation straight into the next layer's
+    # augmented input; recording or not, the bits must come out the same.
+    rng = np.random.default_rng(2)
+    identity_hidden = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=8),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=8, out_features=6),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=6, out_features=3),
+    )
+    cases = [
+        (dense_net(seed=1), rng.standard_normal((7, 4))),
+        (nn.init_network(identity_hidden, input_shape=(4,), seed=2), rng.standard_normal((7, 4))),
+        (conv_net(seed=3), image_batch(seed=4, n=7)),
+    ]
+    for net, x in cases:
+        plain, _ = nn.forward(net, x)
+        recorded, trace = nn.forward(net, x, record=True)
+        assert plain.tobytes() == recorded.tobytes()
+        for li in range(1, len(net.specs)):
+            if net.specs[li - 1].kind == "dense":
+                z = net.weights[li - 1] @ trace.per_layer[li - 1]
+                expect = np.maximum(z, 0.0) if net.specs[li - 1].activation == "relu" else z
+                assert trace.per_layer[li][:-1].tobytes() == expect.tobytes()
+                npt.assert_array_equal(trace.per_layer[li][-1], np.ones(len(x)))
+
+
 def test_forward_rejects_wrong_width():
     net = dense_net(seed=1)
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import data, evaluate, nn, subspace, unlearn
 from .config import ConfigError, RunConfig, load_config
@@ -28,12 +27,8 @@ EXIT_NUMERIC = 4
 
 ABLATION_METHODS = ("original", "retrain", "random-label", "random-label+nullspace", "calibrated")
 
-_VARIANT_PLANS = {
-    "calibrated": dict(labeling="pseudo", use_null_space=True),
-    "random-label": dict(labeling="random", use_null_space=False),
-    "random-label+nullspace": dict(labeling="random", use_null_space=True),
-    "gradient-ascent": dict(labeling="keep", use_null_space=False, ascend=True),
-}
+# Model name -> checkpoint file stem under the workdir.
+_CHECKPOINTS = {"original": "original", "retrain": "retrain", **{v: f"unlearned_{v}" for v in unlearn.VARIANTS}}
 
 
 class MissingArtifact(FileNotFoundError):
@@ -143,12 +138,8 @@ def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset, ep
 
 
 def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlearn.UnlearnResult:
-    if variant not in _VARIANT_PLANS:
-        raise ConfigError(f"unknown unlearn variant {variant!r}; expected one of {sorted(_VARIANT_PLANS)}")
-    plan = cfg.unlearn_plan(**_VARIANT_PLANS[variant])
-    if variant == "calibrated":
-        return unlearn.calibrated_unlearn(net_o, sp.d_u, cache, plan)
-    return unlearn.baseline_unlearn(net_o, sp.d_u, plan, cache)
+    """One `unlearn.VARIANTS` entry on the forget set; the cache is used only if the plan projects."""
+    return unlearn.baseline_unlearn(net_o, sp.d_u, cfg.unlearn_plan(variant), cache)
 
 
 def _save_net(net: nn.Network, path, cfg: RunConfig, data_hash: str) -> None:
@@ -186,8 +177,12 @@ def _load_cache(cfg: RunConfig, workdir, n_classes: int) -> subspace.ProjectorCa
     return subspace.ProjectorCache(subs, cfg.epsilon)
 
 
-def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict, labeled=None) -> dict:
-    """Utility for every supplied model; MIA and agreement where the inputs allow."""
+def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict) -> dict:
+    """Utility for every supplied model; MIA and agreement where the inputs allow.
+
+    Agreement scores the original model's pseudo-labels, the ones the calibrated
+    run trains on, against the retrained model's predictions.
+    """
     report = {"utility": {}, "mia": {}, "agreement": None}
     for name, net in nets.items():
         report["utility"][name] = evaluate.utility(net, sp.test_remaining, sp.test_unlearn).to_json()
@@ -198,7 +193,8 @@ def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict, labeled=None) -
                 nets[name], sp.d_u, member, nonmember,
                 member_source="remaining-train", nonmember_source="remaining-test",
             ).to_json()
-    if labeled is not None and "retrain" in nets:
+    if "retrain" in nets:
+        labeled = unlearn.pseudo_label_set(nets["original"], sp.d_u, sp.unlearn_classes)
         report["agreement"] = evaluate.pseudo_label_agreement(labeled, nets["retrain"]).to_json()
     return report
 
@@ -328,7 +324,7 @@ def subspace_cmd(ctx):
 
 
 @main.command("unlearn")
-@click.option("--variant", type=click.Choice(sorted(_VARIANT_PLANS)), default="calibrated",
+@click.option("--variant", type=click.Choice(sorted(unlearn.VARIANTS)), default="calibrated",
               help="Labeling/projection combination to run.")
 @click.pass_context
 @_guarded
@@ -338,10 +334,9 @@ def unlearn_cmd(ctx, variant):
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
     net_o = _load_net(cfg, workdir, "original", data_hash)
-    plan = cfg.unlearn_plan(**_VARIANT_PLANS[variant])
-    cache = _load_cache(cfg, workdir, ds.n_classes) if plan.use_null_space else None
+    cache = _load_cache(cfg, workdir, ds.n_classes) if cfg.unlearn_plan(variant).use_null_space else None
     res = run_unlearn_variant(cfg, net_o, sp, cache, variant)
-    name = f"unlearned_{variant}"
+    name = _CHECKPOINTS[variant]
     _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
     _write_json(
         {
@@ -357,18 +352,11 @@ def unlearn_cmd(ctx, variant):
 
 
 def _gather_models(cfg: RunConfig, workdir, data_hash: str) -> dict:
-    nets = {}
-    for name, fname in (
-        ("original", "original"),
-        ("retrain", "retrain"),
-        ("calibrated", "unlearned_calibrated"),
-        ("random-label", "unlearned_random-label"),
-        ("random-label+nullspace", "unlearned_random-label+nullspace"),
-        ("gradient-ascent", "unlearned_gradient-ascent"),
-    ):
-        if os.path.exists(checkpoint_path(workdir, fname)):
-            nets[name] = _load_net(cfg, workdir, fname, data_hash)
-    return nets
+    return {
+        name: _load_net(cfg, workdir, fname, data_hash)
+        for name, fname in _CHECKPOINTS.items()
+        if os.path.exists(checkpoint_path(workdir, fname))
+    }
 
 
 @main.command("evaluate")
@@ -382,18 +370,7 @@ def evaluate_cmd(ctx):
     nets = _gather_models(cfg, workdir, data_hash)
     if "original" not in nets:
         raise MissingArtifact(f"original checkpoint not found: {checkpoint_path(workdir, 'original')}")
-    labeled = None
-    run_record = os.path.join(workdir, "run_unlearned_calibrated.json")
-    if os.path.exists(run_record) and "retrain" in nets:
-        rec = _read_json(run_record, "calibrated run record")
-        d_u = sp.d_u
-        labeled = unlearn.PseudoLabeledSet(
-            features=d_u.features,
-            original_labels=np.asarray(rec["original_labels"]),
-            assigned_labels=np.asarray(rec["assigned_labels"]),
-            labeling="pseudo",
-        )
-    report = evaluate_models(cfg, sp, nets, labeled)
+    report = evaluate_models(cfg, sp, nets)
     report.update({"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash})
     _write_json(report, os.path.join(workdir, "evaluate.json"))
     click.echo(json.dumps({"report": os.path.join(workdir, "evaluate.json"), "models": sorted(nets)}))
@@ -409,8 +386,7 @@ def contour_cmd(ctx, model):
     cfg, workdir = _setup(ctx)
     ds, data_hash = load_dataset_artifact(cfg, workdir)
     sp = cfg.splits(ds)
-    fname = {"original": "original", "calibrated": "unlearned_calibrated", "retrain": "retrain"}[model]
-    net = _load_net(cfg, workdir, fname, data_hash)
+    net = _load_net(cfg, workdir, _CHECKPOINTS[model], data_hash)
     cache = _load_cache(cfg, workdir, ds.n_classes)
     proj = cache.for_excluded(*cfg.unlearn_plan().unlearn_classes)
     null_dir, off_dir = evaluate.contour_directions(proj, net, cfg.seed_for("contour-dirs"))
@@ -433,13 +409,9 @@ def ablate_cmd(ctx):
     sp = cfg.splits(ds)
     net_o = _load_net(cfg, workdir, "original", data_hash)
     cache = _load_cache(cfg, workdir, ds.n_classes)
-    nets = {
-        "original": net_o,
-        "retrain": _load_net(cfg, workdir, "retrain", data_hash),
-        "random-label": run_unlearn_variant(cfg, net_o, sp, None, "random-label").network,
-        "random-label+nullspace": run_unlearn_variant(cfg, net_o, sp, cache, "random-label+nullspace").network,
-        "calibrated": run_unlearn_variant(cfg, net_o, sp, cache, "calibrated").network,
-    }
+    nets = {"original": net_o, "retrain": _load_net(cfg, workdir, "retrain", data_hash)}
+    for variant in ABLATION_METHODS[2:]:
+        nets[variant] = run_unlearn_variant(cfg, net_o, sp, cache, variant).network
     rows = ablation_rows(sp, nets)
     csv_path = os.path.join(workdir, "ablation.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

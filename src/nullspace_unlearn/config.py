@@ -164,13 +164,17 @@ class RunConfig:
         rng = PortableRng(derive_seed(self.seed, "subspace-batch", class_id))
         return rng.choice(n_available, min(self.build_batch, n_available))
 
-    def unlearn_plan(self, **replace) -> unlearn.UnlearnPlan:
-        sec = dict(_section(self.doc, "unlearn"))
-        sec.update(replace)
+    def unlearn_plan(self, variant: str = "calibrated") -> unlearn.UnlearnPlan:
+        """The `unlearn.VARIANTS` entry for `variant` with this config's SGD settings."""
+        if variant not in unlearn.VARIANTS:
+            raise ConfigError(f"unknown unlearn variant {variant!r}; expected one of {sorted(unlearn.VARIANTS)}")
+        labeling, use_null_space, ascend = unlearn.VARIANTS[variant]
+        sec = _section(self.doc, "unlearn")
         return unlearn.UnlearnPlan(
             unlearn_classes=tuple(_section(self.doc, "split")["unlearn_classes"]),
-            labeling=str(sec["labeling"]),
-            use_null_space=bool(sec["use_null_space"]),
+            labeling=labeling,
+            use_null_space=use_null_space,
+            ascend=ascend,
             lr=float(sec["lr"]),
             epochs=int(sec["epochs"]),
             batch_size=int(sec["batch_size"]),
@@ -241,6 +245,10 @@ def validate(doc: dict) -> None:
         raise ConfigError(f"subspace.epsilon must lie in (0, 1], got {eps}")
     if int(eps_sec.get("build_batch", 0)) < 1:
         raise ConfigError("subspace.build_batch must be >= 1")
+
+    stale = sorted({"labeling", "use_null_space"} & set(_section(doc, "unlearn")))
+    if stale:
+        raise ConfigError(f"unlearn.{stale[0]} is not a config key; choose the variant with `unlearn --variant`")
 
     train_sec = _section(doc, "train")
     if train_sec.get("batch_size") is not None and int(train_sec["batch_size"]) < 1:

@@ -25,8 +25,6 @@ import hashlib
 
 import numpy as np
 
-_TWO64 = 1 << 64
-
 
 def derive_seed(root: int, *labels) -> int:
     """Expand a root seed into an independent component seed, stable across runs."""
@@ -74,7 +72,8 @@ class PortableRng:
             words = self.raw(idx.size)
             b = bounds[idx]
             # Accept unless the word falls in the short tail [2**64 - (2**64 % b), 2**64).
-            tail = (_TWO64 % b.astype(object)).astype(np.uint64)
+            # In uint64, 0 - b wraps to 2**64 - b, and (2**64 - b) % b == 2**64 % b.
+            tail = (np.uint64(0) - b) % b
             accept = (tail == 0) | (words < (np.zeros_like(tail) - tail))
             out[idx[accept]] = words[accept] % b[accept]
             pending[idx[accept]] = False

@@ -6,7 +6,8 @@ gradient block projected off the retained basis B of the remaining classes'
 activations, g - (g B) B^T, so updates stay in its null space.  Baselines
 swap the labeling rule (random labels, kept labels with gradient ascent)
 and/or drop the projection, which is exactly the ablation grid the
-evaluation suite compares.
+evaluation suite compares.  `VARIANTS` names each combination; it is the
+only place a variant's meaning is stated.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from .linalg import NumericError, apply_projection
 from .subspace import NullProjector, ProjectorCache
 
 _LABELINGS = ("pseudo", "random", "keep")
+
+# Variant name -> (labeling, use_null_space, ascend).
+VARIANTS = {
+    "calibrated": ("pseudo", True, False),
+    "random-label": ("random", False, False),
+    "random-label+nullspace": ("random", True, False),
+    "gradient-ascent": ("keep", False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -121,13 +130,13 @@ def pseudo_label_set(net_o: nn.Network, d_u, unlearn_classes) -> PseudoLabeledSe
 
 
 def random_label_set(d_u, n_classes: int, unlearn_classes, seed: int) -> PseudoLabeledSet:
-    """Uniform random label != original per sample, drawn once, seeded."""
+    """Uniform random class outside the unlearn set per sample, drawn once, seeded."""
     labels = np.asarray(d_u.labels, dtype=np.int64).reshape(-1)
-    if n_classes < 2:
-        raise ValueError("random relabeling needs at least two classes")
+    remaining = np.setdiff1d(np.arange(n_classes), np.asarray(unlearn_classes, dtype=np.int64))
+    if remaining.size == 0:
+        raise ValueError("random relabeling needs at least two classes, one outside the unlearn set")
     rng = PortableRng(derive_seed(seed, "random-labels"))
-    draws = rng.integers_below(np.full(labels.size, n_classes - 1, dtype=np.uint64)).astype(np.int64)
-    assigned = np.where(draws >= labels, draws + 1, draws)
+    assigned = remaining[rng.integers_below(np.full(labels.size, remaining.size, dtype=np.uint64))]
     return PseudoLabeledSet(
         features=np.asarray(d_u.features, dtype=np.float64),
         original_labels=labels,
@@ -146,7 +155,10 @@ def _finetune(
 
     The whole forget set is reshuffled each epoch from one seeded stream, so
     runs are bit-reproducible.  Every step is projected off the same retained
-    basis, the one that excludes the whole unlearn set.
+    basis, the one that excludes the whole unlearn set.  Ascent stops after
+    the first epoch whose mean loss exceeds log(n_classes), the loss of a
+    uniform guess: the model then does worse than chance on the forget set,
+    and further ascent only inflates the weights until they overflow.
     """
     out = net.copy()
     feats = labeled.features
@@ -169,6 +181,8 @@ def _finetune(
         if not math.isfinite(epoch_loss):
             raise NumericError("unlearning loss went non-finite")
         losses.append(epoch_loss)
+        if plan.ascend and epoch_loss > math.log(out.n_classes):
+            break
     return UnlearnResult(network=out, plan=plan, epoch_losses=losses, labeled=labeled)
 
 
@@ -193,14 +207,13 @@ def calibrated_unlearn(net_o: nn.Network, d_u, cache: ProjectorCache, plan: Unle
     """
     if plan.labeling != "pseudo" or not plan.use_null_space:
         raise ValueError("calibrated_unlearn runs the pseudo+nullspace plan; use baseline_unlearn for variants")
-    labeled = _label_for_plan(net_o, d_u, plan)
-    return _finetune(net_o, labeled, cache.for_excluded(*plan.unlearn_classes), plan)
+    return baseline_unlearn(net_o, d_u, plan, cache)
 
 
 def baseline_unlearn(
     net_o: nn.Network, d_u, plan: UnlearnPlan, cache: ProjectorCache | None = None
 ) -> UnlearnResult:
-    """Any labeling/projection/ascent combination the plan validates."""
+    """Any labeling/projection/ascent combination the plan validates; every `VARIANTS` entry runs here."""
     if plan.use_null_space and cache is None:
         raise ValueError("plan requests null-space projection but no projector cache was supplied")
     labeled = _label_for_plan(net_o, d_u, plan)

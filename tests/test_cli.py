@@ -45,8 +45,6 @@ MINI_CONFIG = {
     },
     "subspace": {"epsilon": 0.99, "build_batch": 12},
     "unlearn": {
-        "labeling": "pseudo",
-        "use_null_space": True,
         "lr": 0.02,
         "epochs": 10,
         "batch_size": 8,
@@ -219,6 +217,41 @@ def test_random_label_variant_runs_without_subspaces(env):
     # The projected variant genuinely needs the subspace artifacts.
     result = run(runner, cfg_path, workdir, "unlearn", "--variant", "random-label+nullspace")
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
+
+
+def test_gradient_ascent_variant_ascends(env, tmp_path):
+    runner, cfg_path, workdir = env
+    for step in (("gen-data",), ("train",), ("unlearn", "--variant", "gradient-ascent")):
+        result = run(runner, cfg_path, workdir, *step)
+        assert result.exit_code == 0, result.output
+    record = json.loads((tmp_path / "work" / "run_unlearned_gradient-ascent.json").read_text())
+    assert record["plan"] == "keep+ascend"
+    assert record["epoch_losses"][-1] > record["epoch_losses"][0]
+
+
+def test_variant_keys_in_the_config_exit_3(env, tmp_path):
+    runner, _, workdir = env
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(dict(MINI_CONFIG, unlearn=dict(MINI_CONFIG["unlearn"], labeling="pseudo"))))
+    result = run(runner, str(stale), workdir, "gen-data")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "unlearn --variant" in stderr_error(result)["message"]
+    result = run(runner, str(stale), workdir, "--set", "unlearn.labeling=random", "gen-data")
+    assert result.exit_code == cli.EXIT_VALIDATION
+
+
+def test_evaluate_agreement_does_not_read_the_run_record(env, tmp_path):
+    runner, cfg_path, workdir = env
+    for step in (("gen-data",), ("train",), ("retrain",), ("subspace",), ("unlearn",), ("evaluate",)):
+        assert run(runner, cfg_path, workdir, *step).exit_code == 0, step
+    work = tmp_path / "work"
+    record = json.loads((work / "run_unlearned_calibrated.json").read_text())
+    agreement = json.loads((work / "evaluate.json").read_text())["agreement"]
+    # The agreement scores the same pseudo-labels the calibrated run trained on.
+    assert agreement["pseudo_histogram"] == [record["assigned_labels"].count(c) for c in range(3)]
+    (work / "run_unlearned_calibrated.json").unlink()
+    assert run(runner, cfg_path, workdir, "evaluate").exit_code == 0
+    assert json.loads((work / "evaluate.json").read_text())["agreement"] == agreement
 
 
 def test_report_refuses_mismatched_hashes(env, tmp_path):

@@ -1,5 +1,8 @@
 """Labeling rules, projected fine-tuning, and the baseline variants."""
 
+import math
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +10,15 @@ import pytest
 import oracles
 from conftest import dense_specs, trained_dense_net
 from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
-from nullspace_unlearn.config import load_config
+from nullspace_unlearn.config import ConfigError, load_config
+from nullspace_unlearn.determinism import PortableRng, derive_seed
+
+DESCRIBED = {
+    "calibrated": "pseudo+nullspace",
+    "random-label": "random",
+    "random-label+nullspace": "random+nullspace",
+    "gradient-ascent": "keep+ascend",
+}
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +100,22 @@ def test_random_label_set_is_seeded_and_never_original(fitted):
         unlearn.random_label_set(sp.d_u, 1, (0,), seed=5)
 
 
+def forget_set(labels):
+    return types.SimpleNamespace(labels=np.asarray(labels), features=np.zeros((len(labels), 2)))
+
+
+def test_random_labels_avoid_every_unlearn_class():
+    labeled = unlearn.random_label_set(forget_set(np.repeat([0, 1], 100)), 4, (0, 1), seed=5)
+    assert set(labeled.assigned_labels.tolist()) == {2, 3}
+
+
+def test_one_class_random_labels_match_draw_and_skip():
+    # One forget class c: a draw d below k - 1, moved up by one from c on.
+    labeled = unlearn.random_label_set(forget_set(np.full(200, 1)), 4, (1,), seed=5)
+    d = PortableRng(derive_seed(5, "random-labels")).integers_below(np.full(200, 3)).astype(np.int64)
+    npt.assert_array_equal(labeled.assigned_labels, d + (d >= 1))
+
+
 def test_pseudo_labeled_set_validation():
     with pytest.raises(ValueError, match="original label"):
         unlearn.PseudoLabeledSet(
@@ -134,6 +161,22 @@ def test_plan_validation():
         plan(batch_size=0)
     assert plan(labeling="keep", ascend=True, use_null_space=False).describe() == "keep+ascend"
     assert plan().describe() == "pseudo+nullspace"
+
+
+@pytest.mark.parametrize("variant", sorted(unlearn.VARIANTS))
+def test_config_builds_each_variant_from_the_table(variant):
+    cfg = load_config()
+    built = cfg.unlearn_plan(variant)
+    assert built.describe() == DESCRIBED[variant]
+    sgd = cfg.doc["unlearn"]
+    assert (built.lr, built.epochs, built.batch_size) == (sgd["lr"], sgd["epochs"], sgd["batch_size"])
+    assert built.seed == cfg.seed_for("unlearn")
+
+
+def test_unknown_variant_is_a_config_error():
+    assert set(DESCRIBED) == set(unlearn.VARIANTS)
+    with pytest.raises(ConfigError, match="unknown unlearn variant"):
+        load_config().unlearn_plan("fine-tune")
 
 
 def test_calibrated_requires_the_calibrated_plan(fitted):
@@ -253,6 +296,15 @@ def test_gradient_ascent_raises_forget_loss(fitted):
         net, sp.d_u.features, sp.d_u.labels
     )
     assert res.epoch_losses[-1] > res.epoch_losses[0]
+
+
+def test_gradient_ascent_stops_once_worse_than_chance(fitted):
+    # Unbounded ascent overflows the weights; it stops past the uniform-guess loss.
+    net, sp, _ = fitted
+    ga = plan(labeling="keep", ascend=True, use_null_space=False, lr=0.05, epochs=200)
+    res = unlearn.baseline_unlearn(net, sp.d_u, ga)
+    assert len(res.epoch_losses) < 200
+    assert res.epoch_losses[-1] > math.log(net.n_classes) >= max(res.epoch_losses[:-1])
 
 
 def test_random_label_baseline_runs_without_projection(fitted):

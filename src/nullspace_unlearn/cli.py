@@ -5,7 +5,7 @@ default), derives all randomness from its root seed, and writes artifacts
 that embed the config hash plus the dataset hash they were computed from.
 Re-running a subcommand with identical inputs rewrites byte-identical
 artifacts.  Failures exit with a single-line JSON error on stderr: missing
-upstream artifact 2, validation 3, numeric breakdown 4.
+input file 2, validation 3, numeric breakdown 4.
 """
 
 from __future__ import annotations
@@ -25,19 +25,20 @@ EXIT_MISSING_ARTIFACT = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-ABLATION_METHODS = ("original", "retrain", "random-label", "random-label+nullspace", "calibrated")
-
 # Model name -> checkpoint file stem under the workdir.
 _CHECKPOINTS = {"original": "original", "retrain": "retrain", **{v: f"unlearned_{v}" for v in unlearn.VARIANTS}}
 
 
 class MissingArtifact(FileNotFoundError):
-    """A subcommand's upstream artifact is absent."""
+    """A subcommand's upstream artifact is absent.
+
+    Every `FileNotFoundError` exits 2, so a step that opens its inputs needs
+    no existence checks; raise this where a step finds an input missing
+    without opening it.
+    """
 
 
 def _file_hash(path) -> str:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"artifact not found: {path}")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -51,9 +52,12 @@ def _write_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path, what: str) -> dict:
-    if not os.path.exists(path):
-        raise MissingArtifact(f"{what} artifact not found: {path}")
+def _write_record(doc: dict, path, cfg: RunConfig, data_hash: str) -> None:
+    """A JSON record stamped with the config, root seed and dataset it was computed from."""
+    _write_json({**doc, "config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash}, path)
+
+
+def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -80,16 +84,13 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
     path = dataset_path(workdir)
     data.save_csv(ds, path)
     data_hash = _file_hash(path)
-    _write_json(
+    _write_record(
         {
-            "config_hash": cfg.hash,
-            "seed": cfg.seed,
-            "data_hash": data_hash,
             "n_classes": ds.n_classes,
             "n_samples": len(ds),
             "provenance": {k: v for k, v in ds.provenance.items() if k != "config_hash"},
         },
-        os.path.join(workdir, "dataset.meta.json"),
+        os.path.join(workdir, "dataset.meta.json"), cfg, data_hash,
     )
     return ds, data_hash
 
@@ -97,7 +98,7 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
 def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
     """Read back dataset.csv, verified against its sidecar metadata."""
     path = dataset_path(workdir)
-    meta = _read_json(os.path.join(workdir, "dataset.meta.json"), "dataset metadata")
+    meta = _read_json(os.path.join(workdir, "dataset.meta.json"))
     data_hash = _file_hash(path)
     if data_hash != meta.get("data_hash"):
         raise ConfigError(
@@ -124,9 +125,8 @@ def train_retrain(cfg: RunConfig, sp: data.Splits) -> nn.Network:
     )
 
 
-def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset, epsilon=None) -> tuple:
+def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) -> tuple:
     """Per-class activation subspaces from seeded build batches, plus the projector cache."""
-    eps = cfg.epsilon if epsilon is None else float(epsilon)
     subs = {}
     for c in range(train_set.n_classes):
         cls = train_set.class_filter((c,), keep=True)
@@ -134,7 +134,7 @@ def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset, ep
             raise ConfigError(f"class {c} has no training samples to build a subspace from")
         batch = cls.subset(cfg.build_indices(c, len(cls)))
         subs[c] = subspace.class_subspace(net, batch)
-    return subs, subspace.ProjectorCache(subs, eps)
+    return subs, subspace.ProjectorCache(subs, cfg.epsilon)
 
 
 def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlearn.UnlearnResult:
@@ -155,10 +155,7 @@ def _require_lineage(what: str, recorded, expected) -> None:
 
 def _load_net(cfg: RunConfig, workdir, name: str, data_hash: str) -> nn.Network:
     """A checkpoint, refused unless this run's config and dataset produced it."""
-    path = checkpoint_path(workdir, name)
-    if not os.path.exists(path):
-        raise MissingArtifact(f"{name} checkpoint not found: {path}")
-    net = nn.load_checkpoint(path)
+    net = nn.load_checkpoint(checkpoint_path(workdir, name))
     made_by = (net.metadata.get("config_hash"), net.metadata.get("data_hash"))
     _require_lineage(f"{name} checkpoint (config hash, data hash)", made_by, (cfg.hash, data_hash))
     return net
@@ -170,8 +167,6 @@ def _load_cache(cfg: RunConfig, workdir, n_classes: int) -> subspace.ProjectorCa
     subs = {}
     for c in range(n_classes):
         path = os.path.join(workdir, f"subspace_class_{c}.json")
-        if not os.path.exists(path):
-            raise MissingArtifact(f"class-{c} subspace artifact not found: {path}")
         subs[c] = subspace.load_subspace(path)
         _require_lineage(f"{path} source checkpoint hash", subs[c].source_checkpoint_hash, source_hash)
     return subspace.ProjectorCache(subs, cfg.epsilon)
@@ -199,20 +194,6 @@ def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict) -> dict:
     return report
 
 
-def ablation_rows(sp: data.Splits, nets: dict) -> list:
-    rows = []
-    for method in ABLATION_METHODS:
-        rep = evaluate.utility(nets[method], sp.test_remaining, sp.test_unlearn)
-        rows.append(
-            {
-                "method": method,
-                "acc_remaining_test": rep.acc_remaining_test,
-                "acc_unlearn_test": rep.acc_unlearn_test,
-            }
-        )
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Click wiring.
 # ---------------------------------------------------------------------------
@@ -227,7 +208,7 @@ def _guarded(fn):
     def run(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except MissingArtifact as exc:
+        except FileNotFoundError as exc:
             _fail("missing-artifact", EXIT_MISSING_ARTIFACT, exc)
         except ConfigError as exc:
             _fail("validation", EXIT_VALIDATION, exc)
@@ -254,11 +235,14 @@ def main(ctx, config_path, overrides, workdir):
         cfg = load_config(config_path, overrides)
     except ConfigError as exc:
         _fail("validation", EXIT_VALIDATION, exc)
-    ctx.obj = {"cfg": cfg, "workdir": workdir or cfg.workdir}
+    ctx.obj = (cfg, workdir or cfg.workdir)
 
 
-def _setup(ctx) -> tuple:
-    return ctx.obj["cfg"], ctx.obj["workdir"]
+def _inputs(ctx) -> tuple:
+    """(cfg, workdir, splits, data_hash) for a step that reads the dataset artifact."""
+    cfg, workdir = ctx.obj
+    ds, data_hash = load_dataset_artifact(cfg, workdir)
+    return cfg, workdir, cfg.splits(ds), data_hash
 
 
 @main.command("gen-data")
@@ -266,7 +250,7 @@ def _setup(ctx) -> tuple:
 @_guarded
 def gen_data_cmd(ctx):
     """Generate the dataset artifact (dataset.csv + dataset.meta.json)."""
-    cfg, workdir = _setup(ctx)
+    cfg, workdir = ctx.obj
     ds, data_hash = generate_dataset(cfg, workdir)
     click.echo(json.dumps({"dataset": dataset_path(workdir), "n_samples": len(ds), "data_hash": data_hash}))
 
@@ -276,9 +260,7 @@ def gen_data_cmd(ctx):
 @_guarded
 def train_cmd(ctx):
     """Train the original model on the train split (checkpoint: original.json)."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
+    cfg, workdir, sp, data_hash = _inputs(ctx)
     net = train_original(cfg, sp)
     path = checkpoint_path(workdir, "original")
     _save_net(net, path, cfg, data_hash)
@@ -290,9 +272,7 @@ def train_cmd(ctx):
 @_guarded
 def retrain_cmd(ctx):
     """Train the retrain reference on the remaining data only (checkpoint: retrain.json)."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
+    cfg, workdir, sp, data_hash = _inputs(ctx)
     net = train_retrain(cfg, sp)
     path = checkpoint_path(workdir, "retrain")
     _save_net(net, path, cfg, data_hash)
@@ -304,9 +284,7 @@ def retrain_cmd(ctx):
 @_guarded
 def subspace_cmd(ctx):
     """Build per-class activation subspaces from the original model."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
+    cfg, workdir, sp, data_hash = _inputs(ctx)
     net = _load_net(cfg, workdir, "original", data_hash)
     ckpt_hash = _file_hash(checkpoint_path(workdir, "original"))
     subs, _ = build_subspaces(cfg, net, sp.train)
@@ -315,11 +293,8 @@ def subspace_cmd(ctx):
             sub, os.path.join(workdir, f"subspace_class_{c}.json"),
             epsilon=cfg.epsilon, source_checkpoint_hash=ckpt_hash,
         )
-    _write_json(
-        {"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash,
-         "epsilon": cfg.epsilon, "classes": sorted(subs)},
-        os.path.join(workdir, "subspaces.meta.json"),
-    )
+    meta = {"epsilon": cfg.epsilon, "classes": sorted(subs)}
+    _write_record(meta, os.path.join(workdir, "subspaces.meta.json"), cfg, data_hash)
     click.echo(json.dumps({"classes": sorted(subs), "epsilon": cfg.epsilon}))
 
 
@@ -330,32 +305,30 @@ def subspace_cmd(ctx):
 @_guarded
 def unlearn_cmd(ctx, variant):
     """Unlearn the forget classes from the original model (checkpoint: unlearned_<variant>.json)."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
+    cfg, workdir, sp, data_hash = _inputs(ctx)
     net_o = _load_net(cfg, workdir, "original", data_hash)
-    cache = _load_cache(cfg, workdir, ds.n_classes) if cfg.unlearn_plan(variant).use_null_space else None
+    cache = _load_cache(cfg, workdir, sp.train.n_classes) if cfg.unlearn_plan(variant).use_null_space else None
     res = run_unlearn_variant(cfg, net_o, sp, cache, variant)
     name = _CHECKPOINTS[variant]
     _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
-    _write_json(
+    _write_record(
         {
-            "config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash,
             "variant": variant, "plan": res.plan.describe(),
             "epoch_losses": res.epoch_losses,
             "assigned_labels": res.labeled.assigned_labels.tolist(),
             "original_labels": res.labeled.original_labels.tolist(),
         },
-        os.path.join(workdir, f"run_{name}.json"),
+        os.path.join(workdir, f"run_{name}.json"), cfg, data_hash,
     )
     click.echo(json.dumps({"checkpoint": checkpoint_path(workdir, name), "variant": variant}))
 
 
 def _gather_models(cfg: RunConfig, workdir, data_hash: str) -> dict:
+    """original.json, which must exist, and every other checkpoint present, each lineage-checked."""
     return {
         name: _load_net(cfg, workdir, fname, data_hash)
         for name, fname in _CHECKPOINTS.items()
-        if os.path.exists(checkpoint_path(workdir, fname))
+        if name == "original" or os.path.exists(checkpoint_path(workdir, fname))
     }
 
 
@@ -364,15 +337,9 @@ def _gather_models(cfg: RunConfig, workdir, data_hash: str) -> dict:
 @_guarded
 def evaluate_cmd(ctx):
     """Utility/MIA/agreement report over every checkpoint present (evaluate.json)."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
+    cfg, workdir, sp, data_hash = _inputs(ctx)
     nets = _gather_models(cfg, workdir, data_hash)
-    if "original" not in nets:
-        raise MissingArtifact(f"original checkpoint not found: {checkpoint_path(workdir, 'original')}")
-    report = evaluate_models(cfg, sp, nets)
-    report.update({"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash})
-    _write_json(report, os.path.join(workdir, "evaluate.json"))
+    _write_record(evaluate_models(cfg, sp, nets), os.path.join(workdir, "evaluate.json"), cfg, data_hash)
     click.echo(json.dumps({"report": os.path.join(workdir, "evaluate.json"), "models": sorted(nets)}))
 
 
@@ -383,19 +350,15 @@ def evaluate_cmd(ctx):
 @_guarded
 def contour_cmd(ctx, model):
     """Remaining-loss grid along an in-null-space and an off-null-space direction."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
+    cfg, workdir, sp, data_hash = _inputs(ctx)
     net = _load_net(cfg, workdir, _CHECKPOINTS[model], data_hash)
-    cache = _load_cache(cfg, workdir, ds.n_classes)
+    cache = _load_cache(cfg, workdir, sp.train.n_classes)
     proj = cache.for_excluded(*cfg.unlearn_plan().unlearn_classes)
     null_dir, off_dir = evaluate.contour_directions(proj, net, cfg.seed_for("contour-dirs"))
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))
     grid.to_csv(os.path.join(workdir, "contour.csv"))
-    doc = grid.to_json()
-    doc.update({"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash, "model": model})
-    _write_json(doc, os.path.join(workdir, "contour.json"))
+    _write_record({**grid.to_json(), "model": model}, os.path.join(workdir, "contour.json"), cfg, data_hash)
     click.echo(json.dumps({"grid": os.path.join(workdir, "contour.csv"), "base_loss": grid.base_loss}))
 
 
@@ -403,25 +366,34 @@ def contour_cmd(ctx, model):
 @click.pass_context
 @_guarded
 def ablate_cmd(ctx):
-    """Run the five-method comparison grid and emit ablation.csv + ablation.json."""
-    cfg, workdir = _setup(ctx)
-    ds, data_hash = load_dataset_artifact(cfg, workdir)
-    sp = cfg.splits(ds)
-    net_o = _load_net(cfg, workdir, "original", data_hash)
-    cache = _load_cache(cfg, workdir, ds.n_classes)
-    nets = {"original": net_o, "retrain": _load_net(cfg, workdir, "retrain", data_hash)}
-    for variant in ABLATION_METHODS[2:]:
-        nets[variant] = run_unlearn_variant(cfg, net_o, sp, cache, variant).network
-    rows = ablation_rows(sp, nets)
+    """Remaining/forget test accuracy of every model side by side (ablation.csv + ablation.json).
+
+    One row per `_CHECKPOINTS` entry: original, retrain and each unlearn
+    variant.  A variant's saved checkpoint is loaded when present; otherwise
+    the variant runs in memory and nothing is saved, so `unlearn` stays the
+    only writer of checkpoints.  Runs are byte-reproducible, so both give
+    the same row.
+    """
+    cfg, workdir, sp, data_hash = _inputs(ctx)
+    nets = _gather_models(cfg, workdir, data_hash)
+    cache = _load_cache(cfg, workdir, sp.train.n_classes)
+    if "retrain" not in nets:
+        raise MissingArtifact(f"retrain checkpoint not found: {checkpoint_path(workdir, 'retrain')}")
+    for variant in unlearn.VARIANTS:
+        if variant not in nets:
+            nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, cache, variant).network
+    rows = []
+    for name in _CHECKPOINTS:
+        rep = evaluate.utility(nets[name], sp.test_remaining, sp.test_unlearn)
+        rows.append(
+            {"method": name, "acc_remaining_test": rep.acc_remaining_test, "acc_unlearn_test": rep.acc_unlearn_test}
+        )
     csv_path = os.path.join(workdir, "ablation.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("method,acc_remaining_test,acc_unlearn_test\n")
         for row in rows:
             fh.write(f"{row['method']},{row['acc_remaining_test']:.17g},{row['acc_unlearn_test']:.17g}\n")
-    _write_json(
-        {"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash, "rows": rows},
-        os.path.join(workdir, "ablation.json"),
-    )
+    _write_record({"rows": rows}, os.path.join(workdir, "ablation.json"), cfg, data_hash)
     click.echo(json.dumps({"table": csv_path, "methods": [r["method"] for r in rows]}))
 
 
@@ -430,13 +402,13 @@ def ablate_cmd(ctx):
 @_guarded
 def report_cmd(ctx):
     """Join evaluate/ablation/contour artifacts into report.json, verifying hashes agree."""
-    cfg, workdir = _setup(ctx)
+    _, workdir = ctx.obj
     sections = {}
     hashes = {}
     for name in ("evaluate", "ablation", "contour"):
         path = os.path.join(workdir, f"{name}.json")
         if os.path.exists(path):
-            doc = _read_json(path, name)
+            doc = _read_json(path)
             sections[name] = doc
             hashes[name] = (doc.get("config_hash"), doc.get("data_hash"))
     if not sections:

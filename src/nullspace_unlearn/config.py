@@ -37,7 +37,11 @@ def builtin_preset(name: str = "toy") -> dict:
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
-    """Apply `a.b.c=value` overrides; values parse as JSON, falling back to string."""
+    """Apply `a.b.c=value` overrides; values parse as JSON, falling back to string.
+
+    Missing objects along the path are created; a path that runs through a
+    list or a scalar is a ConfigError.
+    """
     out = copy.deepcopy(doc)
     for item in overrides:
         if "=" not in item:
@@ -51,12 +55,10 @@ def apply_overrides(doc: dict, overrides) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = out
-        for k in keys[:-1]:
-            nxt = node.get(k)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[k] = nxt
-            node = nxt
+        for i, k in enumerate(keys[:-1]):
+            node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {path!r}: {'.'.join(keys[:i + 1])} is not a JSON object")
         node[keys[-1]] = value
     return out
 
@@ -260,6 +262,8 @@ def validate(doc: dict) -> None:
         raise ConfigError("contour.steps must be an odd integer >= 3 so the grid has a center")
     if float(contour.get("half_range", 0.0)) <= 0.0:
         raise ConfigError("contour.half_range must be positive")
+    if int(contour.get("eval_subsample", 0)) < 1:
+        raise ConfigError("contour.eval_subsample must be >= 1")
     if int(_section(doc, "mia").get("nonmember_size", 0)) < 1:
         raise ConfigError("mia.nonmember_size must be >= 1")
 

@@ -93,6 +93,8 @@ class PortableRng:
 
     def choice(self, n: int, size: int) -> np.ndarray:
         """First `size` entries of a permutation of range(n): sampling without replacement."""
+        if size < 0:
+            raise ValueError(f"cannot choose a negative number of items ({size})")
         if size > n:
             raise ValueError(f"cannot choose {size} items from {n} without replacement")
         return self.permutation(n)[:size]

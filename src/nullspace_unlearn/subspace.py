@@ -103,25 +103,13 @@ class NullProjector:
         self.bases = [as_matrix(b, f"layer {i} retained basis") for i, b in enumerate(self.bases)]
 
 
-def _layer_epsilons(epsilons, n_layers: int) -> tuple:
-    if np.isscalar(epsilons):
-        eps = (float(epsilons),) * n_layers
-    else:
-        eps = tuple(float(e) for e in epsilons)
-        if len(eps) != n_layers:
-            raise ValueError(f"{len(eps)} epsilons for {n_layers} layers")
-    for e in eps:
-        if not (0.0 < e <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {e}")
-    return eps
-
-
-def merge_null_projector(subspaces, epsilons, excluded_classes=()) -> NullProjector:
+def merge_null_projector(subspaces, epsilon: float, excluded_classes=()) -> NullProjector:
     """Merge class subspaces layer-wise and return the retained basis of the kept energy.
 
     Per layer: concatenate U_c * diag(s_c) over the supplied classes, SVD the
     concatenation, and keep the leading left singular vectors of the smallest
-    rank holding epsilon of the squared energy.  Duplicate or overlapping
+    rank holding epsilon of the squared energy (one epsilon for every
+    layer; `rank_cutoff` checks its range).  Duplicate or overlapping
     class subspaces add energy but no new directions, so the merge is
     order-invariant.
     """
@@ -135,18 +123,17 @@ def merge_null_projector(subspaces, epsilons, excluded_classes=()) -> NullProjec
     for s in subs:
         if len(s.bases) != n_layers:
             raise ValueError("subspaces disagree on layer count")
-    eps = _layer_epsilons(epsilons, n_layers)
     bases = []
     for li in range(n_layers):
         scaled = [s.bases[li] * s.singular_values[li][np.newaxis, :] for s in subs]
         concat = np.hstack(scaled)
         res = svd(concat)
-        k = rank_cutoff(res.s, eps[li])
+        k = rank_cutoff(res.s, epsilon)
         bases.append(np.ascontiguousarray(res.u[:, :k]))
     return NullProjector(
         merged_classes=tuple(sorted(ids)),
         excluded_classes=tuple(excluded_classes),
-        epsilons=eps,
+        epsilons=(float(epsilon),) * n_layers,
         bases=bases,
         ranks=tuple(b.shape[1] for b in bases),
     )
@@ -174,12 +161,12 @@ class ProjectorCache:
     set, so it merges once, and the merge is reused across runs.
     """
 
-    def __init__(self, subspaces: dict, epsilons):
+    def __init__(self, subspaces: dict, epsilon: float):
         self.subspaces = {int(c): s for c, s in subspaces.items()}
         for c, s in self.subspaces.items():
             if s.class_id != c:
                 raise ValueError(f"subspace keyed {c} carries class_id {s.class_id}")
-        self.epsilons = epsilons
+        self.epsilon = epsilon
         self._cache: dict = {}
 
     def for_excluded(self, *class_ids: int) -> NullProjector:
@@ -191,7 +178,7 @@ class ProjectorCache:
             kept = [s for cid, s in sorted(self.subspaces.items()) if cid not in excluded]
             if not kept:
                 raise ValueError(f"excluding {list(excluded)} leaves no recorded class to merge")
-            self._cache[excluded] = merge_null_projector(kept, self.epsilons, excluded_classes=excluded)
+            self._cache[excluded] = merge_null_projector(kept, self.epsilon, excluded_classes=excluded)
         return self._cache[excluded]
 
 

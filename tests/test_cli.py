@@ -123,7 +123,13 @@ def test_full_pipeline_produces_every_artifact(env, tmp_path):
 
     lines = (tmp_path / "work" / "ablation.csv").read_text().splitlines()
     assert lines[0] == "method,acc_remaining_test,acc_unlearn_test"
-    assert [l.split(",")[0] for l in lines[1:]] == list(cli.ABLATION_METHODS)
+    assert [l.split(",")[0] for l in lines[1:]] == list(cli._CHECKPOINTS)
+    # ablate and evaluate score the same weights.
+    for row in json.loads((tmp_path / "work" / "ablation.json").read_text())["rows"]:
+        scored = report["utility"][row["method"]]
+        assert (row["acc_remaining_test"], row["acc_unlearn_test"]) == (
+            scored["acc_remaining_test"], scored["acc_unlearn_test"]
+        ), row["method"]
 
     contour_lines = (tmp_path / "work" / "contour.csv").read_text().splitlines()
     assert contour_lines[0] == "alpha,beta,loss"
@@ -146,7 +152,7 @@ def test_pipeline_is_byte_reproducible(env, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_missing_artifact_exits_2(env):
+def test_missing_artifact_exits_2(env, tmp_path):
     runner, cfg_path, workdir = env
     result = run(runner, cfg_path, workdir, "train")
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
@@ -165,6 +171,11 @@ def test_missing_artifact_exits_2(env):
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
     assert "retrain" in stderr_error(result)["message"]
 
+    (tmp_path / "work" / "subspace_class_1.json").unlink()
+    result = run(runner, cfg_path, workdir, "unlearn")
+    assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
+    assert "subspace_class_1.json" in stderr_error(result)["message"]
+
 
 def test_invalid_config_exits_3(env):
     runner, cfg_path, workdir = env
@@ -175,6 +186,12 @@ def test_invalid_config_exits_3(env):
     assert result.exit_code == cli.EXIT_VALIDATION
     result = run(runner, cfg_path, workdir, "--set", "split.unlearn_classes=[0,1,2]", "gen-data")
     assert result.exit_code == cli.EXIT_VALIDATION
+    for bad in ("contour.eval_subsample=0", "contour.eval_subsample=-5"):
+        assert run(runner, cfg_path, workdir, "--set", bad, "gen-data").exit_code == cli.EXIT_VALIDATION, bad
+    # An override path through a list names the path instead of crashing.
+    result = run(runner, cfg_path, workdir, "--set", "network.layers.0.in_features=3", "gen-data")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "network.layers" in stderr_error(result)["message"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -252,6 +269,24 @@ def test_evaluate_agreement_does_not_read_the_run_record(env, tmp_path):
     (work / "run_unlearned_calibrated.json").unlink()
     assert run(runner, cfg_path, workdir, "evaluate").exit_code == 0
     assert json.loads((work / "evaluate.json").read_text())["agreement"] == agreement
+
+
+def test_ablate_runs_missing_variants_in_memory_and_saves_nothing(env, tmp_path):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "retrain", "subspace", "ablate"):
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
+    work = tmp_path / "work"
+    assert not [p.name for p in work.iterdir() if "unlearned_" in p.name]
+    in_memory = (work / "ablation.json").read_bytes()
+    for variant in ("calibrated", "random-label", "random-label+nullspace", "gradient-ascent"):
+        assert run(runner, cfg_path, workdir, "unlearn", "--variant", variant).exit_code == 0, variant
+    assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
+    assert (work / "ablation.json").read_bytes() == in_memory
+    # A saved checkpoint is what gets scored.
+    (work / "unlearned_calibrated.json").write_bytes((work / "unlearned_gradient-ascent.json").read_bytes())
+    assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
+    rows = {r["method"]: r for r in json.loads((work / "ablation.json").read_text())["rows"]}
+    assert dict(rows["calibrated"], method="gradient-ascent") == rows["gradient-ascent"]
 
 
 def test_report_refuses_mismatched_hashes(env, tmp_path):

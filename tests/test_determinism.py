@@ -24,3 +24,9 @@ def test_seeded_permutation_is_pinned():
     assert sorted(perm.tolist()) == list(range(5000))
     digest = hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
     assert digest == "fe0d98a697e8d4b14bad18b69455eeac0746e343e0b4f76218407c90aff76d7b"
+
+
+@pytest.mark.parametrize("size", [-3, -1, 11])
+def test_choice_rejects_sizes_outside_zero_to_n(size):
+    with pytest.raises(ValueError, match="cannot choose"):
+        PortableRng(0).choice(10, size)

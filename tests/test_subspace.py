@@ -114,16 +114,6 @@ def test_merge_validation(fitted):
         subspace.merge_null_projector([], 0.99)
     with pytest.raises(ValueError, match="epsilon"):
         subspace.merge_null_projector([subs[1]], 0.0)
-    with pytest.raises(ValueError, match="epsilons for"):
-        subspace.merge_null_projector([subs[1]], (0.9,) * 3)
-
-
-def test_per_layer_epsilons(fitted):
-    _, _, subs = fitted
-    proj = subspace.merge_null_projector([subs[1], subs[2]], (0.5, 1.0))
-    assert proj.epsilons == (0.5, 1.0)
-    loose = subspace.merge_null_projector([subs[1], subs[2]], (0.5, 0.5))
-    assert loose.ranks[1] <= proj.ranks[1]
 
 
 def test_retained_energy_bounds(fitted):

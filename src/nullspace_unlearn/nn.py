@@ -187,9 +187,14 @@ class ActivationTrace:
 
 @dataclass
 class GradientSet:
-    """Per-layer loss gradients, shapes matching Network.weights."""
+    """Per-layer loss gradients, shapes matching Network.weights, and the logits they came from.
+
+    logits (classes, samples) are those of the forward pass inside the
+    gradient computation, i.e. of the weights before any step is taken.
+    """
 
     per_layer: list
+    logits: np.ndarray
 
 
 def extract_patches(feature_map, kernel_size: int, stride: int = 1) -> np.ndarray:
@@ -246,18 +251,15 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return np.maximum(z, 0.0) if activation == "relu" else z
 
 
-def _activation_mask(z: np.ndarray, activation: str):
-    # Subgradient at exactly 0 is taken as 0 for relu.
-    return (z > 0.0).astype(np.float64) if activation == "relu" else None
-
-
 def _forward_pass(net: Network, batch, record: bool = False):
     """Run the network; return (logits, aug_inputs, preacts) in column form.
 
-    Only record=True keeps each layer's augmented input and pre-activation;
-    otherwise both lists come back empty and each layer's arrays are let go
-    once the next layer has consumed them.  A dense layer writes its
-    activation straight into the next dense layer's augmented input.
+    Only record=True keeps each layer's augmented input and, for a conv
+    layer, its pre-activation (None for a dense layer); otherwise both lists
+    come back empty and each layer's arrays are let go once the next layer
+    has consumed them.  A hidden dense layer writes W @ aug straight into
+    the next dense layer's augmented input and applies its activation there
+    in place, so its relu mask is that input's positive entries.
     """
     x = as_matrix(batch, "batch")
     aug_inputs = []
@@ -282,19 +284,18 @@ def _forward_pass(net: Network, batch, record: bool = False):
         if spec.kind == "dense":
             if aug is None:
                 aug = _augment(current.reshape(n, -1).T if current.ndim == 4 else current)
-            z = w_mat @ aug
             if record:
                 aug_inputs.append(aug)
-                preacts.append(z)
+                preacts.append(None)
             if li + 1 == len(net.specs):
-                current = z  # the identity logit head
+                current = w_mat @ aug  # the identity logit head
             else:  # a dense layer only ever feeds a dense layer
-                aug = np.empty((z.shape[0] + 1, n))
-                aug[-1] = 1.0
+                nxt = np.empty((w_mat.shape[0] + 1, n))
+                nxt[-1] = 1.0
+                np.matmul(w_mat, aug, out=nxt[:-1])
                 if spec.activation == "relu":
-                    np.maximum(z, 0.0, out=aug[:-1])
-                else:
-                    aug[:-1] = z
+                    np.maximum(nxt[:-1], 0.0, out=nxt[:-1])
+                aug = nxt
         else:
             patches = _augment(extract_patches(current, spec.kernel_size, spec.stride))
             z_cols = w_mat @ patches
@@ -342,7 +343,12 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
 
 
 def loss_and_grads(net: Network, batch, labels):
-    """Mean softmax cross-entropy and its exact per-layer weight gradients."""
+    """Mean softmax cross-entropy and its exact per-layer weight gradients.
+
+    The GradientSet also carries the forward pass's logits.  Each delta is
+    a fresh array, so relu masks are applied to it in place; layer 0's
+    input gradient, which nothing reads, is not computed.
+    """
     x = as_matrix(batch, "batch")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = x.shape[0]
@@ -362,13 +368,17 @@ def loss_and_grads(net: Network, batch, labels):
     delta = (probs - onehot) / n  # gradient wrt logits, (K, n)
 
     grads = [None] * len(net.specs)
+    # Subgradient at exactly 0 is taken as 0 for relu.
     for li in range(len(net.specs) - 1, -1, -1):
         spec = net.specs[li]
         kind, form = net._plan[li]
         if spec.kind == "dense":
-            mask = _activation_mask(preacts[li], spec.activation)
-            dz = delta if mask is None else delta * mask
+            dz = delta
+            if spec.activation == "relu":  # never the head, so layer li + 1 is dense
+                dz *= aug_inputs[li + 1][:-1] > 0.0
             grads[li] = dz @ aug_inputs[li].T
+            if li == 0:
+                break
             back = (net.weights[li].T @ dz)[:-1]  # drop the constant-1 row
             if form[0] == "image":
                 back = back.T.reshape((n,) + form[1])
@@ -379,14 +389,15 @@ def loss_and_grads(net: Network, batch, labels):
             ho = (h - k) // st + 1
             wo = (w - k) // st + 1
             # delta arrives as maps (n, O, ho, wo); apply activation mask there.
-            mask = _activation_mask(preacts[li], spec.activation)
             dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, n * ho * wo)
-            if mask is not None:
-                dz_cols = dz_cols * mask
+            if spec.activation == "relu":
+                dz_cols *= preacts[li] > 0.0
             grads[li] = dz_cols @ aug_inputs[li].T
+            if li == 0:
+                break
             back_cols = (net.weights[li].T @ dz_cols)[:-1]
             delta = _scatter_patches(back_cols, (c, h, w), n, k, st)
-    return loss, GradientSet(per_layer=grads)
+    return loss, GradientSet(per_layer=grads, logits=logits)
 
 
 def predict_proba(net: Network, batch) -> np.ndarray:
@@ -434,52 +445,67 @@ class TrainSchedule:
             raise ValueError("batch_size must be >= 1")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 or None")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if any(m < 1 for m in self.milestones):
+            raise ValueError(f"milestones must be epochs >= 1, got {list(self.milestones)}")
 
 
 def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
     """Mini-batch SGD, returning the weights of the best validation-accuracy epoch.
 
-    Shuffling is a seeded PortableRng permutation per epoch, so identical
-    inputs train bit-identically.  Ties on validation accuracy keep the later
-    epoch; training stops once `patience` epochs pass without a new best.
-    A zero epoch budget returns an unchanged copy of the input network.
+    Epoch 0 is the input network.  Ties on validation accuracy keep the
+    later epoch; training stops once `patience` epochs pass without a new
+    best.  A batch that covers the train set takes its rows in order;
+    smaller batches follow a seeded PortableRng permutation per epoch, so
+    identical inputs train bit-identically.  When that full batch is also
+    the validation set, each epoch's gradient forward gives the previous
+    epoch's validation accuracy, and only the final weights are scored by a
+    separate forward.  The SGD step is written into the gradient's buffer,
+    which becomes the new weight list.
     """
     x_tr = as_matrix(train_set.features, "train features")
     y_tr = np.asarray(train_set.labels, dtype=np.int64)
     x_val = as_matrix(val_set.features, "val features")
     y_val = np.asarray(val_set.labels, dtype=np.int64)
+    n = x_tr.shape[0]
+    full_batch = schedule.batch_size >= n
+    fused = full_batch and np.array_equal(x_tr, x_val) and np.array_equal(y_tr, y_val)
     out = net.copy()
     out.metadata = dict(out.metadata)
-    if schedule.epochs == 0:
-        out.metadata.update(epochs_run=0, best_epoch=0)
-        return out
     rng = PortableRng(derive_seed(schedule.seed, "shuffle"))
-    n = x_tr.shape[0]
     lr = schedule.lr
-    best_weights = out.weights
-    best_acc = accuracy(out, x_val, y_val)
-    best_epoch = 0
-    epochs_run = 0
-    for epoch in range(1, schedule.epochs + 1):
-        if epoch in schedule.milestones:
-            lr *= schedule.gamma
-        perm = rng.permutation(n)
-        for start in range(0, n, schedule.batch_size):
-            idx = perm[start : start + schedule.batch_size]
-            _, grads = loss_and_grads(out, x_tr[idx], y_tr[idx])
-            # Rebind rather than update in place, so a kept best list stays as it was.
-            out.weights = [w - lr * g for w, g in zip(out.weights, grads.per_layer)]
-        epochs_run = epoch
-        val_acc = accuracy(out, x_val, y_val)
+    best_acc, best_epoch, best_weights = -1.0, 0, out.weights
+    for epoch in range(schedule.epochs + 1):
+        # Score the weights after `epoch` epochs, then train epoch + 1.
+        grads = None
+        if fused and epoch < schedule.epochs:
+            _, grads = loss_and_grads(out, x_tr, y_tr)
+            val_acc = float(np.mean(np.argmax(grads.logits, axis=0) == y_val))
+        else:
+            val_acc = accuracy(out, x_val, y_val)
         if val_acc >= best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_weights = out.weights
+            best_acc, best_epoch, best_weights = val_acc, epoch, out.weights
         elif schedule.patience is not None and epoch - best_epoch >= schedule.patience:
             break
+        if epoch == schedule.epochs:
+            break
+        if epoch + 1 in schedule.milestones:
+            lr *= schedule.gamma
+        order = None if full_batch else rng.permutation(n)
+        for start in range(0, n, schedule.batch_size):
+            if grads is None:
+                idx = slice(None) if full_batch else order[start : start + schedule.batch_size]
+                _, grads = loss_and_grads(out, x_tr[idx], y_tr[idx])
+            # w - lr * g goes into g's fresh buffer; the list is rebound, so a
+            # kept best list stays as it was.
+            out.weights = [
+                np.subtract(w, np.multiply(lr, g, out=g), out=g) for w, g in zip(out.weights, grads.per_layer)
+            ]
+            grads = None
     out.weights = best_weights
     out.metadata.update(
-        epochs_run=epochs_run,
+        epochs_run=epoch,
         best_epoch=best_epoch,
         best_val_accuracy=best_acc,
         final_lr=lr,

@@ -186,3 +186,122 @@ def pseudo_label(net_o, x, y, unlearn_classes):
     masked = probs.copy()
     masked[classes] = -np.inf
     return int(np.argmax(masked))
+
+
+def reference_forward(net, batch):
+    """The forward pass before dense layers wrote into their successor's input.
+
+    Returns (logits, aug_inputs, preacts) with every layer's augmented input
+    and pre-activation kept as separate arrays, built with vstack and a fresh
+    activation per layer.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    n = x.shape[0]
+    current = x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
+    aug_inputs, preacts = [], []
+    for li, spec in enumerate(net.specs):
+        if spec.kind == "dense":
+            flat = current.reshape(n, -1).T if current.ndim == 4 else current
+            aug = np.vstack([flat, np.ones((1, n))])
+            z = net.weights[li] @ aug
+            current = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        else:
+            patches = nn.extract_patches(current, spec.kernel_size, spec.stride)
+            aug = np.vstack([patches, np.ones((1, patches.shape[1]))])
+            z = net.weights[li] @ aug
+            c, h, w = net._plan[li][1][1]
+            ho = (h - spec.kernel_size) // spec.stride + 1
+            wo = (w - spec.kernel_size) // spec.stride + 1
+            maps = z.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
+            current = np.maximum(maps, 0.0) if spec.activation == "relu" else maps
+        aug_inputs.append(aug)
+        preacts.append(z)
+    return current, aug_inputs, preacts
+
+
+def reference_loss_and_grads(net, batch, labels):
+    """Loss, per-layer gradients and logits, computed as before the in-place kernels.
+
+    Masks are float arrays built from the recorded pre-activations, every
+    product is a fresh array, and layer 0's input gradient is computed (and,
+    for a conv layer, scattered back onto the input maps) although nothing
+    reads it.
+    """
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n = y.size
+    logits, aug_inputs, preacts = reference_forward(net, batch)
+    loss = nn.cross_entropy(logits, y)
+    probs = nn.softmax(logits)
+    onehot = np.zeros_like(probs)
+    onehot[y, np.arange(n)] = 1.0
+    delta = (probs - onehot) / n
+    grads = [None] * len(net.specs)
+    for li in range(len(net.specs) - 1, -1, -1):
+        spec = net.specs[li]
+        form = net._plan[li][1]
+        mask = (preacts[li] > 0.0).astype(np.float64) if spec.activation == "relu" else None
+        if spec.kind == "dense":
+            dz = delta if mask is None else delta * mask
+            grads[li] = dz @ aug_inputs[li].T
+            back = (net.weights[li].T @ dz)[:-1]
+            delta = back.T.reshape((n,) + form[1]) if form[0] == "image" else back
+        else:
+            c, h, w = form[1]
+            k, st = spec.kernel_size, spec.stride
+            ho = (h - k) // st + 1
+            wo = (w - k) // st + 1
+            dz = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, n * ho * wo)
+            if mask is not None:
+                dz = dz * mask
+            grads[li] = dz @ aug_inputs[li].T
+            back_cols = (net.weights[li].T @ dz)[:-1]
+            delta = nn._scatter_patches(back_cols, (c, h, w), n, k, st)
+    return loss, grads, logits
+
+
+def train_two_forwards(net, train_set, val_set, schedule):
+    """Full-batch SGD as it ran before the validation forward was fused.
+
+    Every epoch takes one step on all training rows in order (no
+    permutation) with reference_loss_and_grads, then runs a separate
+    forward over the validation set.  Best epoch, ties, patience,
+    milestones and the metadata follow nn.train's contract.
+    """
+    x_tr = np.asarray(train_set.features, dtype=np.float64)
+    y_tr = np.asarray(train_set.labels, dtype=np.int64)
+    x_val = np.asarray(val_set.features, dtype=np.float64)
+    y_val = np.asarray(val_set.labels, dtype=np.int64)
+
+    def val_accuracy(weights):
+        probe = nn.Network(specs=net.specs, weights=weights, input_shape=net.input_shape)
+        logits, _, _ = reference_forward(probe, x_val)
+        return float(np.mean(np.argmax(logits, axis=0) == y_val))
+
+    out = net.copy()
+    lr = schedule.lr
+    best_weights = out.weights
+    best_acc = val_accuracy(out.weights)
+    best_epoch = 0
+    epochs_run = 0
+    for epoch in range(1, schedule.epochs + 1):
+        if epoch in schedule.milestones:
+            lr *= schedule.gamma
+        _, grads, _ = reference_loss_and_grads(out, x_tr, y_tr)
+        out.weights = [w - lr * g for w, g in zip(out.weights, grads)]
+        epochs_run = epoch
+        val_acc = val_accuracy(out.weights)
+        if val_acc >= best_acc:
+            best_acc = val_acc
+            best_epoch = epoch
+            best_weights = out.weights
+        elif schedule.patience is not None and epoch - best_epoch >= schedule.patience:
+            break
+    out.weights = best_weights
+    out.metadata.update(
+        epochs_run=epochs_run,
+        best_epoch=best_epoch,
+        best_val_accuracy=best_acc,
+        final_lr=lr,
+        train_seed=schedule.seed,
+    )
+    return out

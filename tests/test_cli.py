@@ -186,7 +186,8 @@ def test_invalid_config_exits_3(env):
     assert result.exit_code == cli.EXIT_VALIDATION
     result = run(runner, cfg_path, workdir, "--set", "split.unlearn_classes=[0,1,2]", "gen-data")
     assert result.exit_code == cli.EXIT_VALIDATION
-    for bad in ("contour.eval_subsample=0", "contour.eval_subsample=-5"):
+    for bad in ("contour.eval_subsample=0", "contour.eval_subsample=-5", "train.gamma=-1",
+                "train.gamma=0", "train.milestones=[0,-4]"):
         assert run(runner, cfg_path, workdir, "--set", bad, "gen-data").exit_code == cli.EXIT_VALIDATION, bad
     # An override path through a list names the path instead of crashing.
     result = run(runner, cfg_path, workdir, "--set", "network.layers.0.in_features=3", "gen-data")
@@ -210,6 +211,13 @@ def test_set_override_changes_behaviour(env, tmp_path):
     assert result.exit_code == 0
     ckpt = json.loads((tmp_path / "work" / "original.json").read_text())
     assert ckpt["metadata"]["epochs_run"] == 0
+    # A zero budget writes the same metadata keys as a trained run.
+    assert run(runner, cfg_path, workdir, "--set", "train.epochs=0", "retrain").exit_code == 0
+    zero = json.loads((tmp_path / "work" / "retrain.json").read_text())["metadata"]
+    assert run(runner, cfg_path, workdir, "--set", "train.epochs=1", "retrain").exit_code == 0
+    one = json.loads((tmp_path / "work" / "retrain.json").read_text())["metadata"]
+    assert sorted(zero) == sorted(one)
+    assert {"best_val_accuracy", "final_lr", "train_seed"} <= set(zero)
 
 
 def test_override_seed_changes_dataset(env, tmp_path):

@@ -1,5 +1,8 @@
 """Network forward/backward, training loop, and checkpoint round trips."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -235,6 +238,40 @@ def test_loss_and_grads_validation():
         nn.loss_and_grads(net, np.zeros((2, 4)), [0, 3])
 
 
+def _kernel_cases():
+    rng = np.random.default_rng(41)
+    identity_hidden = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=8),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=8, out_features=6),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=6, out_features=3),
+    )
+    conv_stride = (
+        nn.LayerSpec(kind="conv", activation="relu", in_channels=1, out_channels=3, kernel_size=2),
+        nn.LayerSpec(kind="conv", activation="relu", in_channels=3, out_channels=4, kernel_size=2, stride=2),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4 * 2 * 2, out_features=5),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=5, out_features=3),
+    )
+    return [
+        (dense_net(seed=42), rng.standard_normal((7, 4))),
+        (nn.init_network(identity_hidden, input_shape=(4,), seed=43), rng.standard_normal((7, 4))),
+        (nn.init_network(conv_stride, input_shape=(1, 6, 6), seed=44), rng.uniform(0.0, 1.0, size=(7, 36))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["dense-relu", "dense-identity-hidden", "conv-stride2-dense"])
+def test_loss_and_grads_bit_equal_reference_kernel(case):
+    # Writing into the next layer's input, masking deltas in place and
+    # skipping layer 0's input gradient change no float.
+    net, x = _kernel_cases()[case]
+    y = np.random.default_rng(case).integers(0, 3, size=len(x))
+    loss, grads = nn.loss_and_grads(net, x, y)
+    ref_loss, ref_grads, ref_logits = oracles.reference_loss_and_grads(net, x, y)
+    assert loss == ref_loss
+    assert grads.logits.tobytes() == ref_logits.tobytes()
+    for g, ref in zip(grads.per_layer, ref_grads):
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
 def test_gradient_step_reduces_loss():
     net = dense_net(seed=19)
     rng = np.random.default_rng(20)
@@ -259,7 +296,12 @@ def test_train_zero_epochs_is_identity():
     for w0, w1 in zip(net.weights, out.weights):
         npt.assert_array_equal(w0, w1)
     assert out.metadata["epochs_run"] == 0
+    assert out.metadata["best_epoch"] == 0
+    assert out.metadata["best_val_accuracy"] == nn.accuracy(net, sp.val.features, sp.val.labels)
     assert out is not net
+    # A zero budget records the same metadata keys as any other run.
+    one = nn.train(net, sp.train, sp.val, nn.TrainSchedule(lr=0.1, epochs=1, batch_size=8))
+    assert sorted(out.metadata) == sorted(one.metadata)
 
 
 def test_train_fits_the_blobs():
@@ -316,9 +358,102 @@ def test_train_ties_keep_later_epoch():
         npt.assert_array_equal(w0, w1)
 
 
+def _noisy_blobs(seed=41):
+    # Random labels on the blob features: accuracy plateaus, so patience can fire.
+    sp = blob_splits(seed=seed)
+    labels = np.random.default_rng(0).integers(0, 3, size=len(sp.train))
+    return data.Dataset(features=sp.train.features, labels=labels, n_classes=3, provenance={})
+
+
+FULL_BATCH_CASES = {
+    # name: (dataset, seed of the net, schedule kwargs, expected (epochs_run, final_lr))
+    "plain": ("blobs", 40, dict(lr=0.3, epochs=25, milestones=(15,), gamma=0.5, patience=None), (25, 0.15)),
+    "patience-stop": ("noisy", 41, dict(lr=2.0, epochs=80, patience=3), (11, 2.0)),
+    # The stop epoch's milestone fires; the next one, inside the scoring
+    # forward that ends the run, does not.
+    "milestone-at-stop": ("noisy", 41, dict(lr=2.0, epochs=80, patience=3, milestones=(11, 12), gamma=0.5), (11, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_BATCH_CASES))
+def test_full_batch_training_matches_the_two_forward_loop(name):
+    kind, net_seed, kwargs, (epochs_run, final_lr) = FULL_BATCH_CASES[name]
+    train_set = blob_splits(seed=40).train if kind == "blobs" else _noisy_blobs()
+    net = dense_net(seed=net_seed)
+    schedule = nn.TrainSchedule(batch_size=len(train_set), seed=1, **kwargs)
+    out = nn.train(net, train_set, train_set, schedule)
+    ref = oracles.train_two_forwards(net, train_set, train_set, schedule)
+    assert out.metadata == ref.metadata
+    assert (out.metadata["epochs_run"], out.metadata["final_lr"]) == (epochs_run, final_lr)
+    for w, w_ref in zip(out.weights, ref.weights):
+        assert w.tobytes() == w_ref.tobytes()
+
+
+def test_full_batch_training_runs_one_forward_per_epoch(monkeypatch):
+    calls = {"accuracy": 0, "loss_and_grads": 0}
+    for fn in calls:
+        original = getattr(nn, fn)
+
+        def spy(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nn, fn, spy)
+    train_set = blob_splits(seed=40).train
+    schedule = nn.TrainSchedule(lr=0.3, epochs=12, batch_size=len(train_set) + 5, patience=None)
+    out = nn.train(dense_net(seed=40), train_set, train_set, schedule)
+    assert out.metadata["epochs_run"] == 12
+    assert calls == {"accuracy": 1, "loss_and_grads": 12}
+
+
+def test_minibatch_training_is_pinned():
+    # Mini-batches keep the seeded permutation; the weights equal the ones
+    # trained before the full-batch loop changed (sha256 of their bytes).
+    sp = blob_splits(seed=31)
+    schedule = nn.TrainSchedule(lr=0.2, epochs=15, batch_size=8, milestones=(10,), patience=4, seed=5)
+    out = nn.train(dense_net(seed=31), sp.train, sp.val, schedule)
+    digest = hashlib.sha256(b"".join(w.tobytes() for w in out.weights)).hexdigest()
+    assert digest == "047fc95cad5ff06c18b03388f8d787731a585666b1a624f63617410739c8abfc"
+    assert out.metadata == {
+        "epochs_run": 15, "best_epoch": 15, "best_val_accuracy": 1.0,
+        "final_lr": 0.2 * 0.2, "train_seed": 5,
+    }
+
+
+def test_full_batch_training_peak_memory():
+    # The toy preset's shapes: 200 rows of 2 features -> 192 -> 192 -> 4.
+    # Measured peak above the start: about 2.1 MB, against 3.6 MB when each
+    # epoch kept pre-activations, float masks and a separate SGD temporary.
+    specs = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=2, out_features=192),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=192, out_features=192),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=192, out_features=4),
+    )
+    rng = np.random.default_rng(0)
+    train_set = data.Dataset(
+        features=rng.standard_normal((200, 2)), labels=rng.integers(0, 4, 200), n_classes=4, provenance={}
+    )
+    net = nn.init_network(specs, input_shape=(2,), seed=1)
+    schedule = nn.TrainSchedule(lr=0.5, epochs=5, batch_size=200, patience=None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        nn.train(net, train_set, train_set, schedule)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, f"peak traced memory {peak / 2**20:.2f} MiB"
+
+
 def test_train_schedule_validation():
     with pytest.raises(ValueError):
         nn.TrainSchedule(lr=-0.1, epochs=1, batch_size=1)
+    for gamma in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            nn.TrainSchedule(lr=0.1, epochs=1, batch_size=1, gamma=gamma)
+    for milestones in ((0,), (0, -4), (3, -1)):
+        with pytest.raises(ValueError, match="milestones"):
+            nn.TrainSchedule(lr=0.1, epochs=1, batch_size=1, milestones=milestones)
     with pytest.raises(ValueError):
         nn.TrainSchedule(lr=0.1, epochs=-1, batch_size=1)
     with pytest.raises(ValueError):

@@ -264,7 +264,7 @@ def train_cmd(ctx):
     net = train_original(cfg, sp)
     path = checkpoint_path(workdir, "original")
     _save_net(net, path, cfg, data_hash)
-    click.echo(json.dumps({"checkpoint": path, "train_accuracy": nn.accuracy(net, sp.train.features, sp.train.labels)}))
+    click.echo(json.dumps({"checkpoint": path, "best_val_accuracy": net.metadata["best_val_accuracy"]}))
 
 
 @main.command("retrain")

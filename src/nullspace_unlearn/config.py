@@ -11,9 +11,11 @@ artifacts.
 from __future__ import annotations
 
 import copy
+import difflib
 import hashlib
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +71,27 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _section(doc: dict, name: str) -> dict:
-    sec = doc.get(name)
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config is missing the {name!r} section")
-    return sec
+# Every key of a config document and its JSON type: `int`, `float` (finite),
+# `str`, `dict` (an object its builder checks), `[t]` (a list of t), `(int,
+# type(None))` (nullable) or a nested section.  The preset holds every value.
+_KEYS = {
+    "preset_version": int,
+    "name": str,
+    "seed": int,
+    "paths": {"workdir": str},
+    "data": {"kind": str, "means": [[float]], "covariances": [[[float]]], "n_per_class": int},
+    "split": {"train_fraction": float, "val_fraction": float, "test_fraction": float, "unlearn_classes": [int]},
+    "network": {"input_shape": [int], "layers": [dict]},
+    "train": {"lr": float, "epochs": int, "batch_size": (int, type(None)), "milestones": [int],
+              "gamma": float, "patience": (int, type(None))},
+    "subspace": {"epsilon": float, "build_batch": int},
+    "unlearn": {"lr": float, "epochs": int, "batch_size": int},
+    "mia": {"nonmember_size": int},
+    "contour": {"half_range": float, "steps": int, "eval_subsample": int},
+    "acceptance": {"seeds": [int], "exact_mode": {"epsilon": float, "build_batch": int},
+                   "mia_probe": {"epochs": int, "milestones": [int]}},
+}
+_TYPE_NAMES = {int: "an integer", (int, type(None)): "an integer or null", str: "a string", dict: "a JSON object"}
 
 
 @dataclass
@@ -91,38 +109,29 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.doc["seed"])
+        return self.doc["seed"]
 
     def seed_for(self, *tags) -> int:
         return derive_seed(self.seed, *tags)
 
     @property
     def workdir(self) -> str:
-        return str(self.doc.get("paths", {}).get("workdir", "runs/default"))
+        return self.doc["paths"]["workdir"]
 
     def with_seed(self, seed: int) -> "RunConfig":
         out = copy.deepcopy(self.doc)
-        out["seed"] = int(seed)
+        out["seed"] = seed
         return make_config(out)
 
     # -- data ---------------------------------------------------------------
     def dataset(self) -> data.Dataset:
-        sec = _section(self.doc, "data")
-        ds = data.gaussian_mixture(
-            sec["means"], sec["covariances"], int(sec["n_per_class"]), derive_seed(self.seed, "data")
-        )
+        sec = self.doc["data"]
+        ds = data.gaussian_mixture(sec["means"], sec["covariances"], sec["n_per_class"], derive_seed(self.seed, "data"))
         ds.provenance["config_hash"] = self.hash
         return ds
 
     def split_spec(self) -> data.SplitSpec:
-        sec = _section(self.doc, "split")
-        return data.SplitSpec(
-            train_fraction=float(sec["train_fraction"]),
-            val_fraction=float(sec["val_fraction"]),
-            test_fraction=float(sec["test_fraction"]),
-            unlearn_classes=tuple(sec["unlearn_classes"]),
-            seed=derive_seed(self.seed, "split"),
-        )
+        return data.SplitSpec(**self.doc["split"], seed=derive_seed(self.seed, "split"))
 
     def splits(self, ds: data.Dataset) -> data.Splits:
         return data.split(ds, self.split_spec())
@@ -130,37 +139,28 @@ class RunConfig:
     # -- network ------------------------------------------------------------
     @property
     def input_shape(self) -> tuple:
-        return tuple(int(d) for d in _section(self.doc, "network")["input_shape"])
+        return tuple(self.doc["network"]["input_shape"])
 
     def layer_specs(self) -> tuple:
-        layers = _section(self.doc, "network")["layers"]
-        return tuple(nn.LayerSpec(**{str(k): v for k, v in spec.items()}) for spec in layers)
+        return tuple(nn.LayerSpec(**spec) for spec in self.doc["network"]["layers"])
 
     def init_net(self, tag: str = "init") -> nn.Network:
         return nn.init_network(self.layer_specs(), self.input_shape, seed=derive_seed(self.seed, tag))
 
-    def train_schedule(self, n_train: int, tag: str = "train", **replace) -> nn.TrainSchedule:
-        sec = dict(_section(self.doc, "train"))
-        sec.update(replace)
-        batch = sec.get("batch_size")
-        return nn.TrainSchedule(
-            lr=float(sec["lr"]),
-            epochs=int(sec["epochs"]),
-            batch_size=int(n_train if batch is None else batch),
-            milestones=tuple(int(m) for m in sec.get("milestones", ())),
-            gamma=float(sec.get("gamma", 0.2)),
-            patience=None if sec.get("patience") is None else int(sec["patience"]),
-            seed=derive_seed(self.seed, tag),
-        )
+    def train_schedule(self, n_train: int, tag: str = "train") -> nn.TrainSchedule:
+        """The `train` section as a schedule; a null batch_size is one full batch of n_train rows."""
+        sec = self.doc["train"]
+        batch = n_train if sec["batch_size"] is None else sec["batch_size"]
+        return nn.TrainSchedule(**{**sec, "batch_size": batch}, seed=derive_seed(self.seed, tag))
 
     # -- subspace / unlearn --------------------------------------------------
     @property
     def epsilon(self) -> float:
-        return float(_section(self.doc, "subspace")["epsilon"])
+        return self.doc["subspace"]["epsilon"]
 
     @property
     def build_batch(self) -> int:
-        return int(_section(self.doc, "subspace")["build_batch"])
+        return self.doc["subspace"]["build_batch"]
 
     def build_indices(self, class_id: int, n_available: int) -> np.ndarray:
         rng = PortableRng(derive_seed(self.seed, "subspace-batch", class_id))
@@ -171,22 +171,15 @@ class RunConfig:
         if variant not in unlearn.VARIANTS:
             raise ConfigError(f"unknown unlearn variant {variant!r}; expected one of {sorted(unlearn.VARIANTS)}")
         labeling, use_null_space, ascend = unlearn.VARIANTS[variant]
-        sec = _section(self.doc, "unlearn")
         return unlearn.UnlearnPlan(
-            unlearn_classes=tuple(_section(self.doc, "split")["unlearn_classes"]),
-            labeling=labeling,
-            use_null_space=use_null_space,
-            ascend=ascend,
-            lr=float(sec["lr"]),
-            epochs=int(sec["epochs"]),
-            batch_size=int(sec["batch_size"]),
-            seed=derive_seed(self.seed, "unlearn"),
+            **self.doc["unlearn"], unlearn_classes=self.doc["split"]["unlearn_classes"], labeling=labeling,
+            use_null_space=use_null_space, ascend=ascend, seed=derive_seed(self.seed, "unlearn"),
         )
 
     # -- evaluation ----------------------------------------------------------
     def mia_holdouts(self, sp: data.Splits):
         """Member/non-member holdouts for the confidence attack, seeded and recorded."""
-        size = int(_section(self.doc, "mia")["nonmember_size"])
+        size = self.doc["mia"]["nonmember_size"]
         rng_m = PortableRng(derive_seed(self.seed, "mia-member"))
         rng_n = PortableRng(derive_seed(self.seed, "mia-nonmember"))
         d_r = sp.d_r
@@ -197,75 +190,79 @@ class RunConfig:
         return member, nonmember
 
     def contour_axes(self) -> list:
-        sec = _section(self.doc, "contour")
-        steps = int(sec["steps"])
-        half = float(sec["half_range"])
-        mid = steps // 2
-        return [half * (i - mid) / mid for i in range(steps)]
+        sec = self.doc["contour"]
+        half, mid = sec["half_range"], sec["steps"] // 2
+        return [half * (i - mid) / mid for i in range(sec["steps"])]
 
     def contour_eval_set(self, sp: data.Splits) -> data.Dataset:
-        sec = _section(self.doc, "contour")
         rng = PortableRng(derive_seed(self.seed, "contour-set"))
         rem = sp.test_remaining
-        return rem.subset(rng.choice(len(rem), min(int(sec["eval_subsample"]), len(rem))))
+        return rem.subset(rng.choice(len(rem), min(self.doc["contour"]["eval_subsample"], len(rem))))
+
+
+def _check(value, kind, path: str) -> None:
+    """Raise ConfigError unless `value` matches `kind`, a `_KEYS` entry, at `path`."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config root'} must be a JSON object")
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in kind:
+                _reject_unknown(prefix + key, [prefix + k for k in kind])
+        for key, sub in kind.items():
+            if key not in value:
+                raise ConfigError(f"config is missing {prefix + key}")
+            _check(value[key], sub, prefix + key)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a JSON list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{path}[{i}]")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _reject_unknown(path: str, known: list) -> None:
+    if path in ("unlearn.labeling", "unlearn.use_null_space"):
+        raise ConfigError(f"{path} is not a config key; choose the variant with `unlearn --variant`")
+    near = difflib.get_close_matches(path, known, n=1)
+    raise ConfigError(f"unknown config key {path}" + (f"; did you mean {near[0]}?" if near else ""))
 
 
 def validate(doc: dict) -> None:
-    """Raise ConfigError describing the first problem found."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    if "seed" not in doc:
-        raise ConfigError("config is missing the root seed")
-    try:
-        int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {doc['seed']!r}") from None
+    """Raise ConfigError describing the first problem found.
 
-    sec = _section(doc, "data")
-    means = np.asarray(sec.get("means", []), dtype=np.float64)
-    covs = np.asarray(sec.get("covariances", []), dtype=np.float64)
-    if means.ndim != 2 or means.shape[0] < 2:
-        raise ConfigError("data.means must be a list of at least two class means")
-    if covs.shape[:1] != means.shape[:1]:
-        raise ConfigError("data.covariances must pair up with data.means")
-    if int(sec.get("n_per_class", 0)) < 1:
-        raise ConfigError("data.n_per_class must be >= 1")
-
-    k = means.shape[0]
-    split_sec = _section(doc, "split")
-    unlearn_classes = split_sec.get("unlearn_classes", [])
-    if not unlearn_classes:
-        raise ConfigError("split.unlearn_classes must name at least one class")
-    if any(int(c) < 0 or int(c) >= k for c in unlearn_classes):
+    One walk over `_KEYS`, then the rules that span keys or that no pipeline
+    object checks before `gen-data`.  Split fractions, layer shapes and the
+    SGD settings are checked by the objects `make_config` builds.
+    """
+    _check(doc, _KEYS, "")
+    if doc["data"]["kind"] != "gaussian_mixture":
+        raise ConfigError(f"data.kind must be 'gaussian_mixture', got {doc['data']['kind']!r}")
+    k = len(doc["data"]["means"])
+    if k < 2 or len(doc["data"]["covariances"]) != k:
+        raise ConfigError("data.means must list at least two class means, each paired with data.covariances")
+    classes = doc["split"]["unlearn_classes"]
+    if len(set(classes)) != len(classes):
+        raise ConfigError(f"split.unlearn_classes must be distinct, got {classes}")
+    if any(c < 0 or c >= k for c in classes):
         raise ConfigError(f"split.unlearn_classes must lie in [0, {k})")
-    if len(set(int(c) for c in unlearn_classes)) >= k:
+    if len(classes) >= k:
         raise ConfigError("split.unlearn_classes must leave at least one remaining class")
-
-    eps_sec = _section(doc, "subspace")
-    eps = float(eps_sec.get("epsilon", -1.0))
-    if not (0.0 < eps <= 1.0):
-        raise ConfigError(f"subspace.epsilon must lie in (0, 1], got {eps}")
-    if int(eps_sec.get("build_batch", 0)) < 1:
-        raise ConfigError("subspace.build_batch must be >= 1")
-
-    stale = sorted({"labeling", "use_null_space"} & set(_section(doc, "unlearn")))
-    if stale:
-        raise ConfigError(f"unlearn.{stale[0]} is not a config key; choose the variant with `unlearn --variant`")
-
-    train_sec = _section(doc, "train")
-    if train_sec.get("batch_size") is not None and int(train_sec["batch_size"]) < 1:
-        raise ConfigError("train.batch_size must be >= 1 or null for full-batch")
-
-    contour = _section(doc, "contour")
-    steps = int(contour.get("steps", 0))
+    if not 0.0 < doc["subspace"]["epsilon"] <= 1.0:
+        raise ConfigError(f"subspace.epsilon must lie in (0, 1], got {doc['subspace']['epsilon']}")
+    steps = doc["contour"]["steps"]
     if steps < 3 or steps % 2 == 0:
         raise ConfigError("contour.steps must be an odd integer >= 3 so the grid has a center")
-    if float(contour.get("half_range", 0.0)) <= 0.0:
+    if doc["contour"]["half_range"] <= 0.0:
         raise ConfigError("contour.half_range must be positive")
-    if int(contour.get("eval_subsample", 0)) < 1:
-        raise ConfigError("contour.eval_subsample must be >= 1")
-    if int(_section(doc, "mia").get("nonmember_size", 0)) < 1:
-        raise ConfigError("mia.nonmember_size must be >= 1")
+    for section, key in (("data", "n_per_class"), ("subspace", "build_batch"),
+                         ("contour", "eval_subsample"), ("mia", "nonmember_size")):
+        if doc[section][key] < 1:
+            raise ConfigError(f"{section}.{key} must be >= 1")
 
 
 def make_config(doc: dict) -> RunConfig:
@@ -277,9 +274,7 @@ def make_config(doc: dict) -> RunConfig:
         cfg.layer_specs()
         cfg.train_schedule(n_train=1)
         cfg.unlearn_plan()
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 

@@ -8,6 +8,7 @@ standard normals mapped through the Cholesky factor of its covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +112,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(f < 0.0 for f in fracs):
-            raise ValueError("split fractions must be non-negative")
+        if not all(math.isfinite(f) and f >= 0.0 for f in fracs):
+            raise ValueError(f"split fractions must be finite and non-negative, got {list(fracs)}")
         if abs(sum(fracs) - 1.0) > 1.0e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
         object.__setattr__(self, "unlearn_classes", tuple(sorted(int(c) for c in self.unlearn_classes)))

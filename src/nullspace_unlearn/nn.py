@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy as _copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in astuple(self)[2:]):
+            raise ValueError(f"layer sizes must be integers, got {astuple(self)[2:]}")
         if self.kind == "dense":
             if self.in_features < 1 or self.out_features < 1:
                 raise ValueError("dense layer needs positive in_features/out_features")
@@ -437,6 +439,7 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "milestones", tuple(self.milestones))
         if self.lr < 0.0 or not math.isfinite(self.lr):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.epochs < 0:

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from nullspace_unlearn import cli
+from nullspace_unlearn import cli, nn
 
 MINI_CONFIG = {
     "preset_version": 1,
@@ -193,6 +193,52 @@ def test_invalid_config_exits_3(env):
     result = run(runner, cfg_path, workdir, "--set", "network.layers.0.in_features=3", "gen-data")
     assert result.exit_code == cli.EXIT_VALIDATION
     assert "network.layers" in stderr_error(result)["message"]
+    # A misspelt key names the closest known one instead of being ignored.
+    for bad, named in (("trian.epochs=3", "train"), ("unlearn.epoch=5", "unlearn.epochs"), ("foo=1", "foo")):
+        result = run(runner, cfg_path, workdir, "--set", bad, "gen-data")
+        assert result.exit_code == cli.EXIT_VALIDATION, bad
+        assert named in stderr_error(result)["message"], bad
+    # A value of the wrong JSON type, a non-finite number, a repeated class, a
+    # dataset kind nothing generates, or a zero batch is refused, not cast.
+    for bad, named in (
+        ("train.epochs=2.5", "train.epochs"), ("train.epochs=true", "train.epochs"), ("seed=true", "seed"),
+        ("seed=1.9", "seed"), ("split.unlearn_classes=[0.7]", "split.unlearn_classes"),
+        ("split.unlearn_classes=[0,0]", "split.unlearn_classes"), ("contour.steps=5.5", "contour.steps"),
+        ("split.train_fraction=NaN", "split.train_fraction"), ("contour.half_range=Infinity", "contour.half_range"),
+        ('data.kind="glyphs"', "data.kind"), ("train.batch_size=0", "batch_size"),
+    ):
+        result = run(runner, cfg_path, workdir, "--set", bad, "gen-data")
+        assert result.exit_code == cli.EXIT_VALIDATION, bad
+        assert named in stderr_error(result)["message"], bad
+
+
+def test_config_file_missing_a_key_exits_3(env, tmp_path):
+    runner, _, workdir = env
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(dict(MINI_CONFIG, train={k: v for k, v in MINI_CONFIG["train"].items() if k != "gamma"})))
+    result = run(runner, str(partial), workdir, "gen-data")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "train.gamma" in stderr_error(result)["message"]
+
+
+def test_train_reports_the_checkpoint_score_without_rescoring(tmp_path, monkeypatch):
+    # No validation rows and one full batch: validation falls back to the
+    # train split, and `nn.train` scores only its final weights separately.
+    doc = dict(MINI_CONFIG, split=dict(MINI_CONFIG["split"], train_fraction=0.5, val_fraction=0.0),
+               train=dict(MINI_CONFIG["train"], batch_size=None))
+    cfg_path = tmp_path / "noval.json"
+    cfg_path.write_text(json.dumps(doc))
+    runner, workdir = CliRunner(), str(tmp_path / "work")
+    assert run(runner, str(cfg_path), workdir, "gen-data").exit_code == 0
+    calls = []
+    scored = nn.accuracy
+    monkeypatch.setattr(nn, "accuracy", lambda *args: calls.append(1) or scored(*args))
+    result = run(runner, str(cfg_path), workdir, "train")
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    printed = json.loads(result.output.strip().splitlines()[-1])
+    ckpt = json.loads((tmp_path / "work" / "original.json").read_text())
+    assert printed["best_val_accuracy"] == ckpt["metadata"]["best_val_accuracy"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -142,6 +142,8 @@ def test_split_validation():
         spec(train=0.5, val=0.5, test=0.5)
     with pytest.raises(ValueError, match="non-negative"):
         spec(train=1.2, val=-0.2, test=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        spec(train=float("nan"), val=0.5, test=0.5)
     with pytest.raises(ValueError, match="outside"):
         data.split(ds, spec(unlearn=(5,)))
     # 3 samples cannot give a sliver fraction its one sample for every class.

@@ -237,7 +237,8 @@ def validate(doc: dict) -> None:
 
     One walk over `_KEYS`, then the rules that span keys or that no pipeline
     object checks before `gen-data`.  Split fractions, layer shapes and the
-    SGD settings are checked by the objects `make_config` builds.
+    SGD settings are checked by the objects `make_config` builds, which
+    then checks the layer chain and the network against the data.
     """
     _check(doc, _KEYS, "")
     if doc["data"]["kind"] != "gaussian_mixture":
@@ -246,6 +247,8 @@ def validate(doc: dict) -> None:
     if k < 2 or len(doc["data"]["covariances"]) != k:
         raise ConfigError("data.means must list at least two class means, each paired with data.covariances")
     classes = doc["split"]["unlearn_classes"]
+    if not classes:
+        raise ConfigError("split.unlearn_classes must name at least one class")
     if len(set(classes)) != len(classes):
         raise ConfigError(f"split.unlearn_classes must be distinct, got {classes}")
     if any(c < 0 or c >= k for c in classes):
@@ -265,17 +268,41 @@ def validate(doc: dict) -> None:
             raise ConfigError(f"{section}.{key} must be >= 1")
 
 
+def _check_network(doc: dict, specs) -> None:
+    """The layer chain, and the network's input width and class count against the data's."""
+    shape, means = doc["network"]["input_shape"], doc["data"]["means"]
+    if math.prod(shape) != len(means[0]):
+        raise ConfigError(
+            f"network.input_shape {shape} holds {math.prod(shape)} features, but data.means[0] has {len(means[0])}"
+        )
+    try:
+        net = nn.Network(specs=specs, weights=[np.zeros(spec.weight_shape()) for spec in specs], input_shape=shape)
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from exc
+    if net.n_classes != len(means):
+        raise ConfigError(
+            f"network.layers[{len(specs) - 1}].out_features is {net.n_classes}, but data.means has {len(means)} classes"
+        )
+
+
 def make_config(doc: dict) -> RunConfig:
-    """Validate a document and construct every pipeline object once to surface errors early."""
+    """Validate a document and construct every pipeline object once to surface errors early.
+
+    An object's own check fails with the config section it was built from
+    ahead of its message.
+    """
     validate(doc)
     cfg = RunConfig(doc=doc, hash=config_hash(doc))
-    try:
-        cfg.split_spec()
-        cfg.layer_specs()
-        cfg.train_schedule(n_train=1)
-        cfg.unlearn_plan()
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    builders = [(f"network.layers[{i}]", lambda layer=layer: nn.LayerSpec(**layer))
+                for i, layer in enumerate(doc["network"]["layers"])]
+    builders += [("split", cfg.split_spec), ("train", lambda: cfg.train_schedule(n_train=1)),
+                 ("unlearn", cfg.unlearn_plan)]
+    for section, build in builders:
+        try:
+            build()
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    _check_network(doc, cfg.layer_specs())
     return cfg
 
 

@@ -90,8 +90,10 @@ def rank_cutoff(s, epsilon: float) -> int:
         raise ValueError("all singular values are zero; no direction carries energy")
     if epsilon == 1.0:
         return int(np.count_nonzero(s > _NOISE_FLOOR * s[0]))
+    # The pairwise total can exceed the running sum's last entry by an ulp;
+    # every direction is then needed, not one past the last.
     cum = np.cumsum(energy)
-    return int(np.searchsorted(cum, epsilon * total, side="left")) + 1
+    return min(int(np.searchsorted(cum, epsilon * total, side="left")) + 1, s.size)
 
 
 def null_projector(basis) -> np.ndarray:

@@ -21,6 +21,9 @@ from __future__ import annotations
 import copy as _copy
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -253,46 +256,60 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return np.maximum(z, 0.0) if activation == "relu" else z
 
 
-def _forward_pass(net: Network, batch, record: bool = False):
-    """Run the network; return (logits, aug_inputs, preacts) in column form.
-
-    Only record=True keeps each layer's augmented input and, for a conv
-    layer, its pre-activation (None for a dense layer); otherwise both lists
-    come back empty and each layer's arrays are let go once the next layer
-    has consumed them.  A hidden dense layer writes W @ aug straight into
-    the next dense layer's augmented input and applies its activation there
-    in place, so its relu mask is that input's positive entries.
-    """
+def _batch_matrix(net: Network, batch) -> np.ndarray:
+    """The batch as a finite (samples, features) matrix as wide as the network's input."""
     x = as_matrix(batch, "batch")
-    aug_inputs = []
-    preacts = []
-    n = x.shape[0]
     if len(net.input_shape) == 1:
         if x.shape[1] != net.input_shape[0]:
             raise ValueError(
                 f"batch has {x.shape[1]} features, network expects {net.input_shape[0]}"
             )
-        current = x.T  # flat columns (d, n) or image maps (n, c, h, w)
     else:
         c, h, w = net.input_shape
         if x.shape[1] != c * h * w:
             raise ValueError(
                 f"batch has {x.shape[1]} features, network expects {c}x{h}x{w}={c * h * w}"
             )
-        current = x.reshape(n, c, h, w)
+    return x
+
+
+def _check_logits(logits: np.ndarray) -> None:
+    if not np.isfinite(logits).all():
+        raise NumericError("forward pass produced non-finite logits")
+
+
+def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
+    """Run every layer on a checked batch x; return (logits, aug_inputs, preacts) in column form.
+
+    Without buffers every array is fresh, and each layer's augmented input
+    and, for a conv layer, its pre-activation (None for a dense layer) are
+    kept.  With buffers, two flat arrays of at least (widest hidden dense
+    layer + 1) x samples entries, hidden dense layer li writes into the
+    front of buffers[li % 2], the logit head writes into `out`, and both
+    lists come back empty.  A hidden dense layer writes W @ aug straight
+    into the next dense layer's augmented input and applies its activation
+    there in place, so its relu mask is that input's positive entries.
+    """
+    record = buffers is None
+    aug_inputs = []
+    preacts = []
+    n = x.shape[0]
+    # flat columns (d, n) or image maps (n, c, h, w)
+    current = x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
     aug = None  # the next dense layer's augmented input, when already written
     for li, spec in enumerate(net.specs):
         w_mat = net.weights[li]
         if spec.kind == "dense":
-            if aug is None:
+            if aug is None:  # fresh in both modes: its layout (column-major) sets how BLAS rounds
                 aug = _augment(current.reshape(n, -1).T if current.ndim == 4 else current)
             if record:
                 aug_inputs.append(aug)
                 preacts.append(None)
             if li + 1 == len(net.specs):
-                current = w_mat @ aug  # the identity logit head
+                current = np.matmul(w_mat, aug, out=out)  # the identity logit head
             else:  # a dense layer only ever feeds a dense layer
-                nxt = np.empty((w_mat.shape[0] + 1, n))
+                rows = w_mat.shape[0] + 1
+                nxt = np.empty((rows, n)) if buffers is None else buffers[li % 2][: rows * n].reshape(rows, n)
                 nxt[-1] = 1.0
                 np.matmul(w_mat, aug, out=nxt[:-1])
                 if spec.activation == "relu":
@@ -309,22 +326,75 @@ def _forward_pass(net: Network, batch, record: bool = False):
             wo = (w - spec.kernel_size) // spec.stride + 1
             maps_out = z_cols.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
             current = _activate(maps_out, spec.activation)
-    logits = current
-    if not np.isfinite(logits).all():
-        raise NumericError("forward pass produced non-finite logits")
+    return current, aug_inputs, preacts
+
+
+def _forward_pass(net: Network, batch):
+    """Run the network on the whole batch at once, keeping every layer's inputs (see _layers)."""
+    logits, aug_inputs, preacts = _layers(net, _batch_matrix(net, batch))
+    _check_logits(logits)
     return logits, aug_inputs, preacts
+
+
+# Rows per scoring block, a multiple of 8.  The block layout depends only on
+# the row count, so logits come out the same bits whatever the worker count.
+SCORE_BLOCK = 512
+# Scoring threads: one per core this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _score_pool() -> ThreadPoolExecutor:
+    """The scoring thread pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="nn-score")
+        return _pool
+
+
+def _score_blocks(net: Network, x: np.ndarray, logits: np.ndarray, starts) -> None:
+    """Write the logits of the row blocks beginning at `starts` into their columns of `logits`.
+
+    Two ping-pong buffers, allocated once, serve every block.
+    """
+    widest = max((spec.out_features for spec in net.specs[:-1] if spec.kind == "dense"), default=0) + 1
+    size = widest * min(SCORE_BLOCK, x.shape[0])
+    buffers = (np.empty(size), np.empty(size))
+    for start in starts:
+        stop = start + SCORE_BLOCK
+        _layers(net, x[start:stop], buffers, out=logits[:, start:stop])
 
 
 def forward(net: Network, batch, record: bool = False):
     """Logits (classes, samples) for a (samples, features) batch; optionally the trace.
 
-    Only record=True keeps the per-layer augmented inputs, returned as the
-    ActivationTrace; without it each layer's arrays are let go once the next
-    layer has consumed them.
+    record=True runs the whole batch at once and returns every layer's
+    augmented input as the ActivationTrace.  Without it the rows are scored
+    in blocks of SCORE_BLOCK, spread over one thread per core in the
+    process's CPU affinity set; each thread reuses two buffers for the
+    hidden dense layers of its blocks and writes their logits straight into
+    the result.  A batch of one block or less stays on the calling thread.
+    Blocks depend only on the row count, so the logits are the same bits
+    for any number of threads.  Against one product over every row, BLAS
+    may round a block's last few columns differently (by about 1e-16).
     """
-    logits, aug_inputs, _ = _forward_pass(net, batch, record)
     if record:
+        logits, aug_inputs, _ = _forward_pass(net, batch)
         return logits, ActivationTrace(per_layer=aug_inputs)
+    x = _batch_matrix(net, batch)
+    logits = np.empty((net.n_classes, x.shape[0]))
+    starts = range(0, x.shape[0], SCORE_BLOCK)
+    workers = min(_WORKERS, len(starts))
+    if workers <= 1:
+        _score_blocks(net, x, logits, starts)
+    else:
+        pool = _score_pool()
+        jobs = [pool.submit(_score_blocks, net, x, logits, starts[w::workers]) for w in range(workers)]
+        for job in jobs:
+            job.result()
+    _check_logits(logits)
     return logits, None
 
 
@@ -360,7 +430,7 @@ def loss_and_grads(net: Network, batch, labels):
         raise ValueError("empty batch")
     if (y < 0).any() or (y >= net.n_classes).any():
         raise ValueError(f"labels must lie in [0, {net.n_classes})")
-    logits, aug_inputs, preacts = _forward_pass(net, x, record=True)
+    logits, aug_inputs, preacts = _forward_pass(net, x)
     loss = cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise NumericError("loss is non-finite")

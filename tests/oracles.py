@@ -305,3 +305,9 @@ def train_two_forwards(net, train_set, val_set, schedule):
         train_seed=schedule.seed,
     )
     return out
+
+
+def blocked_forward(net, batch, block):
+    """Logits of every run of `block` rows, each run scored on its own by reference_forward, side by side."""
+    x = np.asarray(batch, dtype=np.float64)
+    return np.hstack([reference_forward(net, x[i : i + block])[0] for i in range(0, len(x), block)])

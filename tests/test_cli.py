@@ -402,3 +402,10 @@ def test_bad_config_file_exits_3(env, tmp_path):
     broken.write_text(json.dumps(doc))
     result = run(runner, str(broken), workdir, "gen-data")
     assert result.exit_code == cli.EXIT_VALIDATION
+    # A network as wide as its input_shape but not as the data exits at load, not at train.
+    layers = [dict(MINI_CONFIG["network"]["layers"][0], in_features=3), MINI_CONFIG["network"]["layers"][1]]
+    broken.write_text(json.dumps(dict(MINI_CONFIG, network={"input_shape": [3], "layers": layers})))
+    result = run(runner, str(broken), workdir, "gen-data")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "network.input_shape" in stderr_error(result)["message"]
+    assert "data.means" in stderr_error(result)["message"]

@@ -29,3 +29,30 @@ def test_the_walk_names_the_offending_key(override, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(overrides=[override])
 
+
+
+_LAYERS_3_WIDE = ('network.layers=[{"kind": "dense", "activation": "relu", "in_features": 3, "out_features": 8},'
+                  ' {"kind": "dense", "activation": "identity", "in_features": 8, "out_features": 4}]')
+_CHAIN_GAP = ('network.layers=[{"kind": "dense", "activation": "relu", "in_features": 2, "out_features": 8},'
+              ' {"kind": "dense", "activation": "identity", "in_features": 9, "out_features": 4}]')
+_HEAD_3_CLASSES = ('network.layers=[{"kind": "dense", "activation": "relu", "in_features": 2, "out_features": 8},'
+                   ' {"kind": "dense", "activation": "identity", "in_features": 8, "out_features": 3}]')
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["train.batch_size=0"], "train: batch_size must be >= 1"),
+    (["unlearn.batch_size=0"], "unlearn: batch_size must be >= 1"),
+    (["train.gamma=-1"], "train: gamma must be finite and > 0"),
+    (["split.val_fraction=0.5"], "split: split fractions must sum to 1"),
+    (["split.unlearn_classes=[]"], "split.unlearn_classes must name at least one class"),
+    (['network.layers=[{"kind": "dense", "in_features": 2, "out_features": 0}]'], "network.layers[0]: dense layer"),
+    (["network.layers=[]"], "network: network needs at least one layer"),
+    (["network.input_shape=[3]", _LAYERS_3_WIDE], "network.input_shape [3] holds 3 features, but data.means[0] has 2"),
+    ([_LAYERS_3_WIDE], "network: layer 0: dense expects 3 input features, chain provides 2"),
+    ([_CHAIN_GAP], "network: layer 1: dense expects 9 input features, chain provides 8"),
+    ([_HEAD_3_CLASSES], "network.layers[1].out_features is 3, but data.means has 4 classes"),
+    ([_HEAD_3_CLASSES.replace('"identity"', '"relu"')], "network: final layer must be dense with identity activation"),
+])
+def test_object_and_network_errors_name_the_section(overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(overrides=overrides)

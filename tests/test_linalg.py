@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -175,6 +175,9 @@ def test_rank_cutoff_validation():
     values=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=10),
     eps=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
 )
+# The pairwise energy total exceeds the running sum's last entry here.
+@example(values=[10.0, 5.0, 3.013179778101383, 3.0, 2.048903800645854, 1.2381200673825623, 0.0, 0.0],
+         eps=0.9999999999999999)
 def test_rank_cutoff_property_matches_oracle(values, eps):
     s = np.sort(np.asarray(values))[::-1]
     if (s * s).sum() == 0.0:

@@ -1,6 +1,8 @@
 """Network forward/backward, training loop, and checkpoint round trips."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from conftest import (
     image_batch,
     trained_dense_net,
 )
-from nullspace_unlearn import data, nn
+from nullspace_unlearn import data, linalg, nn
 
 # ---------------------------------------------------------------------------
 # construction and initialization
@@ -116,6 +118,99 @@ def test_forward_logits_do_not_depend_on_recording():
                 expect = np.maximum(z, 0.0) if net.specs[li - 1].activation == "relu" else z
                 assert trace.per_layer[li][:-1].tobytes() == expect.tobytes()
                 npt.assert_array_equal(trace.per_layer[li][-1], np.ones(len(x)))
+
+
+def _scoring_cases():
+    two_hidden = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=8),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=8, out_features=6),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=6, out_features=3),
+    )
+    conv_dense = (
+        nn.LayerSpec(kind="conv", activation="relu", in_channels=1, out_channels=2, kernel_size=2, stride=1),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=18, out_features=5),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=5, out_features=3),
+    )
+    return {
+        "dense": (dense_net(seed=11), 4),
+        "dense-two-hidden": (nn.init_network(two_hidden, input_shape=(4,), seed=12), 4),
+        "conv": (conv_net(seed=13), 16),
+        "conv-dense-hidden": (nn.init_network(conv_dense, input_shape=(1, 4, 4), seed=14), 16),
+    }
+
+
+_B = nn.SCORE_BLOCK
+
+
+@pytest.mark.parametrize("rows", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize("case", ["dense", "dense-two-hidden", "conv", "conv-dense-hidden"])
+def test_blocked_logits_equal_the_serial_block_oracle(case, rows):
+    net, width = _scoring_cases()[case]
+    x = np.random.default_rng(rows).uniform(-2.0, 2.0, size=(rows, width))
+    logits, _ = nn.forward(net, x)
+    assert logits.tobytes() == oracles.blocked_forward(net, x, _B).tobytes()
+
+
+def test_worker_count_does_not_change_the_bits(monkeypatch):
+    net, width = _scoring_cases()["dense-two-hidden"]
+    x = np.random.default_rng(3).standard_normal((3 * _B + 7, width))
+    shares = []
+    real = nn._score_blocks
+
+    def spy(model, batch, logits, starts):
+        shares.append(list(starts))
+        real(model, batch, logits, starts)
+
+    monkeypatch.setattr(nn, "_score_blocks", spy)
+    out = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(nn, "_WORKERS", workers)
+        shares.clear()
+        out[workers] = nn.forward(net, x)[0].tobytes()
+        assert len(shares) == workers
+        assert sorted(sum(shares, [])) == list(range(0, len(x), _B))
+    assert out[1] == out[3]
+
+    def no_pool():
+        raise AssertionError("a batch of one block used the pool")
+
+    monkeypatch.setattr(nn, "_score_pool", no_pool)
+    nn.forward(net, x[:_B])
+
+
+def test_more_scoring_threads_than_cores_fill_every_column(monkeypatch):
+    # A short switch interval and more threads than cores: a block lost or
+    # written twice would leave columns unlike the serial oracle's.
+    net, width = _scoring_cases()["dense-two-hidden"]
+    x = np.random.default_rng(5).standard_normal((9 * _B + 3, width))
+    expect = oracles.blocked_forward(net, x, _B).tobytes()
+    monkeypatch.setattr(nn, "_WORKERS", nn._WORKERS + 3)
+    monkeypatch.setattr(nn, "_pool", None)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.extend(nn.forward(net, x)[0].tobytes() for _ in range(20)))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        if nn._pool is not None:
+            nn._pool.shutdown(wait=True)
+    assert got == [expect] * 20
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_logit_in_the_last_block_raises():
+    specs = dense_specs()
+    weights = [np.full(specs[0].weight_shape(), 1e300), dense_net(seed=1).weights[1]]
+    net = nn.Network(specs=specs, weights=weights, input_shape=(4,))
+    x = np.random.default_rng(4).uniform(0.0, 1.0, size=(2 * _B + 5, 4))
+    x[-1] = 1e10  # overflows only this row's hidden units
+    assert np.isfinite(nn.forward(net, x[:-1])[0]).all()
+    with pytest.raises(linalg.NumericError, match="non-finite logits"):
+        nn.forward(net, x)
 
 
 def test_forward_rejects_wrong_width():

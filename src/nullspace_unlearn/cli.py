@@ -96,7 +96,7 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
 
 
 def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
-    """Read back dataset.csv, verified against its sidecar metadata."""
+    """Read back dataset.csv, verified against its sidecar metadata and this config's data section."""
     path = dataset_path(workdir)
     meta = _read_json(os.path.join(workdir, "dataset.meta.json"))
     data_hash = _file_hash(path)
@@ -104,6 +104,12 @@ def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
         raise ConfigError(
             f"dataset.csv hash {data_hash} does not match its metadata {meta.get('data_hash')}"
         )
+    sec = cfg.doc["data"]
+    inputs = {"generator": sec["kind"], "means": sec["means"], "covariances": sec["covariances"],
+              "n_per_class": sec["n_per_class"], "seed": cfg.seed_for("data")}
+    differ = sorted(k for k, v in inputs.items() if meta["provenance"].get(k) != v)
+    if differ:
+        raise ConfigError(f"dataset.meta.json records generator inputs {differ} other than this config's")
     ds = data.load_csv(path, n_classes=int(meta["n_classes"]))
     return ds, data_hash
 
@@ -138,7 +144,7 @@ def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) ->
 
 
 def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlearn.UnlearnResult:
-    """One `unlearn.VARIANTS` entry on the forget set; the cache is used only if the plan projects."""
+    """One `unlearn.VARIANTS` entry; `cache`, a ProjectorCache or the run's basis, is used only if the plan projects."""
     return unlearn.baseline_unlearn(net_o, sp.d_u, cfg.unlearn_plan(variant), cache)
 
 
@@ -161,15 +167,14 @@ def _load_net(cfg: RunConfig, workdir, name: str, data_hash: str) -> nn.Network:
     return net
 
 
-def _load_cache(cfg: RunConfig, workdir, n_classes: int) -> subspace.ProjectorCache:
-    """Class subspaces, refused unless they were built from the current original.json."""
-    source_hash = _file_hash(checkpoint_path(workdir, "original"))
-    subs = {}
-    for c in range(n_classes):
-        path = os.path.join(workdir, f"subspace_class_{c}.json")
-        subs[c] = subspace.load_subspace(path)
-        _require_lineage(f"{path} source checkpoint hash", subs[c].source_checkpoint_hash, source_hash)
-    return subspace.ProjectorCache(subs, cfg.epsilon)
+def _load_basis(cfg: RunConfig, workdir, data_hash: str) -> subspace.NullProjector:
+    """The run's retained basis, refused unless this run built it from the current original.json."""
+    path = os.path.join(workdir, "subspace.json")
+    proj, stamp = subspace.load_subspace(path)
+    made_by = tuple(stamp.get(k) for k in ("source_checkpoint_hash", "config_hash", "data_hash"))
+    expected = (_file_hash(checkpoint_path(workdir, "original")), cfg.hash, data_hash)
+    _require_lineage(f"{path} (source checkpoint hash, config hash, data hash)", made_by, expected)
+    return proj
 
 
 def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict) -> dict:
@@ -283,19 +288,17 @@ def retrain_cmd(ctx):
 @click.pass_context
 @_guarded
 def subspace_cmd(ctx):
-    """Build per-class activation subspaces from the original model."""
+    """Merge the retained basis of the unlearn set from the original model (subspace.json)."""
     cfg, workdir, sp, data_hash = _inputs(ctx)
     net = _load_net(cfg, workdir, "original", data_hash)
-    ckpt_hash = _file_hash(checkpoint_path(workdir, "original"))
-    subs, _ = build_subspaces(cfg, net, sp.train)
-    for c, sub in subs.items():
-        subspace.save_subspace(
-            sub, os.path.join(workdir, f"subspace_class_{c}.json"),
-            epsilon=cfg.epsilon, source_checkpoint_hash=ckpt_hash,
-        )
-    meta = {"epsilon": cfg.epsilon, "classes": sorted(subs)}
-    _write_record(meta, os.path.join(workdir, "subspaces.meta.json"), cfg, data_hash)
-    click.echo(json.dumps({"classes": sorted(subs), "epsilon": cfg.epsilon}))
+    _, cache = build_subspaces(cfg, net, sp.train)
+    proj = cache.for_excluded(*cfg.unlearn_plan().unlearn_classes)
+    path = os.path.join(workdir, "subspace.json")
+    subspace.save_subspace(
+        proj, path, source_checkpoint_hash=_file_hash(checkpoint_path(workdir, "original")),
+        config_hash=cfg.hash, seed=cfg.seed, data_hash=data_hash,
+    )
+    click.echo(json.dumps({"basis": path, "ranks": list(proj.ranks), "epsilon": cfg.epsilon}))
 
 
 @main.command("unlearn")
@@ -307,8 +310,8 @@ def unlearn_cmd(ctx, variant):
     """Unlearn the forget classes from the original model (checkpoint: unlearned_<variant>.json)."""
     cfg, workdir, sp, data_hash = _inputs(ctx)
     net_o = _load_net(cfg, workdir, "original", data_hash)
-    cache = _load_cache(cfg, workdir, sp.train.n_classes) if cfg.unlearn_plan(variant).use_null_space else None
-    res = run_unlearn_variant(cfg, net_o, sp, cache, variant)
+    basis = _load_basis(cfg, workdir, data_hash) if cfg.unlearn_plan(variant).use_null_space else None
+    res = run_unlearn_variant(cfg, net_o, sp, basis, variant)
     name = _CHECKPOINTS[variant]
     _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
     _write_record(
@@ -352,9 +355,8 @@ def contour_cmd(ctx, model):
     """Remaining-loss grid along an in-null-space and an off-null-space direction."""
     cfg, workdir, sp, data_hash = _inputs(ctx)
     net = _load_net(cfg, workdir, _CHECKPOINTS[model], data_hash)
-    cache = _load_cache(cfg, workdir, sp.train.n_classes)
-    proj = cache.for_excluded(*cfg.unlearn_plan().unlearn_classes)
-    null_dir, off_dir = evaluate.contour_directions(proj, net, cfg.seed_for("contour-dirs"))
+    basis = _load_basis(cfg, workdir, data_hash)
+    null_dir, off_dir = evaluate.contour_directions(basis, net, cfg.seed_for("contour-dirs"))
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))
     grid.to_csv(os.path.join(workdir, "contour.csv"))
@@ -376,12 +378,12 @@ def ablate_cmd(ctx):
     """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     nets = _gather_models(cfg, workdir, data_hash)
-    cache = _load_cache(cfg, workdir, sp.train.n_classes)
+    basis = _load_basis(cfg, workdir, data_hash)
     if "retrain" not in nets:
         raise MissingArtifact(f"retrain checkpoint not found: {checkpoint_path(workdir, 'retrain')}")
     for variant in unlearn.VARIANTS:
         if variant not in nets:
-            nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, cache, variant).network
+            nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, basis, variant).network
     rows = []
     for name in _CHECKPOINTS:
         rep = evaluate.utility(nets[name], sp.test_remaining, sp.test_unlearn)

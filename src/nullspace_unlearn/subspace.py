@@ -22,23 +22,17 @@ import numpy as np
 from . import nn
 from .linalg import as_matrix, rank_cutoff, svd
 
-SUBSPACE_FORMAT_VERSION = 1
+SUBSPACE_FORMAT_VERSION = 2
 
 
 @dataclass
 class ClassSubspace:
-    """Layer-wise activation basis for one class: full U and singular values per layer.
-
-    source_checkpoint_hash names the checkpoint the activations came from.
-    load_subspace fills it from the artifact; a subspace built in memory
-    leaves it empty.
-    """
+    """Layer-wise activation basis for one class: full U and singular values per layer."""
 
     class_id: int
     sample_count: int
     bases: list
     singular_values: list
-    source_checkpoint_hash: str = ""
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -88,7 +82,9 @@ class NullProjector:
     """Per-layer orthonormal bases B (n x k) of the merged retained subspaces.
 
     Updates are projected onto the null space, g - (g B) B^T; no dense
-    n x n projector is ever formed.
+    n x n projector is ever formed.  A basis stands in for the
+    `ProjectorCache` it came from: `for_excluded` returns it for its own
+    unlearn set.
     """
 
     merged_classes: tuple
@@ -101,6 +97,15 @@ class NullProjector:
         self.merged_classes = tuple(sorted(int(c) for c in self.merged_classes))
         self.excluded_classes = tuple(sorted(int(c) for c in self.excluded_classes))
         self.bases = [as_matrix(b, f"layer {i} retained basis") for i, b in enumerate(self.bases)]
+        self.ranks = tuple(self.ranks)
+        if self.ranks != tuple(b.shape[1] for b in self.bases):
+            raise ValueError(f"ranks {list(self.ranks)} do not match the bases' column counts")
+
+    def for_excluded(self, *class_ids: int) -> "NullProjector":
+        excluded = tuple(sorted({int(c) for c in class_ids}))
+        if excluded != self.excluded_classes:
+            raise ValueError(f"retained basis excludes classes {list(self.excluded_classes)}, not {list(excluded)}")
+        return self
 
 
 def merge_null_projector(subspaces, epsilon: float, excluded_classes=()) -> NullProjector:
@@ -182,47 +187,34 @@ class ProjectorCache:
         return self._cache[excluded]
 
 
-def save_subspace(sub: ClassSubspace, path, epsilon=None, source_checkpoint_hash: str = "") -> None:
-    """Versioned JSON artifact; decimal arrays round-trip bit-exactly."""
+def save_subspace(proj: NullProjector, path, **stamp) -> None:
+    """Versioned JSON artifact of one retained basis plus the caller's stamp keys; arrays round-trip bit-exactly."""
     doc = {
+        **stamp,
         "format_version": SUBSPACE_FORMAT_VERSION,
-        "class_id": sub.class_id,
-        "sample_count": sub.sample_count,
-        "epsilon": epsilon,
-        "source_checkpoint_hash": source_checkpoint_hash,
-        "layers": [
-            {
-                "rows": int(b.shape[0]),
-                "cols": int(b.shape[1]),
-                "basis": b.tolist(),
-                "singular_values": s.tolist(),
-            }
-            for b, s in zip(sub.bases, sub.singular_values)
-        ],
+        "merged_classes": list(proj.merged_classes),
+        "excluded_classes": list(proj.excluded_classes),
+        "epsilons": list(proj.epsilons),
+        "ranks": list(proj.ranks),
+        "bases": [b.tolist() for b in proj.bases],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_subspace(path) -> ClassSubspace:
+def load_subspace(path) -> tuple:
+    """(NullProjector, stamp): the basis save_subspace wrote and the stamp keys saved with it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.get("format_version")
+    version = doc.pop("format_version", None)
     if version != SUBSPACE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported subspace format_version {version!r}, expected {SUBSPACE_FORMAT_VERSION}"
-        )
-    bases = []
-    svals = []
-    for i, layer in enumerate(doc["layers"]):
-        b = np.asarray(layer["basis"], dtype=np.float64).reshape(layer["rows"], layer["cols"])
-        bases.append(b)
-        svals.append(np.asarray(layer["singular_values"], dtype=np.float64))
-    return ClassSubspace(
-        class_id=int(doc["class_id"]),
-        sample_count=int(doc["sample_count"]),
-        bases=bases,
-        singular_values=svals,
-        source_checkpoint_hash=doc["source_checkpoint_hash"],
+        raise ValueError(f"unsupported subspace format_version {version!r}, expected {SUBSPACE_FORMAT_VERSION}")
+    proj = NullProjector(
+        merged_classes=doc.pop("merged_classes"),
+        excluded_classes=doc.pop("excluded_classes"),
+        epsilons=tuple(doc.pop("epsilons")),
+        bases=doc.pop("bases"),
+        ranks=doc.pop("ranks"),
     )
+    return proj, doc

@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from nullspace_unlearn import cli, nn
+from nullspace_unlearn import cli, nn, subspace
+from nullspace_unlearn.config import load_config
 
 MINI_CONFIG = {
     "preset_version": 1,
@@ -100,8 +101,7 @@ def test_full_pipeline_produces_every_artifact(env, tmp_path):
     produced = {
         "dataset.csv", "dataset.meta.json",
         "original.json", "retrain.json",
-        "subspace_class_0.json", "subspace_class_1.json", "subspace_class_2.json",
-        "subspaces.meta.json",
+        "subspace.json",
         "unlearned_calibrated.json", "run_unlearned_calibrated.json",
         "unlearned_random-label.json", "run_unlearned_random-label.json",
         "unlearned_random-label+nullspace.json", "run_unlearned_random-label+nullspace.json",
@@ -110,7 +110,7 @@ def test_full_pipeline_produces_every_artifact(env, tmp_path):
         "ablation.csv", "ablation.json", "report.json",
     }
     names = {p.name for p in (tmp_path / "work").iterdir()}
-    assert produced <= names
+    assert names == produced
 
     report = json.loads((tmp_path / "work" / "evaluate.json").read_text())
     assert set(report["utility"]) >= {
@@ -148,7 +148,9 @@ def test_pipeline_is_byte_reproducible(env, tmp_path):
             result = run(runner, cfg_path, workdir, *step)
             assert result.exit_code == 0, result.output
         outs.append(tmp_path / sub)
-    for name in ("dataset.csv", "original.json", "subspace_class_1.json", "unlearned_calibrated.json"):
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
@@ -171,10 +173,10 @@ def test_missing_artifact_exits_2(env, tmp_path):
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
     assert "retrain" in stderr_error(result)["message"]
 
-    (tmp_path / "work" / "subspace_class_1.json").unlink()
+    (tmp_path / "work" / "subspace.json").unlink()
     result = run(runner, cfg_path, workdir, "unlearn")
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
-    assert "subspace_class_1.json" in stderr_error(result)["message"]
+    assert "subspace.json" in stderr_error(result)["message"]
 
 
 def test_invalid_config_exits_3(env):
@@ -381,6 +383,50 @@ def test_subspaces_from_another_original_are_refused(env):
         result = run(runner, cfg_path, workdir, *step)
         assert result.exit_code == cli.EXIT_VALIDATION, step
         assert "source checkpoint hash" in stderr_error(result)["message"]
+
+
+def test_subspace_merges_once_and_later_steps_load_its_basis(env, tmp_path, monkeypatch):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "retrain"):
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
+    merges = []
+    real_merge = subspace.merge_null_projector
+
+    def spy(*args, **kwargs):
+        merges.append(real_merge(*args, **kwargs))
+        return merges[-1]
+
+    monkeypatch.setattr(subspace, "merge_null_projector", spy)
+    counts = {}
+    for step in (("subspace",), ("unlearn",), ("contour",), ("ablate",)):
+        before = len(merges)
+        assert run(runner, cfg_path, workdir, *step).exit_code == 0, step
+        counts[step[0]] = len(merges) - before
+    assert counts == {"subspace": 1, "unlearn": 0, "contour": 0, "ablate": 0}
+
+    # The saved basis is bit-equal to the one built in memory.
+    cfg = load_config(cfg_path)
+    sp = cfg.splits(cli.load_dataset_artifact(cfg, workdir)[0])
+    net = nn.load_checkpoint(cli.checkpoint_path(workdir, "original"))
+    built = cli.build_subspaces(cfg, net, sp.train)[1].for_excluded(*cfg.unlearn_plan().unlearn_classes)
+    loaded, _ = subspace.load_subspace(tmp_path / "work" / "subspace.json")
+    assert (loaded.merged_classes, loaded.excluded_classes) == (built.merged_classes, built.excluded_classes)
+    assert (loaded.epsilons, loaded.ranks) == (built.epsilons, built.ranks)
+    for a, b in zip(loaded.bases, built.bases):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_dataset_from_other_generator_inputs_is_refused(env):
+    runner, cfg_path, workdir = env
+    assert run(runner, cfg_path, workdir, "--set", "data.n_per_class=50", "gen-data").exit_code == 0
+    result = run(runner, cfg_path, workdir, "train")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "n_per_class" in stderr_error(result)["message"]
+    # The data seed derives from the root seed.
+    assert run(runner, cfg_path, workdir, "--set", "seed=6", "gen-data").exit_code == 0
+    result = run(runner, cfg_path, workdir, "train")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "seed" in stderr_error(result)["message"]
 
 
 def test_tampered_dataset_is_rejected(env, tmp_path):

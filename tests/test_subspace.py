@@ -171,26 +171,39 @@ def test_cache_validation(fitted):
 
 def test_subspace_round_trip_is_bit_exact(fitted, tmp_path):
     _, _, subs = fitted
-    path = tmp_path / "sub.json"
-    subspace.save_subspace(subs[0], path, epsilon=0.99, source_checkpoint_hash="abc123")
-    back = subspace.load_subspace(path)
-    assert back.class_id == subs[0].class_id
-    assert back.sample_count == subs[0].sample_count
-    assert back.source_checkpoint_hash == "abc123"
-    for b0, b1 in zip(subs[0].bases, back.bases):
+    proj = subspace.ProjectorCache(subs, 0.99).for_excluded(0)
+    path = tmp_path / "subspace.json"
+    subspace.save_subspace(proj, path, source_checkpoint_hash="abc123", seed=7)
+    back, stamp = subspace.load_subspace(path)
+    assert stamp == {"source_checkpoint_hash": "abc123", "seed": 7}
+    assert (back.merged_classes, back.excluded_classes) == ((1, 2), (0,))
+    assert (back.epsilons, back.ranks) == (proj.epsilons, proj.ranks)
+    for b0, b1 in zip(proj.bases, back.bases):
         npt.assert_array_equal(b0, b1)
-    for s0, s1 in zip(subs[0].singular_values, back.singular_values):
-        npt.assert_array_equal(s0, s1)
     # Rewriting the loaded artifact reproduces the bytes.
-    path2 = tmp_path / "sub2.json"
-    subspace.save_subspace(back, path2, epsilon=0.99, source_checkpoint_hash="abc123")
+    path2 = tmp_path / "subspace2.json"
+    subspace.save_subspace(back, path2, **stamp)
     assert path.read_bytes() == path2.read_bytes()
+    # Ranks that disagree with the bases are refused.
+    path2.write_text(path2.read_text().replace('"ranks": [\n  ', '"ranks": [\n  9'))
+    with pytest.raises(ValueError, match="ranks"):
+        subspace.load_subspace(path2)
 
 
 def test_subspace_load_rejects_unknown_version(fitted, tmp_path):
     _, _, subs = fitted
-    path = tmp_path / "sub.json"
-    subspace.save_subspace(subs[0], path)
-    path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
+    path = tmp_path / "subspace.json"
+    subspace.save_subspace(subspace.ProjectorCache(subs, 0.99).for_excluded(0), path)
+    version = subspace.SUBSPACE_FORMAT_VERSION
+    path.write_text(path.read_text().replace(f'"format_version": {version}', f'"format_version": {version + 1}'))
     with pytest.raises(ValueError, match="format_version"):
         subspace.load_subspace(path)
+
+
+def test_basis_stands_in_for_its_cache_only_for_its_own_unlearn_set(fitted):
+    _, _, subs = fitted
+    proj = subspace.ProjectorCache(subs, 0.99).for_excluded(0, 1)
+    assert proj.for_excluded(1, 0) is proj
+    for other in ((0,), (1,), (0, 1, 2), ()):
+        with pytest.raises(ValueError, match="excludes classes"):
+            proj.for_excluded(*other)

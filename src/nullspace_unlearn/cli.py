@@ -132,7 +132,7 @@ def train_retrain(cfg: RunConfig, sp: data.Splits) -> nn.Network:
 
 
 def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) -> tuple:
-    """Per-class activation subspaces from seeded build batches, plus the projector cache."""
+    """Each class's recorded layer inputs on its seeded build batch, plus the cache that SVDs them per unlearn set."""
     subs = {}
     for c in range(train_set.n_classes):
         cls = train_set.class_filter((c,), keep=True)
@@ -374,16 +374,18 @@ def ablate_cmd(ctx):
     variant.  A variant's saved checkpoint is loaded when present; otherwise
     the variant runs in memory and nothing is saved, so `unlearn` stays the
     only writer of checkpoints.  Runs are byte-reproducible, so both give
-    the same row.
+    the same row.  `subspace.json` is read only if a variant that must run
+    projects.
     """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     nets = _gather_models(cfg, workdir, data_hash)
-    basis = _load_basis(cfg, workdir, data_hash)
+    missing = [v for v in unlearn.VARIANTS if v not in nets]
+    projects = any(cfg.unlearn_plan(v).use_null_space for v in missing)
+    basis = _load_basis(cfg, workdir, data_hash) if projects else None
     if "retrain" not in nets:
         raise MissingArtifact(f"retrain checkpoint not found: {checkpoint_path(workdir, 'retrain')}")
-    for variant in unlearn.VARIANTS:
-        if variant not in nets:
-            nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, basis, variant).network
+    for variant in missing:
+        nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, basis, variant).network
     rows = []
     for name in _CHECKPOINTS:
         rep = evaluate.utility(nets[name], sp.test_remaining, sp.test_unlearn)

@@ -1,15 +1,15 @@
-"""Per-class activation subspaces and the merged retained basis of an unlearn set.
+"""Per-class layer inputs and the merged retained basis of an unlearn set.
 
-A class subspace is the SVD of the recorded layer inputs for one class: the
-full set of left singular vectors together with their singular values.  No
-truncation happens at the class level.  For an unlearn set, the subspaces of
-every other class are merged per layer by concatenating each basis scaled by
-its singular values - column-equivalent to concatenating the raw activation
-matrices themselves - then a single SVD plus energy cutoff picks the retained
-directions, kept as an orthonormal basis B (n x k).  Updates are projected
-off span(B) with `linalg.apply_projection`.  Scaling by the singular values
-is what lets one energy threshold weigh classes against each other;
-concatenating bare orthonormal bases would flatten the spectrum.
+A class subspace is the recorded layer inputs R_c (n x m_c) of one class's
+build batch; no SVD runs per class.  For an unlearn set, the inputs of every
+other class are stacked per layer, hstack(R_c), and one SVD plus energy
+cutoff picks the retained directions, kept as an orthonormal basis B
+(n x k).  Updates are projected off span(B) with `linalg.apply_projection`.
+Stacking the raw inputs is exact, not an approximation of a per-class
+factorisation: any per-class SVD R_c = U_c S_c V_c^T gives
+hstack(U_c S_c) the same Gram matrix, sum_c R_c R_c^T, hence the same left
+singular vectors and values, so one energy threshold weighs the classes
+against each other as it would their factors.
 """
 
 from __future__ import annotations
@@ -27,31 +27,14 @@ SUBSPACE_FORMAT_VERSION = 2
 
 @dataclass
 class ClassSubspace:
-    """Layer-wise activation basis for one class: full U and singular values per layer."""
+    """One class's recorded layer inputs: per layer the augmented (features x samples) matrix."""
 
     class_id: int
-    sample_count: int
-    bases: list
-    singular_values: list
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if len(self.bases) != len(self.singular_values):
-            raise ValueError("one singular-value vector per basis required")
-        self.bases = [as_matrix(b, f"layer {i} basis") for i, b in enumerate(self.bases)]
-        self.singular_values = [
-            np.asarray(s, dtype=np.float64).reshape(-1) for s in self.singular_values
-        ]
-        for i, (b, s) in enumerate(zip(self.bases, self.singular_values)):
-            if b.shape[1] != s.size:
-                raise ValueError(
-                    f"layer {i}: basis has {b.shape[1]} columns but {s.size} singular values"
-                )
+    activations: list
 
 
 def class_subspace(net: nn.Network, class_batch) -> ClassSubspace:
-    """SVD of each layer's recorded inputs for a single-class batch.
+    """Each layer's recorded inputs for a single-class batch; the merge SVDs them.
 
     The batch must be non-empty and single-label; mixed labels would blend
     class directions and poison every projector built downstream.
@@ -63,18 +46,7 @@ def class_subspace(net: nn.Network, class_batch) -> ClassSubspace:
     if unique.size != 1:
         raise ValueError(f"class batch mixes labels {unique.tolist()}; expected exactly one class")
     _, trace = nn.forward(net, class_batch.features, record=True)
-    bases = []
-    svals = []
-    for r in trace.per_layer:
-        res = svd(r)
-        bases.append(res.u)
-        svals.append(res.s)
-    return ClassSubspace(
-        class_id=int(unique[0]),
-        sample_count=int(labels.size),
-        bases=bases,
-        singular_values=svals,
-    )
+    return ClassSubspace(class_id=int(unique[0]), activations=trace.per_layer)
 
 
 @dataclass
@@ -111,12 +83,12 @@ class NullProjector:
 def merge_null_projector(subspaces, epsilon: float, excluded_classes=()) -> NullProjector:
     """Merge class subspaces layer-wise and return the retained basis of the kept energy.
 
-    Per layer: concatenate U_c * diag(s_c) over the supplied classes, SVD the
-    concatenation, and keep the leading left singular vectors of the smallest
-    rank holding epsilon of the squared energy (one epsilon for every
-    layer; `rank_cutoff` checks its range).  Duplicate or overlapping
-    class subspaces add energy but no new directions, so the merge is
-    order-invariant.
+    Per layer: stack the supplied classes' recorded inputs side by side,
+    SVD the stack once, and keep the leading left singular vectors of the
+    smallest rank holding epsilon of the squared energy (one epsilon for
+    every layer; `rank_cutoff` checks its range).  The stack's column order
+    changes neither its Gram matrix nor, therefore, the retained span, so
+    the merge is order-invariant.
     """
     subs = list(subspaces)
     if not subs:
@@ -124,15 +96,13 @@ def merge_null_projector(subspaces, epsilon: float, excluded_classes=()) -> Null
     ids = [s.class_id for s in subs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate class ids in merge: {sorted(ids)}")
-    n_layers = len(subs[0].bases)
+    n_layers = len(subs[0].activations)
     for s in subs:
-        if len(s.bases) != n_layers:
+        if len(s.activations) != n_layers:
             raise ValueError("subspaces disagree on layer count")
     bases = []
     for li in range(n_layers):
-        scaled = [s.bases[li] * s.singular_values[li][np.newaxis, :] for s in subs]
-        concat = np.hstack(scaled)
-        res = svd(concat)
+        res = svd(np.hstack([s.activations[li] for s in subs]))
         k = rank_cutoff(res.s, epsilon)
         bases.append(np.ascontiguousarray(res.u[:, :k]))
     return NullProjector(
@@ -161,9 +131,10 @@ def retained_energy(projector: NullProjector, trace: nn.ActivationTrace) -> list
 class ProjectorCache:
     """Lazily merges and caches one NullProjector per excluded set of classes.
 
-    Holds every class's subspace; `for_excluded(*class_ids)` merges all the
-    others into one retained basis.  An unlearn run excludes its whole unlearn
-    set, so it merges once, and the merge is reused across runs.
+    Holds every class's recorded layer inputs; `for_excluded(*class_ids)`
+    stacks all the others' and SVDs them once per layer into one retained
+    basis.  An unlearn run excludes its whole unlearn set, so it merges
+    once, and the merge is reused across runs.
     """
 
     def __init__(self, subspaces: dict, epsilon: float):

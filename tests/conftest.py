@@ -1,8 +1,14 @@
 """Shared builders for small deterministic fixtures."""
 
 import numpy as np
+from hypothesis import settings
 
 from nullspace_unlearn import data, nn
+
+# Property tests draw the same examples on every run; each test's own
+# @settings (max_examples, deadline) still applies on top of this profile.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # A well separated three-blob mixture in 4-D: easy for a tiny net, cheap to train.
 BLOB_MEANS = [

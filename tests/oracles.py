@@ -7,7 +7,7 @@ noise floor -- so agreement with the library is evidence, not circularity.
 
 import numpy as np
 
-from nullspace_unlearn import nn
+from nullspace_unlearn import linalg, nn
 
 
 def reference_singular_values(a):
@@ -22,6 +22,21 @@ def reference_column_space_projector(a):
     tol = (s[0] if s.size else 0.0) * max(a.shape) * np.finfo(np.float64).eps
     keep = u[:, s > tol]
     return keep @ keep.T
+
+
+def per_class_merge_basis(per_class, epsilon):
+    """Retained basis by the per-class route: SVD each class, scale U_c by s_c, SVD the stack.
+
+    per_class holds one (n x m_c) activation matrix per class.  Returns the
+    merged SVD's leading left singular vectors, cut by `linalg.rank_cutoff`,
+    and all of its singular values.
+    """
+    scaled = []
+    for r in per_class:
+        u, s, _ = np.linalg.svd(np.asarray(r, dtype=np.float64), full_matrices=False)
+        scaled.append(u * s)
+    u, s, _ = np.linalg.svd(np.hstack(scaled), full_matrices=False)
+    return u[:, : linalg.rank_cutoff(s, epsilon)], s
 
 
 def rank_by_energy_loop(s, epsilon):

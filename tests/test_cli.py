@@ -345,6 +345,25 @@ def test_ablate_runs_missing_variants_in_memory_and_saves_nothing(env, tmp_path)
     assert dict(rows["calibrated"], method="gradient-ascent") == rows["gradient-ascent"]
 
 
+def test_ablate_reads_no_basis_when_every_variant_is_saved(env, tmp_path):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "retrain", "subspace"):
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
+    for variant in ("calibrated", "random-label", "random-label+nullspace", "gradient-ascent"):
+        assert run(runner, cfg_path, workdir, "unlearn", "--variant", variant).exit_code == 0, variant
+    assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
+    work = tmp_path / "work"
+    with_basis = (work / "ablation.json").read_bytes()
+    (work / "subspace.json").unlink()
+    (work / "ablation.json").unlink()
+    result = run(runner, cfg_path, workdir, "ablate")
+    assert result.exit_code == 0, result.output
+    assert (work / "ablation.json").read_bytes() == with_basis
+    # A variant that must run and projects still needs the basis.
+    (work / "unlearned_calibrated.json").unlink()
+    assert run(runner, cfg_path, workdir, "ablate").exit_code == cli.EXIT_MISSING_ARTIFACT
+
+
 def test_report_refuses_mismatched_hashes(env, tmp_path):
     runner, cfg_path, workdir = env
     for step in (("gen-data",), ("train",), ("retrain",), ("subspace",), ("unlearn",), ("evaluate",), ("ablate",)):

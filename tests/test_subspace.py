@@ -3,8 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import blob_splits, trained_dense_net
+import oracles
+from conftest import trained_dense_net
 from nullspace_unlearn import linalg, nn, subspace
 
 
@@ -23,35 +26,15 @@ def fitted():
 # ---------------------------------------------------------------------------
 
 
-def test_class_subspace_bases_are_orthonormal(fitted):
-    _, _, subs = fitted
-    for sub in subs.values():
-        assert len(sub.bases) == 2
-        for b, s in zip(sub.bases, sub.singular_values):
-            npt.assert_allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-8)
-            assert (np.diff(s) <= 0.0).all()
-            assert (s >= 0.0).all()
-
-
 def test_class_subspace_shapes_follow_the_trace(fitted):
     net, sp, subs = fitted
     batch = sp.train.class_filter((1,), keep=True)
     _, trace = nn.forward(net, batch.features, record=True)
     sub = subs[1]
     assert sub.class_id == 1
-    assert sub.sample_count == len(batch)
-    for b, r in zip(sub.bases, trace.per_layer):
-        assert b.shape[0] == r.shape[0]
-        assert b.shape[1] == min(r.shape)
-
-
-def test_class_subspace_reconstructs_activations(fitted):
-    net, sp, subs = fitted
-    batch = sp.train.class_filter((2,), keep=True)
-    _, trace = nn.forward(net, batch.features, record=True)
-    for b, s, r in zip(subs[2].bases, subs[2].singular_values, trace.per_layer):
-        # The full basis spans the recorded activations exactly.
-        npt.assert_allclose(b @ (b.T @ r), r, atol=1e-8)
+    assert len(sub.activations) == len(trace.per_layer) == 2
+    for a, r in zip(sub.activations, trace.per_layer):
+        assert a.tobytes() == r.tobytes() and a.shape == r.shape
 
 
 def test_class_subspace_rejects_mixed_or_empty(fitted):
@@ -104,6 +87,59 @@ def test_rank_grows_with_epsilon(fitted):
     ranks = [subspace.merge_null_projector(pair, eps).ranks for eps in (0.5, 0.99, 1.0)]
     for lo, hi in zip(ranks, ranks[1:]):
         assert all(a <= b for a, b in zip(lo, hi))
+
+
+def test_svd_runs_once_per_layer_per_merge_and_never_per_class(fitted, monkeypatch):
+    net, sp, _ = fitted
+    shapes = []
+    real_svd = subspace.svd
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return real_svd(m)
+
+    monkeypatch.setattr(subspace, "svd", spy)
+    subs = [subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in (1, 2)]
+    assert shapes == []
+    subspace.merge_null_projector(subs, 0.99)
+    assert shapes == [(a.shape[0], a.shape[1] + b.shape[1]) for a, b in zip(subs[0].activations, subs[1].activations)]
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.99, 1.0])
+def test_merge_matches_the_per_class_svd_route(fitted, epsilon):
+    _, _, subs = fitted
+    proj = subspace.merge_null_projector([subs[1], subs[2]], epsilon)
+    for li, b in enumerate(proj.bases):
+        ref, _ = oracles.per_class_merge_basis([subs[1].activations[li], subs[2].activations[li]], epsilon)
+        assert b.shape == ref.shape
+        npt.assert_allclose(b @ b.T, ref @ ref.T, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(2, 12),
+    span=st.integers(1, 12),
+    classes=st.lists(st.tuples(st.integers(1, 24), st.integers(1, 12)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_matches_the_per_class_svd_route_on_rank_deficient_classes(rows, span, classes, seed):
+    # Every class lies in one shared span of at most `rows` directions, with a
+    # rank of its own; a class may have fewer samples than rows or more.
+    rng = np.random.default_rng(seed)
+    span = min(span, rows)
+    shared = rng.standard_normal((rows, span))
+    per_class = []
+    for cols, rank in classes:
+        rank = min(rank, span)
+        per_class.append(shared @ rng.standard_normal((span, rank)) @ rng.standard_normal((rank, cols)))
+    ref, ref_s = oracles.per_class_merge_basis(per_class, 1.0)
+    stacked_s = linalg.svd(np.hstack(per_class)).s
+    npt.assert_allclose(stacked_s, ref_s, rtol=0.0, atol=1e-10 * ref_s[0])
+    subs = [subspace.ClassSubspace(class_id=c, activations=[r]) for c, r in enumerate(per_class)]
+    proj = subspace.merge_null_projector(subs, 1.0)
+    assert proj.ranks == (ref.shape[1],)
+    b = proj.bases[0]
+    npt.assert_allclose(b @ b.T, ref @ ref.T, rtol=0.0, atol=1e-9)
 
 
 def test_merge_validation(fitted):

@@ -414,12 +414,35 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
     return float(np.mean(log_z - picked))
 
 
-def loss_and_grads(net: Network, batch, labels):
+def _weight_grad(li: int, dz: np.ndarray, aug: np.ndarray, project) -> np.ndarray:
+    """Layer li's weight gradient dz @ aug^T, projected through its smaller factor (see loss_and_grads).
+
+    `aug` is never projected in place: layer li - 1's relu mask reads it.
+    """
+    if project is None:
+        return dz @ aug.T
+    if dz.shape[0] <= aug.shape[1]:
+        return project(li, dz @ aug.T)
+    return dz @ project(li, aug.T)
+
+
+def loss_and_grads(net: Network, batch, labels, project=None):
     """Mean softmax cross-entropy and its exact per-layer weight gradients.
 
     The GradientSet also carries the forward pass's logits.  Each delta is
     a fresh array, so relu masks are applied to it in place; layer 0's
     input gradient, which nothing reads, is not computed.
+
+    With `project`, a function project(li, rows) that returns `rows` with
+    layer li's retained directions removed, each gradient comes back
+    projected, g (I - B B^T).  A weight gradient is the product dz a^T of
+    the layer's output delta and its augmented input, so
+    (dz a^T)(I - B B^T) = dz ((I - B B^T) a)^T: projecting the input gives
+    the same update.  The smaller factor is projected: the gradient itself
+    when it has no more rows than the input has columns (samples, or
+    samples times patches), which holds for a narrow head and for conv
+    layers, else the input's transpose, as for a wide hidden dense layer
+    against a small batch.  The loss and logits do not depend on `project`.
     """
     x = as_matrix(batch, "batch")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -448,7 +471,7 @@ def loss_and_grads(net: Network, batch, labels):
             dz = delta
             if spec.activation == "relu":  # never the head, so layer li + 1 is dense
                 dz *= aug_inputs[li + 1][:-1] > 0.0
-            grads[li] = dz @ aug_inputs[li].T
+            grads[li] = _weight_grad(li, dz, aug_inputs[li], project)
             if li == 0:
                 break
             back = (net.weights[li].T @ dz)[:-1]  # drop the constant-1 row
@@ -464,7 +487,7 @@ def loss_and_grads(net: Network, batch, labels):
             dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, n * ho * wo)
             if spec.activation == "relu":
                 dz_cols *= preacts[li] > 0.0
-            grads[li] = dz_cols @ aug_inputs[li].T
+            grads[li] = _weight_grad(li, dz_cols, aug_inputs[li], project)
             if li == 0:
                 break
             back_cols = (net.weights[li].T @ dz_cols)[:-1]

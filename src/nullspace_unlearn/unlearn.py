@@ -3,7 +3,9 @@
 The full method relabels every forget-set sample with the original model's
 best prediction outside the unlearn classes, then fine-tunes with each
 gradient block projected off the retained basis B of the remaining classes'
-activations, g - (g B) B^T, so updates stay in its null space.  Baselines
+activations, g - (g B) B^T, so updates stay in its null space.  A weight
+gradient is dz a^T, so the projection is applied to whichever factor is
+smaller, the layer input a or the gradient (see `nn.loss_and_grads`).  Baselines
 swap the labeling rule (random labels, kept labels with gradient ascent)
 and/or drop the projection, which is exactly the ablation grid the
 evaluation suite compares.  `VARIANTS` names each combination; it is the
@@ -155,15 +157,18 @@ def _finetune(
 
     The whole forget set is reshuffled each epoch from one seeded stream, so
     runs are bit-reproducible.  Every step is projected off the same retained
-    basis, the one that excludes the whole unlearn set.  Ascent stops after
-    the first epoch whose mean loss exceeds log(n_classes), the loss of a
+    basis, the one that excludes the whole unlearn set.  `nn.loss_and_grads`
+    applies the projection to the smaller factor of each layer's gradient,
+    the layer input or the gradient itself, so every step is g - (g B) B^T
+    without projecting a wide hidden-layer gradient.  Ascent stops after the
+    first epoch whose mean loss exceeds log(n_classes), the loss of a
     uniform guess: the model then does worse than chance on the forget set,
     and further ascent only inflates the weights until they overflow.
     """
     out = net.copy()
     feats = labeled.features
     y_train = labeled.assigned_labels
-    bases = projector.bases if projector is not None else None
+    project = None if projector is None else (lambda li, rows: apply_projection(rows, projector.bases[li]))
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
     losses = []
@@ -172,11 +177,10 @@ def _finetune(
         perm = rng.permutation(y_train.size)
         for start in range(0, perm.size, plan.batch_size):
             sel = perm[start : start + plan.batch_size]
-            loss, grads = nn.loss_and_grads(out, feats[sel], y_train[sel])
+            loss, grads = nn.loss_and_grads(out, feats[sel], y_train[sel], project=project)
             total += loss * sel.size
-            for li, (w, g) in enumerate(zip(out.weights, grads.per_layer)):
-                step = apply_projection(g, bases[li]) if bases is not None else g
-                w += sign * plan.lr * step
+            for w, g in zip(out.weights, grads.per_layer):
+                w += sign * plan.lr * g
         epoch_loss = total / perm.size
         if not math.isfinite(epoch_loss):
             raise NumericError("unlearning loss went non-finite")

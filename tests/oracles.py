@@ -8,6 +8,7 @@ noise floor -- so agreement with the library is evidence, not circularity.
 import numpy as np
 
 from nullspace_unlearn import linalg, nn
+from nullspace_unlearn.determinism import PortableRng, derive_seed
 
 
 def reference_singular_values(a):
@@ -272,6 +273,31 @@ def reference_loss_and_grads(net, batch, labels):
             back_cols = (net.weights[li].T @ dz)[:-1]
             delta = nn._scatter_patches(back_cols, (c, h, w), n, k, st)
     return loss, grads, logits
+
+
+def reference_projected_finetune(net, labeled, bases, plan):
+    """Projected SGD descent as it ran before the projection moved into loss_and_grads.
+
+    Each mini-batch of the seeded per-epoch shuffle takes the full gradient
+    from reference_loss_and_grads, projects every layer's gradient with
+    linalg.apply_projection and steps.  Returns (weights, epoch losses).
+    """
+    out = net.copy()
+    x = np.asarray(labeled.features, dtype=np.float64)
+    y = np.asarray(labeled.assigned_labels, dtype=np.int64)
+    rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
+    losses = []
+    for _ in range(plan.epochs):
+        total = 0.0
+        perm = rng.permutation(y.size)
+        for start in range(0, perm.size, plan.batch_size):
+            sel = perm[start : start + plan.batch_size]
+            loss, grads, _ = reference_loss_and_grads(out, x[sel], y[sel])
+            total += loss * sel.size
+            for w, g, b in zip(out.weights, grads, bases):
+                w -= plan.lr * linalg.apply_projection(g, b)
+        losses.append(total / perm.size)
+    return out.weights, losses
 
 
 def train_two_forwards(net, train_set, val_set, schedule):

@@ -367,6 +367,48 @@ def test_loss_and_grads_bit_equal_reference_kernel(case):
         assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
 
 
+def _orthonormal(rng, n, k):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+
+
+@pytest.mark.parametrize("rows", [2, 7, 14])
+@pytest.mark.parametrize("rank", ["one", "half", "full"])
+@pytest.mark.parametrize("case", range(3), ids=["dense-relu", "dense-identity-hidden", "conv-stride2-dense"])
+def test_projected_grads_match_projecting_the_reference_gradient(case, rank, rows):
+    # Input-side and gradient-side projection give g (I - B B^T) either way;
+    # 2, 7 and 14 samples put dense layers of 3 to 8 units on both sides of
+    # the rows-versus-columns rule.
+    net, x = _kernel_cases()[case]
+    x = np.vstack([x, 0.5 * x])[:rows]
+    y = np.random.default_rng(case).integers(0, 3, size=rows)
+    rng = np.random.default_rng(100 + case)
+    bases = []
+    for w in net.weights:
+        n = w.shape[1]
+        bases.append(_orthonormal(rng, n, {"one": 1, "half": n // 2, "full": n}[rank]))
+    _, trace = nn.forward(net, x, record=True)
+    projected = []
+
+    def project(li, m):
+        # The smaller factor: the gradient's rows or the layer input's columns.
+        assert m.shape[0] == min(net.weights[li].shape[0], trace.per_layer[li].shape[1])
+        projected.append(li)
+        return linalg.apply_projection(m, bases[li])
+
+    loss, grads = nn.loss_and_grads(net, x, y, project=project)
+    plain_loss, plain = nn.loss_and_grads(net, x, y)
+    _, ref_grads, _ = oracles.reference_loss_and_grads(net, x, y)
+    assert loss == plain_loss
+    assert grads.logits.tobytes() == plain.logits.tobytes()
+    assert sorted(projected) == list(range(len(net.weights)))
+    for g, ref, b in zip(grads.per_layer, ref_grads, bases):
+        assert g.shape == ref.shape
+        if rank == "full":
+            assert not g.any()
+        else:
+            assert np.linalg.norm(g - linalg.apply_projection(ref, b)) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_gradient_step_reduces_loss():
     net = dense_net(seed=19)
     rng = np.random.default_rng(20)

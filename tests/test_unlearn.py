@@ -1,5 +1,6 @@
 """Labeling rules, projected fine-tuning, and the baseline variants."""
 
+import dataclasses
 import math
 import types
 
@@ -286,6 +287,52 @@ def test_two_class_unlearn_on_the_toy_preset_forgets_both():
     before = evaluate.utility(net_o, sp.test_remaining, sp.test_unlearn)
     assert after.acc_unlearn_test < 0.30
     assert after.acc_remaining_test >= before.acc_remaining_test
+
+
+@pytest.fixture(scope="module")
+def preset():
+    """The toy preset at the benchmark's shortened schedule, seed 1: original net, splits and both caches."""
+    shortened = ("train.epochs=200", "train.milestones=[160]")
+    cfg = load_config(overrides=shortened).with_seed(1)
+    sp = cfg.splits(cfg.dataset())
+    net_o = cli.train_original(cfg, sp)
+    exact = load_config(overrides=shortened + ("subspace.epsilon=1.0", "subspace.build_batch=16")).with_seed(1)
+    caches = {mode: cli.build_subspaces(c, net_o, sp.train)[1] for mode, c in (("preset", cfg), ("exact", exact))}
+    return cfg, sp, net_o, caches
+
+
+@pytest.mark.parametrize("mode", ["preset", "exact"])
+def test_projection_gets_the_smaller_factor_of_each_gradient(preset, monkeypatch, mode):
+    # A hidden layer's 192-row gradient is never projected: its 25-row
+    # input is, while the 4-row head projects its own gradient.
+    cfg, sp, net_o, caches = preset
+    bases = caches[mode].for_excluded(0).bases
+    batch = cfg.unlearn_plan().batch_size
+    seen = set()
+    real = unlearn.apply_projection
+
+    def spy(rows, basis):
+        li = next(i for i, b in enumerate(bases) if b is basis)
+        assert rows.shape[0] <= min(net_o.weights[li].shape[0], batch)
+        seen.add((li, rows.shape))
+        return real(rows, basis)
+
+    monkeypatch.setattr(unlearn, "apply_projection", spy)
+    unlearn.calibrated_unlearn(net_o, sp.d_u, caches[mode], dataclasses.replace(cfg.unlearn_plan(), epochs=2))
+    assert seen == {(0, (25, 3)), (1, (25, 193)), (2, (4, 193))}
+
+
+@pytest.mark.parametrize("mode", ["preset", "exact"])
+def test_projected_finetune_matches_projecting_each_full_gradient(preset, mode):
+    cfg, sp, net_o, caches = preset
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
+    res = unlearn.calibrated_unlearn(net_o, sp.d_u, caches[mode], run)
+    weights, losses = oracles.reference_projected_finetune(
+        net_o, res.labeled, caches[mode].for_excluded(0).bases, run
+    )
+    npt.assert_allclose(res.epoch_losses, losses, rtol=1e-12, atol=0.0)
+    for w, ref in zip(res.network.weights, weights):
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_gradient_ascent_raises_forget_loss(fitted):

@@ -82,14 +82,13 @@ class PortableRng:
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates from the top: for i = n-1 .. 1 swap a[i] with a[draw(i+1)]."""
         n = int(n)
-        a = np.arange(n)
         if n < 2:
-            return a
-        draws = self.integers_below(np.arange(n, 1, -1))
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(draws[k])
+            return np.arange(n)
+        # Swapping Python ints in a list costs a fraction of numpy scalar indexing.
+        a = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), self.integers_below(np.arange(n, 1, -1)).tolist()):
             a[i], a[j] = a[j], a[i]
-        return a
+        return np.array(a, dtype=np.int64)
 
     def choice(self, n: int, size: int) -> np.ndarray:
         """First `size` entries of a permutation of range(n): sampling without replacement."""

@@ -329,9 +329,9 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
     return current, aug_inputs, preacts
 
 
-def _forward_pass(net: Network, batch):
-    """Run the network on the whole batch at once, keeping every layer's inputs (see _layers)."""
-    logits, aug_inputs, preacts = _layers(net, _batch_matrix(net, batch))
+def _forward_pass(net: Network, x: np.ndarray):
+    """Run the network on a checked batch x all at once, keeping every layer's inputs (see _layers)."""
+    logits, aug_inputs, preacts = _layers(net, x)
     _check_logits(logits)
     return logits, aug_inputs, preacts
 
@@ -380,10 +380,10 @@ def forward(net: Network, batch, record: bool = False):
     for any number of threads.  Against one product over every row, BLAS
     may round a block's last few columns differently (by about 1e-16).
     """
-    if record:
-        logits, aug_inputs, _ = _forward_pass(net, batch)
-        return logits, ActivationTrace(per_layer=aug_inputs)
     x = _batch_matrix(net, batch)
+    if record:
+        logits, aug_inputs, _ = _forward_pass(net, x)
+        return logits, ActivationTrace(per_layer=aug_inputs)
     logits = np.empty((net.n_classes, x.shape[0]))
     starts = range(0, x.shape[0], SCORE_BLOCK)
     workers = min(_WORKERS, len(starts))
@@ -444,7 +444,7 @@ def loss_and_grads(net: Network, batch, labels, project=None):
     layers, else the input's transpose, as for a wide hidden dense layer
     against a small batch.  The loss and logits do not depend on `project`.
     """
-    x = as_matrix(batch, "batch")
+    x = _batch_matrix(net, batch)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = x.shape[0]
     if y.size != n:

@@ -5,7 +5,10 @@ best prediction outside the unlearn classes, then fine-tunes with each
 gradient block projected off the retained basis B of the remaining classes'
 activations, g - (g B) B^T, so updates stay in its null space.  A weight
 gradient is dz a^T, so the projection is applied to whichever factor is
-smaller, the layer input a or the gradient (see `nn.loss_and_grads`).  Baselines
+smaller, the layer input a or the gradient (see `nn.loss_and_grads`).  A
+leading layer whose basis spans its whole input has an empty null space and
+is frozen: the forget set goes through the spanned leading layers once, and
+each step trains only the layers after them.  Baselines
 swap the labeling rule (random labels, kept labels with gradient ascent)
 and/or drop the projection, which is exactly the ablation grid the
 evaluation suite compares.  `VARIANTS` names each combination; it is the
@@ -147,6 +150,22 @@ def random_label_set(d_u, n_classes: int, unlearn_classes, seed: int) -> PseudoL
     )
 
 
+def _frozen_prefix(net: nn.Network, projector: NullProjector) -> int:
+    """How many leading layers the basis freezes: each one's basis spans its input, and a dense layer follows.
+
+    A spanning basis leaves a layer no free direction, so every projected
+    step of it is zero.  The head always trains.
+    """
+    frozen = 0
+    for li in range(len(net.specs) - 1):
+        n, k = projector.bases[li].shape
+        if k < n:
+            break
+        if net.specs[li + 1].kind == "dense":
+            frozen = li + 1
+    return frozen
+
+
 def _finetune(
     net: nn.Network,
     labeled: PseudoLabeledSet,
@@ -160,15 +179,33 @@ def _finetune(
     basis, the one that excludes the whole unlearn set.  `nn.loss_and_grads`
     applies the projection to the smaller factor of each layer's gradient,
     the layer input or the gradient itself, so every step is g - (g B) B^T
-    without projecting a wide hidden-layer gradient.  Ascent stops after the
-    first epoch whose mean loss exceeds log(n_classes), the loss of a
-    uniform guess: the model then does worse than chance on the forget set,
-    and further ascent only inflates the weights until they overflow.
+    without projecting a wide hidden-layer gradient.  Leading layers whose
+    basis spans their input (see `_frozen_prefix`) only ever step by zero,
+    so a projected run forwards the forget set through them once and
+    fine-tunes the layers after them, which share the returned network's
+    weight arrays: no step forwards, back-propagates into or projects a
+    frozen layer.  Ascent stops after the first epoch whose mean loss
+    exceeds log(n_classes), the loss of a uniform guess: the model then
+    does worse than chance on the forget set, and further ascent only
+    inflates the weights until they overflow.
     """
     out = net.copy()
     feats = labeled.features
     y_train = labeled.assigned_labels
-    project = None if projector is None else (lambda li, rows: apply_projection(rows, projector.bases[li]))
+    tuned, frozen = out, 0
+    if projector is not None and plan.epochs > 0:
+        frozen = _frozen_prefix(out, projector)
+        if frozen:
+            _, trace = nn.forward(out, feats, record=True)
+            feats = np.ascontiguousarray(trace.per_layer[frozen][:-1].T)  # drop the constant-1 row
+            tuned = nn.Network(
+                specs=out.specs[frozen:],
+                weights=out.weights[frozen:],
+                input_shape=(out.specs[frozen].in_features,),
+            )
+    project = None if projector is None else (
+        lambda li, rows: apply_projection(rows, projector.bases[frozen + li])
+    )
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
     losses = []
@@ -177,9 +214,9 @@ def _finetune(
         perm = rng.permutation(y_train.size)
         for start in range(0, perm.size, plan.batch_size):
             sel = perm[start : start + plan.batch_size]
-            loss, grads = nn.loss_and_grads(out, feats[sel], y_train[sel], project=project)
+            loss, grads = nn.loss_and_grads(tuned, feats[sel], y_train[sel], project=project)
             total += loss * sel.size
-            for w, g in zip(out.weights, grads.per_layer):
+            for w, g in zip(tuned.weights, grads.per_layer):
                 w += sign * plan.lr * g
         epoch_loss = total / perm.size
         if not math.isfinite(epoch_loss):

@@ -300,6 +300,18 @@ def reference_projected_finetune(net, labeled, bases, plan):
     return out.weights, losses
 
 
+def numpy_swap_permutation(rng, n):
+    """PortableRng.permutation as it first ran: the descending Fisher-Yates swaps on a numpy array."""
+    a = np.arange(n)
+    if n < 2:
+        return a
+    draws = rng.integers_below(np.arange(n, 1, -1))
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = int(draws[k])
+        a[i], a[j] = a[j], a[i]
+    return a
+
+
 def train_two_forwards(net, train_set, val_set, schedule):
     """Full-batch SGD as it ran before the validation forward was fused.
 

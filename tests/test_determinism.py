@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from nullspace_unlearn.determinism import PortableRng
+import oracles
+from nullspace_unlearn.determinism import PortableRng, derive_seed
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 2**32, 2**63 + 5, 2**64 - 1])
@@ -24,6 +25,19 @@ def test_seeded_permutation_is_pinned():
     assert sorted(perm.tolist()) == list(range(5000))
     digest = hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
     assert digest == "fe0d98a697e8d4b14bad18b69455eeac0746e343e0b4f76218407c90aff76d7b"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 5000])
+@pytest.mark.parametrize("seed", [0, 7, 12345, derive_seed(1, "unlearn-shuffle")])
+def test_permutation_and_choice_match_the_numpy_swap_loop(seed, n):
+    # The list-based shuffle gives the same bytes and leaves the stream where the array loop did.
+    perm, ref_rng = PortableRng(seed), PortableRng(seed)
+    got, ref = perm.permutation(n), oracles.numpy_swap_permutation(ref_rng, n)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert perm.raw(1) == ref_rng.raw(1)
+    for size in (0, n // 2, n):
+        chosen = PortableRng(seed).choice(n, size)
+        assert chosen.dtype == ref.dtype and chosen.tobytes() == ref[:size].tobytes()
 
 
 @pytest.mark.parametrize("size", [-3, -1, 11])

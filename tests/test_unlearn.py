@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from conftest import dense_specs, trained_dense_net
+from test_nn import _kernel_cases
 from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
 from nullspace_unlearn.config import ConfigError, load_config
 from nullspace_unlearn.determinism import PortableRng, derive_seed
@@ -304,7 +305,8 @@ def preset():
 @pytest.mark.parametrize("mode", ["preset", "exact"])
 def test_projection_gets_the_smaller_factor_of_each_gradient(preset, monkeypatch, mode):
     # A hidden layer's 192-row gradient is never projected: its 25-row
-    # input is, while the 4-row head projects its own gradient.
+    # input is, while the 4-row head projects its own gradient.  Layer 0's
+    # basis spans its 3-wide input, so layer 0 is frozen and never projected.
     cfg, sp, net_o, caches = preset
     bases = caches[mode].for_excluded(0).bases
     batch = cfg.unlearn_plan().batch_size
@@ -319,7 +321,7 @@ def test_projection_gets_the_smaller_factor_of_each_gradient(preset, monkeypatch
 
     monkeypatch.setattr(unlearn, "apply_projection", spy)
     unlearn.calibrated_unlearn(net_o, sp.d_u, caches[mode], dataclasses.replace(cfg.unlearn_plan(), epochs=2))
-    assert seen == {(0, (25, 3)), (1, (25, 193)), (2, (4, 193))}
+    assert seen == {(1, (25, 193)), (2, (4, 193))}
 
 
 @pytest.mark.parametrize("mode", ["preset", "exact"])
@@ -333,6 +335,116 @@ def test_projected_finetune_matches_projecting_each_full_gradient(preset, mode):
     npt.assert_allclose(res.epoch_losses, losses, rtol=1e-12, atol=0.0)
     for w, ref in zip(res.network.weights, weights):
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen):
+    """Run a projected fine-tune; check it against the oracle, with every spanned layer untouched.
+
+    A spy on `nn.loss_and_grads` checks that every step sees the
+    (layers - frozen)-layer suffix.
+    """
+    depths = set()
+    real = nn.loss_and_grads
+
+    def spy(tuned, *args, **kwargs):
+        depths.add(len(tuned.specs))
+        return real(tuned, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    res = unlearn._finetune(net, labeled, projector, run)
+    weights, losses = oracles.reference_projected_finetune(net, labeled, projector.bases, run)
+    assert depths == {len(net.specs) - frozen}
+    npt.assert_allclose(res.epoch_losses, losses, rtol=1e-12, atol=0.0)
+    for li, (w0, w, ref, b) in enumerate(zip(net.weights, res.network.weights, weights, projector.bases)):
+        assert b.shape[1] == b.shape[0] or li >= frozen
+        if b.shape[1] == b.shape[0]:
+            assert w.tobytes() == ref.tobytes() == w0.tobytes()
+        else:
+            assert (w != w0).any()
+            assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mode", ["preset", "exact"])
+def test_projected_run_freezes_the_spanned_input_layer(preset, monkeypatch, mode):
+    # Layer 0's basis spans its 3-wide input in both modes: its weights come
+    # back as the original's bits, and each step trains layers 1 and 2 only.
+    cfg, sp, net_o, caches = preset
+    projector = caches[mode].for_excluded(0)
+    assert projector.bases[0].shape == (3, 3)
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
+    labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, projector, run, frozen=1)
+
+
+def test_basis_that_spans_no_layer_trains_the_full_network(preset, monkeypatch):
+    cfg, sp, net_o, caches = preset
+    projector = caches["preset"].for_excluded(0)
+    cut = dataclasses.replace(
+        projector,
+        bases=[projector.bases[0][:, :2]] + projector.bases[1:],
+        ranks=(2,) + projector.ranks[1:],
+    )
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
+    labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, cut, run, frozen=0)
+
+
+def test_identity_bases_on_two_layers_freeze_both(preset, monkeypatch):
+    cfg, sp, net_o, caches = preset
+    projector = caches["preset"].for_excluded(0)
+    identity = dataclasses.replace(
+        projector,
+        bases=[np.eye(3), np.eye(193), projector.bases[2]],
+        ranks=(3, 193, projector.ranks[2]),
+    )
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
+    labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, identity, run, frozen=2)
+
+
+@pytest.mark.parametrize("spanned, frozen", [(1, 0), (2, 2)], ids=["conv0-falls-back", "conv-prefix"])
+def test_spanning_conv_layers_freeze_only_in_front_of_a_dense_layer(monkeypatch, spanned, frozen):
+    # conv -> conv (stride 2) -> dense -> dense.  A spanned conv0 alone feeds a
+    # conv layer, so the full network trains; spanned conv0 and conv1 feed
+    # the first dense layer and are frozen.
+    net, x = _kernel_cases()[2]
+    rng = np.random.default_rng(7)
+    bases = []
+    for li, w in enumerate(net.weights):
+        n = w.shape[1]
+        bases.append(np.linalg.qr(rng.standard_normal((n, n)))[0][:, : n if li < spanned else n // 2])
+    projector = subspace.NullProjector(
+        merged_classes=(1, 2),
+        excluded_classes=(0,),
+        epsilons=(1.0,) * len(bases),
+        bases=bases,
+        ranks=tuple(b.shape[1] for b in bases),
+    )
+    y = rng.integers(0, 3, size=len(x))
+    labeled = unlearn.PseudoLabeledSet(features=x, original_labels=y, assigned_labels=y, labeling="keep")
+    run = plan(labeling="keep", lr=0.1, epochs=3, batch_size=3)
+    _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen=frozen)
+
+
+def test_zero_epochs_and_plain_runs_forward_no_prefix(preset, monkeypatch):
+    # Only a projected run with steps to take records the forget set's layer inputs.
+    cfg, sp, net_o, caches = preset
+    recorded = []
+    real = nn.forward
+
+    def spy(net, batch, record=False):
+        recorded.append(record)
+        return real(net, batch, record)
+
+    monkeypatch.setattr(nn, "forward", spy)
+    calibrated = cfg.unlearn_plan()
+    res = unlearn.calibrated_unlearn(net_o, sp.d_u, caches["preset"], dataclasses.replace(calibrated, epochs=0))
+    assert res.epoch_losses == []
+    assert all(w.tobytes() == w0.tobytes() for w, w0 in zip(res.network.weights, net_o.weights))
+    unlearn.baseline_unlearn(net_o, sp.d_u, dataclasses.replace(cfg.unlearn_plan("random-label"), epochs=1))
+    assert not any(recorded)
+    unlearn.calibrated_unlearn(net_o, sp.d_u, caches["preset"], dataclasses.replace(calibrated, epochs=1))
+    assert recorded.count(True) == 1
 
 
 def test_gradient_ascent_raises_forget_loss(fitted):

@@ -9,11 +9,12 @@ orthogonality audit, loss contours, pseudo-label agreement) needed to compare
 them.
 """
 
-from . import config, data, determinism, evaluate, linalg, nn, subspace, unlearn
+from . import artifacts, config, data, determinism, evaluate, linalg, nn, subspace, unlearn
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "artifacts",
     "config",
     "data",
     "determinism",

@@ -4,13 +4,13 @@ Every subcommand reads one config document (the bundled toy preset by
 default), derives all randomness from its root seed, and writes artifacts
 that embed the config hash plus the dataset hash they were computed from.
 Re-running a subcommand with identical inputs rewrites byte-identical
-artifacts.  Failures exit with a single-line JSON error on stderr: missing
-input file 2, validation 3, numeric breakdown 4.
+artifacts, each written atomically by `artifacts.write_atomic`.  Failures
+exit with a single-line JSON error on stderr: missing input file 2,
+validation 3, numeric breakdown 4.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -18,6 +18,8 @@ import sys
 import click
 
 from . import data, evaluate, nn, subspace, unlearn
+from .artifacts import file_hash as _file_hash
+from .artifacts import write_atomic, write_json
 from .config import ConfigError, RunConfig, load_config
 from .linalg import NumericError
 
@@ -38,23 +40,9 @@ class MissingArtifact(FileNotFoundError):
     """
 
 
-def _file_hash(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
-
-
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_record(doc: dict, path, cfg: RunConfig, data_hash: str) -> None:
     """A JSON record stamped with the config, root seed and dataset it was computed from."""
-    _write_json({**doc, "config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash}, path)
+    write_json({**doc, "config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash}, path)
 
 
 def _read_json(path) -> dict:
@@ -82,8 +70,7 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
     os.makedirs(workdir, exist_ok=True)
     ds = cfg.dataset()
     path = dataset_path(workdir)
-    data.save_csv(ds, path)
-    data_hash = _file_hash(path)
+    data_hash = data.save_csv(ds, path)
     _write_record(
         {
             "n_classes": ds.n_classes,
@@ -393,10 +380,8 @@ def ablate_cmd(ctx):
             {"method": name, "acc_remaining_test": rep.acc_remaining_test, "acc_unlearn_test": rep.acc_unlearn_test}
         )
     csv_path = os.path.join(workdir, "ablation.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,acc_remaining_test,acc_unlearn_test\n")
-        for row in rows:
-            fh.write(f"{row['method']},{row['acc_remaining_test']:.17g},{row['acc_unlearn_test']:.17g}\n")
+    lines = [f"{r['method']},{r['acc_remaining_test']:.17g},{r['acc_unlearn_test']:.17g}\n" for r in rows]
+    write_atomic(csv_path, ["method,acc_remaining_test,acc_unlearn_test\n", *lines])
     _write_record({"rows": rows}, os.path.join(workdir, "ablation.json"), cfg, data_hash)
     click.echo(json.dumps({"table": csv_path, "methods": [r["method"] for r in rows]}))
 
@@ -421,7 +406,7 @@ def report_cmd(ctx):
     if len(distinct) > 1:
         raise ConfigError(f"artifacts disagree on config/data hashes: {sorted(hashes.items())}")
     (config_hash_value, data_hash_value) = next(iter(distinct))
-    _write_json(
+    write_json(
         {"config_hash": config_hash_value, "data_hash": data_hash_value, "sections": sections},
         os.path.join(workdir, "report.json"),
     )

@@ -4,15 +4,26 @@ Generation is fully portable: all randomness comes from
 `determinism.PortableRng` (Philox words, Box-Muller normals) and samples are
 drawn class 0 .. K-1, each class as an (n_per_class, dim) row-major block of
 standard normals mapped through the Cholesky factor of its covariance.
+
+The CSV codec is the dataset artifact.  `save_csv` prints each float with 17
+significant digits, which round-trips bit-exactly, and writes the file
+atomically.  `load_csv` checks the header, then parses every row in one
+`np.loadtxt` call into a structured (d float64 features, int64 label) array;
+numpy's parser rounds as `float()` does, so the features read back are the
+floats written.  When numpy rejects a file, or a label leaves [0, K), the
+file is scanned again line by line with `float` and `int`, so the error
+names the first bad line whatever numpy reports.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .determinism import PortableRng
 from .linalg import as_matrix
 
@@ -192,24 +203,58 @@ def split(dataset: Dataset, spec: SplitSpec) -> Splits:
     )
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Header f0..f{d-1},label; floats printed with 17 significant digits (bit-exact)."""
+def save_csv(dataset: Dataset, path) -> str:
+    """Header f0..f{d-1},label; floats printed with 17 significant digits (bit-exact).
+
+    Written atomically by `write_atomic`, in blocks of rows; returns the
+    sha256 prefix of the file.
+    """
     d = dataset.features.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(f"{v:.17g}" for v in row) + f",{label}\n")
+    row_format = "%.17g," * d + "%d\n"
+
+    def blocks():
+        yield ",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n"
+        step = 1024  # rows per block, so their Python lists stay small
+        for i in range(0, len(dataset), step):
+            rows = zip(dataset.features[i : i + step].tolist(), dataset.labels[i : i + step].tolist())
+            yield "".join([row_format % (*row, label) for row, label in rows])
+
+    return write_atomic(path, blocks())
 
 
 def load_csv(path, n_classes: int) -> Dataset:
+    """Read a save_csv file (blank lines skipped); errors name the first bad line as `path:line`."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split(",")
         if cols[-1] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[:-1])):
             raise ValueError(f"{path}: malformed header {header!r}")
         d = len(cols) - 1
-        features = []
-        labels = []
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(
+                    fh, dtype=[("f", np.float64, (d,)), ("label", np.int64)],
+                    delimiter=",", comments=None, ndmin=1,
+                )
+        except ValueError as exc:
+            _raise_first_bad_line(path, d, n_classes)
+            raise ValueError(f"{path}: unparseable value ({exc})") from None
+    labels = np.ascontiguousarray(rows["label"])
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        _raise_first_bad_line(path, d, n_classes)
+    return Dataset(
+        features=np.ascontiguousarray(rows["f"]),
+        labels=labels,
+        n_classes=n_classes,
+        provenance={"source": str(path), "format": "csv"},
+    )
+
+
+def _raise_first_bad_line(path, d: int, n_classes: int) -> None:
+    """Raise the `path:line` error of the first row that is not d floats and a label in [0, n_classes)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -218,18 +263,10 @@ def load_csv(path, n_classes: int) -> Dataset:
             if len(parts) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, found {len(parts)}")
             try:
-                features.append([float(v) for v in parts[:-1]])
+                for v in parts[:-1]:
+                    float(v)
                 label = int(parts[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
             if label < 0 or label >= n_classes:
-                raise ValueError(
-                    f"{path}:{lineno}: label {label} outside [0, {n_classes})"
-                )
-            labels.append(label)
-    return Dataset(
-        features=np.asarray(features, dtype=np.float64).reshape(len(labels), d),
-        labels=np.asarray(labels, dtype=np.int64),
-        n_classes=n_classes,
-        provenance={"source": str(path), "format": "csv"},
-    )
+                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {n_classes})")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .artifacts import write_atomic
 from .determinism import PortableRng, derive_seed
 from .linalg import apply_projection, as_matrix
 from .subspace import NullProjector
@@ -223,11 +224,12 @@ class ContourGrid:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("alpha,beta,loss\n")
-            for i, a in enumerate(self.alphas):
-                for j, b in enumerate(self.betas):
-                    fh.write(f"{a:.17g},{b:.17g},{self.losses[i][j]:.17g}\n")
+        lines = (
+            f"{a:.17g},{b:.17g},{self.losses[i][j]:.17g}\n"
+            for i, a in enumerate(self.alphas)
+            for j, b in enumerate(self.betas)
+        )
+        write_atomic(path, ["alpha,beta,loss\n", *lines])
 
 
 def _check_direction(direction, weights, name: str) -> list:

@@ -28,6 +28,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .determinism import PortableRng, derive_seed
 from .linalg import NumericError, as_matrix
 
@@ -611,7 +612,7 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
 
 
 def save_checkpoint(net: Network, path) -> None:
-    """Versioned JSON checkpoint; floats round-trip bit-exactly (shortest-repr decimals)."""
+    """Versioned JSON checkpoint, written atomically; floats round-trip bit-exactly (shortest-repr decimals)."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "input_shape": list(net.input_shape),
@@ -620,9 +621,7 @@ def save_checkpoint(net: Network, path) -> None:
         "seed": net.seed,
         "metadata": net.metadata,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_checkpoint(path) -> Network:

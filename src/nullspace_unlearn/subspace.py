@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .artifacts import write_json
 from .linalg import as_matrix, rank_cutoff, svd
 
 SUBSPACE_FORMAT_VERSION = 2
@@ -159,7 +160,10 @@ class ProjectorCache:
 
 
 def save_subspace(proj: NullProjector, path, **stamp) -> None:
-    """Versioned JSON artifact of one retained basis plus the caller's stamp keys; arrays round-trip bit-exactly."""
+    """Versioned JSON artifact of one retained basis plus the caller's stamp keys, written atomically.
+
+    Arrays round-trip bit-exactly.
+    """
     doc = {
         **stamp,
         "format_version": SUBSPACE_FORMAT_VERSION,
@@ -169,9 +173,7 @@ def save_subspace(proj: NullProjector, path, **stamp) -> None:
         "ranks": list(proj.ranks),
         "bases": [b.tolist() for b in proj.bases],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_subspace(path) -> tuple:

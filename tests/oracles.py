@@ -5,9 +5,11 @@ or plain LAPACK calls without the package's validation, sign convention or
 noise floor -- so agreement with the library is evidence, not circularity.
 """
 
+import json
+
 import numpy as np
 
-from nullspace_unlearn import linalg, nn
+from nullspace_unlearn import data, linalg, nn, subspace
 from nullspace_unlearn.determinism import PortableRng, derive_seed
 
 
@@ -364,3 +366,75 @@ def blocked_forward(net, batch, block):
     """Logits of every run of `block` rows, each run scored on its own by reference_forward, side by side."""
     x = np.asarray(batch, dtype=np.float64)
     return np.hstack([reference_forward(net, x[i : i + block])[0] for i in range(0, len(x), block)])
+
+
+def json_dump_text(doc):
+    """What json.dump(doc, fh, sort_keys=True, indent=1) plus a newline wrote: every JSON artifact's old writer."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def checkpoint_doc(net):
+    """The document a checkpoint of net holds, weights as nested lists."""
+    return {
+        "format_version": nn.CHECKPOINT_FORMAT_VERSION,
+        "input_shape": list(net.input_shape),
+        "layers": [spec.to_json() for spec in net.specs],
+        "weights": [w.tolist() for w in net.weights],
+        "seed": net.seed,
+        "metadata": net.metadata,
+    }
+
+
+def subspace_doc(proj, **stamp):
+    """The document subspace.json holds for one retained basis and the caller's stamp."""
+    return {
+        **stamp,
+        "format_version": subspace.SUBSPACE_FORMAT_VERSION,
+        "merged_classes": list(proj.merged_classes),
+        "excluded_classes": list(proj.excluded_classes),
+        "epsilons": list(proj.epsilons),
+        "ranks": list(proj.ranks),
+        "bases": [b.tolist() for b in proj.bases],
+    }
+
+
+def csv_text_loop(dataset):
+    """The dataset CSV as the row-at-a-time writer printed it: each float with f"{v:.17g}"."""
+    d = dataset.features.shape[1]
+    lines = [",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n"]
+    for row, label in zip(dataset.features, dataset.labels):
+        lines.append(",".join(f"{v:.17g}" for v in row) + f",{label}\n")
+    return "".join(lines)
+
+
+def load_csv_loop(path, n_classes):
+    """The per-line CSV reader: float() and int() on every field, errors as `path:line`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        cols = header.split(",")
+        if cols[-1] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[:-1])):
+            raise ValueError(f"{path}: malformed header {header!r}")
+        d = len(cols) - 1
+        features = []
+        labels = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != d + 1:
+                raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, found {len(parts)}")
+            try:
+                features.append([float(v) for v in parts[:-1]])
+                label = int(parts[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from None
+            if label < 0 or label >= n_classes:
+                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {n_classes})")
+            labels.append(label)
+    return data.Dataset(
+        features=np.asarray(features, dtype=np.float64).reshape(len(labels), d),
+        labels=np.asarray(labels, dtype=np.int64),
+        n_classes=n_classes,
+        provenance={"source": str(path), "format": "csv"},
+    )

@@ -1,0 +1,216 @@
+"""The artifact writer: bytes equal to json.dump's, atomic replacement, and who opens files to write."""
+
+import ast
+import os
+import pathlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import conv_net, trained_dense_net
+from nullspace_unlearn import artifacts, cli, data, evaluate, nn, subspace
+from nullspace_unlearn.config import load_config
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullspace_unlearn"
+
+
+def toy_shaped_net():
+    """The toy preset's network: 2 -> 192 -> 192 -> 4, about 37 000 weights."""
+    specs = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=2, out_features=192),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=192, out_features=192),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=192, out_features=4),
+    )
+    return nn.init_network(specs, input_shape=(2,), seed=1)
+
+
+def metadata_net():
+    net, _ = trained_dense_net(seed=31, epochs=3)
+    net.metadata.update(
+        note="forget ∅ — café \"quoted\"\n",
+        missing=None,
+        lr=np.float64(0.05),
+        nested={"b": [1, 2.5, None, True, {"z": [float("nan"), -float("inf"), 5e-324]}], "a": [], "c": {}},
+    )
+    return net
+
+
+# ---------------------------------------------------------------------------
+# bytes: the streamed writer against json.dump
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make", [toy_shaped_net, lambda: trained_dense_net(seed=27, epochs=5)[0], lambda: conv_net(seed=29), metadata_net]
+)
+def test_checkpoint_bytes_equal_json_dump(make, tmp_path):
+    net = make()
+    path = tmp_path / "net.json"
+    nn.save_checkpoint(net, path)
+    assert path.read_text(encoding="ascii") == oracles.json_dump_text(oracles.checkpoint_doc(net))
+
+
+def test_subspace_bytes_equal_json_dump(tmp_path):
+    net, sp = trained_dense_net(seed=40)
+    subs = {c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in range(3)}
+    proj = subspace.ProjectorCache(subs, 0.99).for_excluded(0)
+    path = tmp_path / "subspace.json"
+    subspace.save_subspace(proj, path, source_checkpoint_hash="abc123", seed=7)
+    expected = oracles.subspace_doc(proj, source_checkpoint_hash="abc123", seed=7)
+    assert path.read_text(encoding="ascii") == oracles.json_dump_text(expected)
+
+
+def test_contour_record_and_table_equal_the_old_writers(tmp_path):
+    rng = np.random.default_rng(5)
+    alphas = np.linspace(-0.3, 0.3, 5).tolist()
+    betas = np.linspace(-0.3, 0.3, 3).tolist()
+    grid = evaluate.ContourGrid(
+        alphas=alphas, betas=betas, losses=rng.uniform(0.0, 3.0, (5, 3)).tolist(), base_loss=float(rng.uniform())
+    )
+    cfg = load_config()
+    path = tmp_path / "contour.json"
+    cli._write_record({**grid.to_json(), "model": "calibrated"}, path, cfg, "feedbeef")
+    stamp = {"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": "feedbeef"}
+    assert path.read_text(encoding="ascii") == oracles.json_dump_text({**grid.to_json(), "model": "calibrated", **stamp})
+    grid.to_csv(tmp_path / "contour.csv")
+    rows = [f"{a:.17g},{b:.17g},{grid.losses[i][j]:.17g}\n" for i, a in enumerate(alphas) for j, b in enumerate(betas)]
+    assert (tmp_path / "contour.csv").read_text() == "alpha,beta,loss\n" + "".join(rows)
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.floats(), max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_write_json_equals_json_dumps(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    artifacts.write_json(doc, path)
+    assert path.read_bytes() == oracles.json_dump_text(doc).encode("ascii")
+
+
+def test_write_json_spells_keys_and_refuses_what_json_refuses(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"t": (1.0, 2.0), "k": {2: "two", 10: "ten"}, "f": {1.5: None}, "b": {True: 0}, "n": {None: 1}}
+    artifacts.write_json(doc, path)
+    assert path.read_text() == oracles.json_dump_text(doc)
+    for bad in ({"a": np.int64(1)}, {(1, 2): 0}, [object()]):
+        with pytest.raises(TypeError):
+            artifacts.write_json(bad, path)
+
+
+# ---------------------------------------------------------------------------
+# atomic replacement and the returned hash
+# ---------------------------------------------------------------------------
+
+
+def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "artifact.json"
+    artifacts.write_json({"v": 1}, path)
+    before = path.read_bytes()
+
+    def chunks():
+        yield "{\n \"v\": "
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError, match="disk gone"):
+        artifacts.write_atomic(path, chunks())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact.json"]
+
+
+def test_a_checkpoint_that_fails_to_encode_keeps_the_previous_checkpoint(tmp_path):
+    net = toy_shaped_net()
+    path = tmp_path / "original.json"
+    nn.save_checkpoint(net, path)
+    before = path.read_bytes()
+    net.seed = np.int64(3)  # sorted after "metadata": the failure comes after the first chunks
+    with pytest.raises(TypeError):
+        nn.save_checkpoint(net, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["original.json"]
+
+
+def test_writers_return_the_hash_of_the_file_they_wrote(tmp_path):
+    path = tmp_path / "doc.json"
+    assert artifacts.write_json({"a": [0.1, 0.2]}, path) == artifacts.file_hash(path)
+    ds = data.gaussian_mixture([[0.0, 0.0], [3.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]], 40, seed=3)
+    csv = tmp_path / "dataset.csv"
+    assert data.save_csv(ds, csv) == artifacts.file_hash(csv)
+
+
+def test_atomic_writes_keep_the_default_file_mode(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("x")
+    path = tmp_path / "doc.json"
+    artifacts.write_json({}, path)
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+
+def test_save_checkpoint_streams_rather_than_building_the_text(tmp_path):
+    # The toy checkpoint is 990 KB of text.  Its weights as nested lists take
+    # about 1.2 MiB, as they did for json.dump; holding the whole text as
+    # one string on top of that would pass 2 MiB.
+    net = toy_shaped_net()
+    path = tmp_path / "original.json"
+    nn.save_checkpoint(net, path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        nn.save_checkpoint(net, path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, f"peak traced memory {peak / 2**20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# tooling: every file the package writes goes through write_atomic
+# ---------------------------------------------------------------------------
+
+
+def _opens_for_writing(tree):
+    """Line numbers of calls that open a file for writing: open(.., mode with w/a/x/+), os.open, write_text/bytes."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name in ("write_text", "write_bytes") or (name == "open" and isinstance(func, ast.Attribute)):
+            yield node.lineno
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")):
+                yield node.lineno
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    found = {
+        (path.name, line)
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _opens_for_writing(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    writer = ast.parse((SRC / "artifacts.py").read_text(encoding="utf-8"))
+    helper = next(n for n in writer.body if isinstance(n, ast.FunctionDef) and n.name == "write_atomic")
+    assert found and all(name == "artifacts.py" and helper.lineno <= line <= helper.end_lineno for name, line in found)
+
+
+def test_the_tooling_check_sees_a_plain_write():
+    tree = ast.parse('with open(p, "w") as fh:\n    pass\nopen(p, mode="ab")\nopen(p)\nopen(p, "rb")\nq.write_text("x")\n')
+    assert sorted(_opens_for_writing(tree)) == [1, 3, 6]

@@ -16,6 +16,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import data, evaluate, nn, subspace, unlearn
 from .artifacts import file_hash as _file_hash
@@ -113,9 +114,7 @@ def train_retrain(cfg: RunConfig, sp: data.Splits) -> nn.Network:
     d_r = sp.d_r
     val = sp.val_remaining if len(sp.val_remaining) else d_r
     schedule = cfg.train_schedule(n_train=len(d_r), tag="retrain")
-    return unlearn.retrain(
-        d_r, val, cfg.layer_specs(), cfg.input_shape, schedule, seed=cfg.seed_for("retrain-init")
-    )
+    return nn.train(cfg.init_net("retrain-init"), d_r, val, schedule)
 
 
 def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) -> tuple:
@@ -176,10 +175,7 @@ def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict) -> dict:
     member, nonmember = cfg.mia_holdouts(sp)
     for name in ("original", "retrain", "calibrated"):
         if name in nets:
-            report["mia"][name] = evaluate.mia(
-                nets[name], sp.d_u, member, nonmember,
-                member_source="remaining-train", nonmember_source="remaining-test",
-            ).to_json()
+            report["mia"][name] = evaluate.mia(nets[name], sp.d_u, member, nonmember).to_json()
     if "retrain" in nets:
         labeled = unlearn.pseudo_label_set(nets["original"], sp.d_u, sp.unlearn_classes)
         report["agreement"] = evaluate.pseudo_label_agreement(labeled, nets["retrain"]).to_json()
@@ -197,9 +193,16 @@ def _fail(kind: str, code: int, message: str):
 
 
 def _guarded(fn):
+    """Run a step with numpy's floating-point warnings off, mapping its errors to exit codes.
+
+    stderr then holds only the one-line JSON error; the package's own
+    finiteness checks still raise NumericError.
+    """
+
     def run(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return fn(*args, **kwargs)
         except FileNotFoundError as exc:
             _fail("missing-artifact", EXIT_MISSING_ARTIFACT, exc)
         except ConfigError as exc:

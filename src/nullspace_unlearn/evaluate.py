@@ -6,7 +6,7 @@ JSON-native types, so the CLI can serialize artifacts byte-stably.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,12 +27,7 @@ class UtilityReport:
     loss_remaining: float
 
     def to_json(self) -> dict:
-        return {
-            "acc_remaining_test": self.acc_remaining_test,
-            "acc_unlearn_test": self.acc_unlearn_test,
-            "per_class_acc": self.per_class_acc,
-            "loss_remaining": self.loss_remaining,
-        }
+        return asdict(self)
 
 
 def utility(net: nn.Network, test_remaining, test_unlearn=None) -> UtilityReport:
@@ -84,25 +79,18 @@ class MiaReport:
     member_confidence_mean: float
     nonmember_confidence_mean: float
     unlearn_confidence_mean: float
-    member_source: str
-    nonmember_source: str
+    member_source: str = "remaining-train"
+    nonmember_source: str = "remaining-test"
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 def _max_confidence(net: nn.Network, features) -> np.ndarray:
     return nn.predict_proba(net, features).max(axis=0)
 
 
-def mia(
-    net: nn.Network,
-    d_u,
-    member_holdout,
-    nonmember_holdout,
-    member_source: str = "remaining-train",
-    nonmember_source: str = "remaining-test",
-) -> MiaReport:
+def mia(net: nn.Network, d_u, member_holdout, nonmember_holdout) -> MiaReport:
     """Fit a max-softmax threshold separating members from non-members, then attack d_u.
 
     The holdouts are balanced by truncation to the shorter length (leading
@@ -138,8 +126,6 @@ def mia(
         member_confidence_mean=float(conf_m.mean()),
         nonmember_confidence_mean=float(conf_n.mean()),
         unlearn_confidence_mean=float(conf_u.mean()),
-        member_source=member_source,
-        nonmember_source=nonmember_source,
     )
 
 
@@ -158,12 +144,7 @@ class AuditReport:
         return abs(self.loss_remaining_unlearned - self.loss_remaining_original)
 
     def to_json(self) -> dict:
-        return {
-            "per_layer_residual": self.per_layer_residual,
-            "loss_remaining_original": self.loss_remaining_original,
-            "loss_remaining_unlearned": self.loss_remaining_unlearned,
-            "loss_delta": self.loss_delta,
-        }
+        return {**asdict(self), "loss_delta": self.loss_delta}
 
 
 def orthogonality_audit(
@@ -216,12 +197,7 @@ class ContourGrid:
     base_loss: float
 
     def to_json(self) -> dict:
-        return {
-            "alphas": self.alphas,
-            "betas": self.betas,
-            "losses": self.losses,
-            "base_loss": self.base_loss,
-        }
+        return asdict(self)
 
     def to_csv(self, path) -> None:
         lines = (
@@ -317,7 +293,7 @@ class AgreementReport:
     retrain_histogram: list
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 def pseudo_label_agreement(labeled, net_r: nn.Network) -> AgreementReport:

@@ -18,11 +18,11 @@ Layout conventions, used everywhere in this module:
 
 from __future__ import annotations
 
+import contextvars
 import copy as _copy
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
@@ -84,13 +84,9 @@ class LayerSpec:
             )
         return d
 
-    @staticmethod
-    def from_json(d: dict) -> "LayerSpec":
-        return LayerSpec(**d)
-
 
 def _plan_shapes(specs, input_shape):
-    """Per-layer input form, validating the chain.  Forms: ("flat", d) or ("image", (c, h, w))."""
+    """Per-layer (input form, output form), validating the chain.  Forms: ("flat", d) or ("image", (c, h, w))."""
     if len(input_shape) == 1:
         form = ("flat", int(input_shape[0]))
     elif len(input_shape) == 3:
@@ -105,8 +101,7 @@ def _plan_shapes(specs, input_shape):
                 raise ValueError(
                     f"layer {i}: dense expects {spec.in_features} input features, chain provides {flat}"
                 )
-            plan.append(("dense", form))
-            form = ("flat", spec.out_features)
+            out = ("flat", spec.out_features)
         else:
             if form[0] != "image":
                 raise ValueError(f"layer {i}: conv layer needs an image input, chain provides flat")
@@ -121,9 +116,10 @@ def _plan_shapes(specs, input_shape):
                 )
             ho = (h - spec.kernel_size) // spec.stride + 1
             wo = (w - spec.kernel_size) // spec.stride + 1
-            plan.append(("conv", form))
-            form = ("image", (spec.out_channels, ho, wo))
-    return plan, form
+            out = ("image", (spec.out_channels, ho, wo))
+        plan.append((form, out))
+        form = out
+    return plan
 
 
 @dataclass
@@ -144,8 +140,7 @@ class Network:
         last = self.specs[-1]
         if last.kind != "dense" or last.activation != "identity":
             raise ValueError("final layer must be dense with identity activation (the logit head)")
-        plan, out = _plan_shapes(self.specs, self.input_shape)
-        self._plan = plan
+        self._plan = _plan_shapes(self.specs, self.input_shape)
         if len(self.weights) != len(self.specs):
             raise ValueError("one weight matrix per layer required")
         self.weights = [as_matrix(w, f"layer {i} weights") for i, w in enumerate(self.weights)]
@@ -274,17 +269,12 @@ def _batch_matrix(net: Network, batch) -> np.ndarray:
     return x
 
 
-def _check_logits(logits: np.ndarray) -> None:
-    if not np.isfinite(logits).all():
-        raise NumericError("forward pass produced non-finite logits")
-
-
 def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
     """Run every layer on a checked batch x; return (logits, aug_inputs, preacts) in column form.
 
-    Without buffers every array is fresh, and each layer's augmented input
-    and, for a conv layer, its pre-activation (None for a dense layer) are
-    kept.  With buffers, two flat arrays of at least (widest hidden dense
+    Non-finite logits raise NumericError.  Without buffers every array is
+    fresh, and each layer's augmented input and, for a conv layer, its
+    pre-activation (None for a dense layer) are kept.  With buffers, two flat arrays of at least (widest hidden dense
     layer + 1) x samples entries, hidden dense layer li writes into the
     front of buffers[li % 2], the logit head writes into `out`, and both
     lists come back empty.  A hidden dense layer writes W @ aug straight
@@ -322,37 +312,21 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
             if record:
                 aug_inputs.append(patches)
                 preacts.append(z_cols)
-            c, h, w = net._plan[li][1][1]
-            ho = (h - spec.kernel_size) // spec.stride + 1
-            wo = (w - spec.kernel_size) // spec.stride + 1
-            maps_out = z_cols.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
+            o, ho, wo = net._plan[li][1][1]
+            maps_out = z_cols.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
             current = _activate(maps_out, spec.activation)
+    if not np.isfinite(current).all():
+        raise NumericError("forward pass produced non-finite logits")
     return current, aug_inputs, preacts
-
-
-def _forward_pass(net: Network, x: np.ndarray):
-    """Run the network on a checked batch x all at once, keeping every layer's inputs (see _layers)."""
-    logits, aug_inputs, preacts = _layers(net, x)
-    _check_logits(logits)
-    return logits, aug_inputs, preacts
 
 
 # Rows per scoring block, a multiple of 8.  The block layout depends only on
 # the row count, so logits come out the same bits whatever the worker count.
 SCORE_BLOCK = 512
-# Scoring threads: one per core this process may run on.
+# Scoring threads: one per core this process may run on.  The executor
+# starts a thread only when a job is submitted, so importing nn starts none.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _score_pool() -> ThreadPoolExecutor:
-    """The scoring thread pool, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="nn-score")
-        return _pool
+_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="nn-score")
 
 
 def _score_blocks(net: Network, x: np.ndarray, logits: np.ndarray, starts) -> None:
@@ -376,26 +350,30 @@ def forward(net: Network, batch, record: bool = False):
     in blocks of SCORE_BLOCK, spread over one thread per core in the
     process's CPU affinity set; each thread reuses two buffers for the
     hidden dense layers of its blocks and writes their logits straight into
-    the result.  A batch of one block or less stays on the calling thread.
-    Blocks depend only on the row count, so the logits are the same bits
-    for any number of threads.  Against one product over every row, BLAS
-    may round a block's last few columns differently (by about 1e-16).
+    the result.  A batch of one block or less stays on the calling thread;
+    the pool starts its threads at the first batch of more than one block,
+    and each scores under the caller's numpy error state.  Each block's
+    logits are checked for non-finite values.  Blocks depend only on the
+    row count, so the logits are the same bits for any number of threads.
+    Against one product over every row, BLAS may round a block's last few
+    columns differently (by about 1e-16).
     """
     x = _batch_matrix(net, batch)
     if record:
-        logits, aug_inputs, _ = _forward_pass(net, x)
+        logits, aug_inputs, _ = _layers(net, x)
         return logits, ActivationTrace(per_layer=aug_inputs)
     logits = np.empty((net.n_classes, x.shape[0]))
     starts = range(0, x.shape[0], SCORE_BLOCK)
     workers = min(_WORKERS, len(starts))
     if workers <= 1:
         _score_blocks(net, x, logits, starts)
-    else:
-        pool = _score_pool()
-        jobs = [pool.submit(_score_blocks, net, x, logits, starts[w::workers]) for w in range(workers)]
+    else:  # a copy of the caller's context carries its np.errstate to the thread
+        jobs = [
+            _pool.submit(contextvars.copy_context().run, _score_blocks, net, x, logits, starts[w::workers])
+            for w in range(workers)
+        ]
         for job in jobs:
             job.result()
-    _check_logits(logits)
     return logits, None
 
 
@@ -454,7 +432,7 @@ def loss_and_grads(net: Network, batch, labels, project=None):
         raise ValueError("empty batch")
     if (y < 0).any() or (y >= net.n_classes).any():
         raise ValueError(f"labels must lie in [0, {net.n_classes})")
-    logits, aug_inputs, preacts = _forward_pass(net, x)
+    logits, aug_inputs, preacts = _layers(net, x)
     loss = cross_entropy(logits, y)
     if not math.isfinite(loss):
         raise NumericError("loss is non-finite")
@@ -467,7 +445,7 @@ def loss_and_grads(net: Network, batch, labels, project=None):
     # Subgradient at exactly 0 is taken as 0 for relu.
     for li in range(len(net.specs) - 1, -1, -1):
         spec = net.specs[li]
-        kind, form = net._plan[li]
+        form = net._plan[li][0]
         if spec.kind == "dense":
             dz = delta
             if spec.activation == "relu":  # never the head, so layer li + 1 is dense
@@ -480,19 +458,15 @@ def loss_and_grads(net: Network, batch, labels, project=None):
                 back = back.T.reshape((n,) + form[1])
             delta = back
         else:
-            c, h, w = form[1]
-            k, st = spec.kernel_size, spec.stride
-            ho = (h - k) // st + 1
-            wo = (w - k) // st + 1
             # delta arrives as maps (n, O, ho, wo); apply activation mask there.
-            dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, n * ho * wo)
+            dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
             if spec.activation == "relu":
                 dz_cols *= preacts[li] > 0.0
             grads[li] = _weight_grad(li, dz_cols, aug_inputs[li], project)
             if li == 0:
                 break
             back_cols = (net.weights[li].T @ dz_cols)[:-1]
-            delta = _scatter_patches(back_cols, (c, h, w), n, k, st)
+            delta = _scatter_patches(back_cols, form[1], n, spec.kernel_size, spec.stride)
     return loss, GradientSet(per_layer=grads, logits=logits)
 
 
@@ -520,6 +494,16 @@ def mean_loss(net: Network, features, labels) -> float:
     return cross_entropy(logits, np.asarray(labels, dtype=np.int64))
 
 
+def check_sgd(lr: float, epochs: int, batch_size: int) -> None:
+    """The SGD settings every run takes: lr finite and >= 0, epochs >= 0, batch_size >= 1."""
+    if lr < 0.0 or not math.isfinite(lr):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+
+
 @dataclass(frozen=True)
 class TrainSchedule:
     """SGD hyperparameters.  milestones are 1-based epochs whose start multiplies lr by gamma."""
@@ -534,12 +518,7 @@ class TrainSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "milestones", tuple(self.milestones))
-        if self.lr < 0.0 or not math.isfinite(self.lr):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_sgd(self.lr, self.epochs, self.batch_size)
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 or None")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
@@ -632,7 +611,7 @@ def load_checkpoint(path) -> Network:
         raise ValueError(
             f"unsupported checkpoint format_version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    specs = tuple(LayerSpec.from_json(d) for d in doc["layers"])
+    specs = tuple(LayerSpec(**d) for d in doc["layers"])
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     return Network(
         specs=specs,

@@ -61,12 +61,7 @@ class UnlearnPlan:
             raise ValueError(f"unknown labeling {self.labeling!r}; expected one of {_LABELINGS}")
         if self.ascend and self.labeling != "keep":
             raise ValueError("gradient ascent only makes sense on the kept labels")
-        if self.lr < 0.0 or not math.isfinite(self.lr):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        nn.check_sgd(self.lr, self.epochs, self.batch_size)
 
     def describe(self) -> str:
         parts = [self.labeling]
@@ -254,15 +249,17 @@ def calibrated_unlearn(net_o: nn.Network, d_u, cache: ProjectorCache, plan: Unle
 def baseline_unlearn(
     net_o: nn.Network, d_u, plan: UnlearnPlan, cache: ProjectorCache | None = None
 ) -> UnlearnResult:
-    """Any labeling/projection/ascent combination the plan validates; every `VARIANTS` entry runs here."""
+    """Any labeling/projection/ascent combination the plan validates; every `VARIANTS` entry runs here.
+
+    A projected plan with epochs to run is refused when the basis spans
+    every layer's input: each projected step would be zero.
+    """
     if plan.use_null_space and cache is None:
         raise ValueError("plan requests null-space projection but no projector cache was supplied")
-    labeled = _label_for_plan(net_o, d_u, plan)
     projector = cache.for_excluded(*plan.unlearn_classes) if plan.use_null_space else None
-    return _finetune(net_o, labeled, projector, plan)
-
-
-def retrain(d_r_train, d_r_val, specs, input_shape, schedule: nn.TrainSchedule, seed: int) -> nn.Network:
-    """Reference model: fresh seeded initialization trained on the remaining data only."""
-    fresh = nn.init_network(specs, input_shape, seed=seed)
-    return nn.train(fresh, d_r_train, d_r_val, schedule)
+    if projector is not None and plan.epochs > 0 and all(b.shape[1] >= b.shape[0] for b in projector.bases):
+        raise ValueError(
+            f"the retained basis spans every layer's input (ranks {list(projector.ranks)}), "
+            "so no projected step can move the weights"
+        )
+    return _finetune(net_o, _label_for_plan(net_o, d_u, plan), projector, plan)

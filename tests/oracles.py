@@ -227,7 +227,7 @@ def reference_forward(net, batch):
             patches = nn.extract_patches(current, spec.kernel_size, spec.stride)
             aug = np.vstack([patches, np.ones((1, patches.shape[1]))])
             z = net.weights[li] @ aug
-            c, h, w = net._plan[li][1][1]
+            c, h, w = net._plan[li][0][1]
             ho = (h - spec.kernel_size) // spec.stride + 1
             wo = (w - spec.kernel_size) // spec.stride + 1
             maps = z.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
@@ -256,7 +256,7 @@ def reference_loss_and_grads(net, batch, labels):
     grads = [None] * len(net.specs)
     for li in range(len(net.specs) - 1, -1, -1):
         spec = net.specs[li]
-        form = net._plan[li][1]
+        form = net._plan[li][0]
         mask = (preacts[li] > 0.0).astype(np.float64) if spec.activation == "relu" else None
         if spec.kind == "dense":
             dz = delta if mask is None else delta * mask

@@ -1,6 +1,9 @@
 """Command-line pipeline: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -474,3 +477,41 @@ def test_bad_config_file_exits_3(env, tmp_path):
     assert result.exit_code == cli.EXIT_VALIDATION
     assert "network.input_shape" in stderr_error(result)["message"]
     assert "data.means" in stderr_error(result)["message"]
+
+
+def test_a_projected_unlearn_that_cannot_move_the_weights_exits_3(tmp_path):
+    # One dense 2->3 head: at epsilon 1 its basis spans its 3-D augmented input.
+    head = {"kind": "dense", "activation": "identity", "in_features": 2, "out_features": 3}
+    doc = dict(MINI_CONFIG, network={"input_shape": [2], "layers": [head]},
+               subspace=dict(MINI_CONFIG["subspace"], epsilon=1.0))
+    cfg_path = tmp_path / "head.json"
+    cfg_path.write_text(json.dumps(doc))
+    runner, workdir = CliRunner(), str(tmp_path / "work")
+    for step in ("gen-data", "train", "subspace"):
+        assert run(runner, str(cfg_path), workdir, step).exit_code == 0
+    assert json.loads((tmp_path / "work" / "subspace.json").read_text())["ranks"] == [3]
+    result = run(runner, str(cfg_path), workdir, "unlearn")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    error = stderr_error(result)
+    assert error["error"] == "validation" and "ranks [3]" in error["message"]
+    assert not (tmp_path / "work" / "unlearned_calibrated.json").exists()
+    # An unprojected variant still trains.
+    assert run(runner, str(cfg_path), workdir, "unlearn", "--variant", "random-label").exit_code == 0
+
+
+def test_numeric_failure_keeps_stderr_to_one_json_line(env):
+    # In a process of its own, as a user runs it, so numpy's warnings would reach stderr.
+    runner, cfg_path, workdir = env
+    sgd = ("--set", "unlearn.lr=1e15", "--set", "unlearn.batch_size=1")
+    for step in ("gen-data", "train"):
+        assert run(runner, cfg_path, workdir, *sgd, step).exit_code == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullspace_unlearn.cli", "--config", cfg_path, "--workdir", workdir,
+         *sgd, "unlearn", "--variant", "gradient-ascent"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERIC
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "numeric"

@@ -42,6 +42,10 @@ _HEAD_3_CLASSES = ('network.layers=[{"kind": "dense", "activation": "relu", "in_
 @pytest.mark.parametrize("overrides, message", [
     (["train.batch_size=0"], "train: batch_size must be >= 1"),
     (["unlearn.batch_size=0"], "unlearn: batch_size must be >= 1"),
+    (["train.lr=-1"], "train: lr must be finite and >= 0, got -1"),
+    (["unlearn.lr=-1"], "unlearn: lr must be finite and >= 0, got -1"),
+    (["train.epochs=-1"], "train: epochs must be >= 0"),
+    (["unlearn.epochs=-1"], "unlearn: epochs must be >= 0"),
     (["train.gamma=-1"], "train: gamma must be finite and > 0"),
     (["split.val_fraction=0.5"], "split: split fractions must sum to 1"),
     (["split.unlearn_classes=[]"], "split.unlearn_classes must name at least one class"),

@@ -172,8 +172,8 @@ def test_mia_validation(fitted):
 
 def test_mia_sources_recorded(fitted):
     net, sp = fitted
-    rep = evaluate.mia(net, sp.d_u, sp.d_r, sp.test_remaining, member_source="a", nonmember_source="b")
-    assert rep.member_source == "a" and rep.nonmember_source == "b"
+    rep = evaluate.mia(net, sp.d_u, sp.d_r, sp.test_remaining).to_json()
+    assert rep["member_source"] == "remaining-train" and rep["nonmember_source"] == "remaining-test"
 
 
 # ---------------------------------------------------------------------------

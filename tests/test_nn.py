@@ -4,6 +4,8 @@ import hashlib
 import sys
 import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -171,10 +173,11 @@ def test_worker_count_does_not_change_the_bits(monkeypatch):
         assert sorted(sum(shares, [])) == list(range(0, len(x), _B))
     assert out[1] == out[3]
 
-    def no_pool():
-        raise AssertionError("a batch of one block used the pool")
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a batch of one block used the pool")
 
-    monkeypatch.setattr(nn, "_score_pool", no_pool)
+    monkeypatch.setattr(nn, "_pool", NoPool())
     nn.forward(net, x[:_B])
 
 
@@ -185,7 +188,8 @@ def test_more_scoring_threads_than_cores_fill_every_column(monkeypatch):
     x = np.random.default_rng(5).standard_normal((9 * _B + 3, width))
     expect = oracles.blocked_forward(net, x, _B).tobytes()
     monkeypatch.setattr(nn, "_WORKERS", nn._WORKERS + 3)
-    monkeypatch.setattr(nn, "_pool", None)
+    pool = ThreadPoolExecutor(max_workers=nn._WORKERS, thread_name_prefix="nn-score-test")
+    monkeypatch.setattr(nn, "_pool", pool)
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -196,8 +200,7 @@ def test_more_scoring_threads_than_cores_fill_every_column(monkeypatch):
         assert not runner.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        if nn._pool is not None:
-            nn._pool.shutdown(wait=True)
+        pool.shutdown(wait=True)
     assert got == [expect] * 20
 
 
@@ -211,6 +214,22 @@ def test_non_finite_logit_in_the_last_block_raises():
     assert np.isfinite(nn.forward(net, x[:-1])[0]).all()
     with pytest.raises(linalg.NumericError, match="non-finite logits"):
         nn.forward(net, x)
+
+
+def test_scoring_threads_keep_the_callers_error_state(monkeypatch):
+    # The overflowing row lies in a block that a pool thread scores; with the
+    # caller's warnings off, it must raise NumericError, not RuntimeWarning.
+    specs = dense_specs()
+    weights = [np.full(specs[0].weight_shape(), 1e300), dense_net(seed=1).weights[1]]
+    net = nn.Network(specs=specs, weights=weights, input_shape=(4,))
+    x = np.random.default_rng(4).uniform(0.0, 1.0, size=(2 * _B + 5, 4))
+    x[-1] = 1e10
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(linalg.NumericError, match="non-finite logits"):
+                nn.forward(net, x)
 
 
 def test_forward_rejects_wrong_width():

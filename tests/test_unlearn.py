@@ -483,7 +483,7 @@ def test_random_label_baseline_runs_without_projection(fitted):
 def test_retrain_starts_fresh_and_fits_remaining(fitted):
     net, sp, _ = fitted
     schedule = nn.TrainSchedule(lr=0.2, epochs=60, batch_size=16, patience=None, seed=7)
-    net_r = unlearn.retrain(sp.d_r, sp.val_remaining, dense_specs(), (4,), schedule, seed=123)
+    net_r = nn.train(nn.init_network(dense_specs(), (4,), seed=123), sp.d_r, sp.val_remaining, schedule)
     rem = sp.test_remaining
     assert nn.accuracy(net_r, rem.features, rem.labels) >= 0.9
     # The fresh initialization owes nothing to the original weights.

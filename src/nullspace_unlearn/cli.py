@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -30,15 +31,6 @@ EXIT_NUMERIC = 4
 
 # Model name -> checkpoint file stem under the workdir.
 _CHECKPOINTS = {"original": "original", "retrain": "retrain", **{v: f"unlearned_{v}" for v in unlearn.VARIANTS}}
-
-
-class MissingArtifact(FileNotFoundError):
-    """A subcommand's upstream artifact is absent.
-
-    Every `FileNotFoundError` exits 2, so a step that opens its inputs needs
-    no existence checks; raise this where a step finds an input missing
-    without opening it.
-    """
 
 
 def _write_record(doc: dict, path, cfg: RunConfig, data_hash: str) -> None:
@@ -171,14 +163,14 @@ def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict) -> dict:
     """
     report = {"utility": {}, "mia": {}, "agreement": None}
     for name, net in nets.items():
-        report["utility"][name] = evaluate.utility(net, sp.test_remaining, sp.test_unlearn).to_json()
+        report["utility"][name] = asdict(evaluate.utility(net, sp.test_remaining, sp.test_unlearn))
     member, nonmember = cfg.mia_holdouts(sp)
     for name in ("original", "retrain", "calibrated"):
         if name in nets:
-            report["mia"][name] = evaluate.mia(nets[name], sp.d_u, member, nonmember).to_json()
+            report["mia"][name] = asdict(evaluate.mia(nets[name], sp.d_u, member, nonmember))
     if "retrain" in nets:
         labeled = unlearn.pseudo_label_set(nets["original"], sp.d_u, sp.unlearn_classes)
-        report["agreement"] = evaluate.pseudo_label_agreement(labeled, nets["retrain"]).to_json()
+        report["agreement"] = asdict(evaluate.pseudo_label_agreement(labeled, nets["retrain"]))
     return report
 
 
@@ -205,8 +197,6 @@ def _guarded(fn):
                 return fn(*args, **kwargs)
         except FileNotFoundError as exc:
             _fail("missing-artifact", EXIT_MISSING_ARTIFACT, exc)
-        except ConfigError as exc:
-            _fail("validation", EXIT_VALIDATION, exc)
         except NumericError as exc:
             _fail("numeric", EXIT_NUMERIC, exc)
         except (ValueError, KeyError, OSError) as exc:
@@ -350,7 +340,7 @@ def contour_cmd(ctx, model):
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))
     grid.to_csv(os.path.join(workdir, "contour.csv"))
-    _write_record({**grid.to_json(), "model": model}, os.path.join(workdir, "contour.json"), cfg, data_hash)
+    _write_record({**asdict(grid), "model": model}, os.path.join(workdir, "contour.json"), cfg, data_hash)
     click.echo(json.dumps({"grid": os.path.join(workdir, "contour.csv"), "base_loss": grid.base_loss}))
 
 
@@ -373,7 +363,7 @@ def ablate_cmd(ctx):
     projects = any(cfg.unlearn_plan(v).use_null_space for v in missing)
     basis = _load_basis(cfg, workdir, data_hash) if projects else None
     if "retrain" not in nets:
-        raise MissingArtifact(f"retrain checkpoint not found: {checkpoint_path(workdir, 'retrain')}")
+        raise FileNotFoundError(f"retrain checkpoint not found: {checkpoint_path(workdir, 'retrain')}")
     for variant in missing:
         nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, basis, variant).network
     rows = []
@@ -404,7 +394,7 @@ def report_cmd(ctx):
             sections[name] = doc
             hashes[name] = (doc.get("config_hash"), doc.get("data_hash"))
     if not sections:
-        raise MissingArtifact(f"no evaluate/ablation/contour artifacts under {workdir}")
+        raise FileNotFoundError(f"no evaluate/ablation/contour artifacts under {workdir}")
     distinct = set(hashes.values())
     if len(distinct) > 1:
         raise ConfigError(f"artifacts disagree on config/data hashes: {sorted(hashes.items())}")

@@ -1,12 +1,12 @@
 """Evaluation suite: utility, membership inference, orthogonality audit, loss contours.
 
-Every report here is a plain dataclass with a to_json() that emits only
-JSON-native types, so the CLI can serialize artifacts byte-stably.
+Every report here is a plain dataclass of JSON-native fields, so the CLI
+writes `dataclasses.asdict(report)` as its artifact record byte-stably.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ class UtilityReport:
     acc_unlearn_test: float | None
     per_class_acc: list
     loss_remaining: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def utility(net: nn.Network, test_remaining, test_unlearn=None) -> UtilityReport:
@@ -81,9 +78,6 @@ class MiaReport:
     unlearn_confidence_mean: float
     member_source: str = "remaining-train"
     nonmember_source: str = "remaining-test"
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _max_confidence(net: nn.Network, features) -> np.ndarray:
@@ -143,9 +137,6 @@ class AuditReport:
             return None
         return abs(self.loss_remaining_unlearned - self.loss_remaining_original)
 
-    def to_json(self) -> dict:
-        return {**asdict(self), "loss_delta": self.loss_delta}
-
 
 def orthogonality_audit(
     net_o: nn.Network,
@@ -195,9 +186,6 @@ class ContourGrid:
     betas: list
     losses: list  # losses[i][j] at (alphas[i], betas[j])
     base_loss: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     def to_csv(self, path) -> None:
         lines = (
@@ -291,9 +279,6 @@ class AgreementReport:
     agreement: float
     pseudo_histogram: list
     retrain_histogram: list
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def pseudo_label_agreement(labeled, net_r: nn.Network) -> AgreementReport:

@@ -24,7 +24,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -152,13 +152,7 @@ class Network:
         self.n_classes = self.specs[-1].out_features
 
     def copy(self) -> "Network":
-        return Network(
-            specs=self.specs,
-            weights=[w.copy() for w in self.weights],
-            input_shape=self.input_shape,
-            seed=self.seed,
-            metadata=_copy.deepcopy(self.metadata),
-        )
+        return replace(self, weights=[w.copy() for w in self.weights], metadata=_copy.deepcopy(self.metadata))
 
 
 def init_network(specs, input_shape, seed: int) -> Network:
@@ -206,8 +200,7 @@ def extract_patches(feature_map, kernel_size: int, stride: int = 1) -> np.ndarra
     rearrangement of the input.
     """
     maps = np.asarray(feature_map, dtype=np.float64)
-    single = maps.ndim == 3
-    if single:
+    if maps.ndim == 3:
         maps = maps[np.newaxis]
     if maps.ndim != 4:
         raise ValueError(f"feature map must be (c,h,w) or (n,c,h,w), got shape {maps.shape}")
@@ -217,23 +210,15 @@ def extract_patches(feature_map, kernel_size: int, stride: int = 1) -> np.ndarra
         raise ValueError("kernel_size and stride must be >= 1")
     if k > h or k > w:
         raise ValueError(f"kernel {k} does not fit input {h}x{w}")
-    ho = (h - k) // st + 1
-    wo = (w - k) // st + 1
-    cols = np.empty((c, k, k, n, ho, wo))
-    for kh in range(k):
-        for kw in range(k):
-            cols[:, kh, kw] = maps[:, :, kh : kh + st * ho : st, kw : kw + st * wo : st].transpose(
-                1, 0, 2, 3
-            )
-    return cols.reshape(c * k * k, n * ho * wo)
+    # (n, c, ho, wo, k, k): a read-only view of maps, copied once by the reshape
+    windows = np.lib.stride_tricks.sliding_window_view(maps, (k, k), axis=(2, 3))[:, :, ::st, ::st]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
 
 
-def _scatter_patches(cols: np.ndarray, image_shape, n: int, kernel_size: int, stride: int) -> np.ndarray:
-    """Adjoint of extract_patches: scatter-add patch columns back onto maps."""
-    c, h, w = image_shape
+def _scatter_patches(cols: np.ndarray, shapes, n: int, kernel_size: int, stride: int) -> np.ndarray:
+    """Adjoint of extract_patches onto n maps; `shapes` is the layer's `Network._plan` entry."""
+    (_, (c, h, w)), (_, (_, ho, wo)) = shapes
     k, st = kernel_size, stride
-    ho = (h - k) // st + 1
-    wo = (w - k) // st + 1
     blocks = cols.reshape(c, k, k, n, ho, wo)
     out = np.zeros((n, c, h, w))
     for kh in range(k):
@@ -255,17 +240,9 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 def _batch_matrix(net: Network, batch) -> np.ndarray:
     """The batch as a finite (samples, features) matrix as wide as the network's input."""
     x = as_matrix(batch, "batch")
-    if len(net.input_shape) == 1:
-        if x.shape[1] != net.input_shape[0]:
-            raise ValueError(
-                f"batch has {x.shape[1]} features, network expects {net.input_shape[0]}"
-            )
-    else:
-        c, h, w = net.input_shape
-        if x.shape[1] != c * h * w:
-            raise ValueError(
-                f"batch has {x.shape[1]} features, network expects {c}x{h}x{w}={c * h * w}"
-            )
+    width = math.prod(net.input_shape)
+    if x.shape[1] != width:
+        raise ValueError(f"batch has {x.shape[1]} features, network expects {width}")
     return x
 
 
@@ -466,7 +443,7 @@ def loss_and_grads(net: Network, batch, labels, project=None):
             if li == 0:
                 break
             back_cols = (net.weights[li].T @ dz_cols)[:-1]
-            delta = _scatter_patches(back_cols, form[1], n, spec.kernel_size, spec.stride)
+            delta = _scatter_patches(back_cols, net._plan[li], n, spec.kernel_size, spec.stride)
     return loss, GradientSet(per_layer=grads, logits=logits)
 
 

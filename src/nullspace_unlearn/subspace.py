@@ -15,7 +15,7 @@ against each other as it would their factors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class NullProjector:
     def __post_init__(self):
         self.merged_classes = tuple(sorted(int(c) for c in self.merged_classes))
         self.excluded_classes = tuple(sorted(int(c) for c in self.excluded_classes))
+        self.epsilons = tuple(self.epsilons)
         self.bases = [as_matrix(b, f"layer {i} retained basis") for i, b in enumerate(self.bases)]
         self.ranks = tuple(self.ranks)
         if self.ranks != tuple(b.shape[1] for b in self.bases):
@@ -164,16 +165,9 @@ def save_subspace(proj: NullProjector, path, **stamp) -> None:
 
     Arrays round-trip bit-exactly.
     """
-    doc = {
-        **stamp,
-        "format_version": SUBSPACE_FORMAT_VERSION,
-        "merged_classes": list(proj.merged_classes),
-        "excluded_classes": list(proj.excluded_classes),
-        "epsilons": list(proj.epsilons),
-        "ranks": list(proj.ranks),
-        "bases": [b.tolist() for b in proj.bases],
-    }
-    write_json(doc, path)
+    doc = {f.name: getattr(proj, f.name) for f in fields(proj)}
+    doc["bases"] = [b.tolist() for b in proj.bases]
+    write_json({**stamp, "format_version": SUBSPACE_FORMAT_VERSION, **doc}, path)
 
 
 def load_subspace(path) -> tuple:
@@ -183,11 +177,5 @@ def load_subspace(path) -> tuple:
     version = doc.pop("format_version", None)
     if version != SUBSPACE_FORMAT_VERSION:
         raise ValueError(f"unsupported subspace format_version {version!r}, expected {SUBSPACE_FORMAT_VERSION}")
-    proj = NullProjector(
-        merged_classes=doc.pop("merged_classes"),
-        excluded_classes=doc.pop("excluded_classes"),
-        epsilons=tuple(doc.pop("epsilons")),
-        bases=doc.pop("bases"),
-        ranks=doc.pop("ranks"),
-    )
+    proj = NullProjector(**{f.name: doc.pop(f.name) for f in fields(NullProjector)})
     return proj, doc

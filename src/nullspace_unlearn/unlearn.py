@@ -179,10 +179,11 @@ def _finetune(
     so a projected run forwards the forget set through them once and
     fine-tunes the layers after them, which share the returned network's
     weight arrays: no step forwards, back-propagates into or projects a
-    frozen layer.  Ascent stops after the first epoch whose mean loss
-    exceeds log(n_classes), the loss of a uniform guess: the model then
-    does worse than chance on the forget set, and further ascent only
-    inflates the weights until they overflow.
+    frozen layer.  Ascent stops after the first step at which the epoch's
+    running mean loss exceeds log(n_classes), the loss of a uniform guess:
+    the model then does worse than chance on the forget set, and further
+    ascent only inflates the weights until they overflow.  That partial
+    mean is the last epoch loss.
     """
     out = net.copy()
     feats = labeled.features
@@ -203,21 +204,25 @@ def _finetune(
     )
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
+    chance = math.log(out.n_classes)
     losses = []
     for _ in range(plan.epochs):
-        total = 0.0
+        total, seen = 0.0, 0
         perm = rng.permutation(y_train.size)
         for start in range(0, perm.size, plan.batch_size):
             sel = perm[start : start + plan.batch_size]
             loss, grads = nn.loss_and_grads(tuned, feats[sel], y_train[sel], project=project)
             total += loss * sel.size
+            seen += sel.size
             for w, g in zip(tuned.weights, grads.per_layer):
                 w += sign * plan.lr * g
-        epoch_loss = total / perm.size
+            if plan.ascend and total / seen > chance:
+                break
+        epoch_loss = total / seen
         if not math.isfinite(epoch_loss):
             raise NumericError("unlearning loss went non-finite")
         losses.append(epoch_loss)
-        if plan.ascend and epoch_loss > math.log(out.n_classes):
+        if plan.ascend and epoch_loss > chance:
             break
     return UnlearnResult(network=out, plan=plan, epoch_losses=losses, labeled=labeled)
 

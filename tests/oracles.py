@@ -206,6 +206,26 @@ def pseudo_label(net_o, x, y, unlearn_classes):
     return int(np.argmax(masked))
 
 
+def extract_patches_loop(feature_map, kernel_size, stride=1):
+    """Patch columns gathered one kernel offset at a time: the (c, k, k, n, ho, wo) block, flattened.
+
+    Same layout as nn.extract_patches (rows channel, kernel row, kernel
+    column; columns sample-major), without its input checks.
+    """
+    maps = np.asarray(feature_map, dtype=np.float64)
+    if maps.ndim == 3:
+        maps = maps[np.newaxis]
+    n, c, h, w = maps.shape
+    k, st = kernel_size, stride
+    ho = (h - k) // st + 1
+    wo = (w - k) // st + 1
+    cols = np.empty((c, k, k, n, ho, wo))
+    for kh in range(k):
+        for kw in range(k):
+            cols[:, kh, kw] = maps[:, :, kh : kh + st * ho : st, kw : kw + st * wo : st].transpose(1, 0, 2, 3)
+    return cols.reshape(c * k * k, n * ho * wo)
+
+
 def reference_forward(net, batch):
     """The forward pass before dense layers wrote into their successor's input.
 
@@ -224,7 +244,7 @@ def reference_forward(net, batch):
             z = net.weights[li] @ aug
             current = np.maximum(z, 0.0) if spec.activation == "relu" else z
         else:
-            patches = nn.extract_patches(current, spec.kernel_size, spec.stride)
+            patches = extract_patches_loop(current, spec.kernel_size, spec.stride)
             aug = np.vstack([patches, np.ones((1, patches.shape[1]))])
             z = net.weights[li] @ aug
             c, h, w = net._plan[li][0][1]
@@ -273,7 +293,7 @@ def reference_loss_and_grads(net, batch, labels):
                 dz = dz * mask
             grads[li] = dz @ aug_inputs[li].T
             back_cols = (net.weights[li].T @ dz)[:-1]
-            delta = nn._scatter_patches(back_cols, (c, h, w), n, k, st)
+            delta = nn._scatter_patches(back_cols, net._plan[li], n, k, st)
     return loss, grads, logits
 
 

@@ -1,6 +1,7 @@
 """The artifact writer: bytes equal to json.dump's, atomic replacement, and who opens files to write."""
 
 import ast
+import dataclasses
 import os
 import pathlib
 import tracemalloc
@@ -73,9 +74,10 @@ def test_contour_record_and_table_equal_the_old_writers(tmp_path):
     )
     cfg = load_config()
     path = tmp_path / "contour.json"
-    cli._write_record({**grid.to_json(), "model": "calibrated"}, path, cfg, "feedbeef")
+    record = {**dataclasses.asdict(grid), "model": "calibrated"}
+    cli._write_record(record, path, cfg, "feedbeef")
     stamp = {"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": "feedbeef"}
-    assert path.read_text(encoding="ascii") == oracles.json_dump_text({**grid.to_json(), "model": "calibrated", **stamp})
+    assert path.read_text(encoding="ascii") == oracles.json_dump_text({**record, **stamp})
     grid.to_csv(tmp_path / "contour.csv")
     rows = [f"{a:.17g},{b:.17g},{grid.losses[i][j]:.17g}\n" for i, a in enumerate(alphas) for j, b in enumerate(betas)]
     assert (tmp_path / "contour.csv").read_text() == "alpha,beta,loss\n" + "".join(rows)

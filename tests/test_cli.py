@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from nullspace_unlearn import cli, nn, subspace
-from nullspace_unlearn.config import load_config
+from nullspace_unlearn.config import ConfigError, load_config
+from nullspace_unlearn.linalg import NumericError
 
 MINI_CONFIG = {
     "preset_version": 1,
@@ -226,6 +228,27 @@ def test_config_file_missing_a_key_exits_3(env, tmp_path):
     assert "train.gamma" in stderr_error(result)["message"]
 
 
+@pytest.mark.parametrize(
+    "exc,code,kind",
+    [
+        (FileNotFoundError("no such file"), cli.EXIT_MISSING_ARTIFACT, "missing-artifact"),
+        (ConfigError("bad key"), cli.EXIT_VALIDATION, "validation"),
+        (NumericError("overflow"), cli.EXIT_NUMERIC, "numeric"),
+        (KeyError("layers"), cli.EXIT_VALIDATION, "validation"),
+        (ValueError("bad value"), cli.EXIT_VALIDATION, "validation"),
+    ],
+    ids=["FileNotFoundError", "ConfigError", "NumericError", "KeyError", "ValueError"],
+)
+def test_guarded_maps_each_error_to_its_exit_code(exc, code, kind, capsys):
+    def step():
+        raise exc
+
+    with pytest.raises(SystemExit) as caught:
+        cli._guarded(step)()
+    assert caught.value.code == code
+    assert json.loads(capsys.readouterr().err) == {"error": kind, "message": str(exc)}
+
+
 def test_train_reports_the_checkpoint_score_without_rescoring(tmp_path, monkeypatch):
     # No validation rows and one full batch: validation falls back to the
     # train split, and `nn.train` scores only its final weights separately.
@@ -303,6 +326,21 @@ def test_gradient_ascent_variant_ascends(env, tmp_path):
     record = json.loads((tmp_path / "work" / "run_unlearned_gradient-ascent.json").read_text())
     assert record["plan"] == "keep+ascend"
     assert record["epoch_losses"][-1] > record["epoch_losses"][0]
+
+
+def test_gradient_ascent_stops_inside_a_long_first_epoch(tmp_path):
+    # The toy preset with 98 % of the data in train: 4900 forget samples, 196
+    # ascent steps per epoch, and the weights overflow inside the first epoch
+    # unless the stop rule runs after each step.
+    runner, workdir = CliRunner(), str(tmp_path / "work")
+    sets = ["split.train_fraction=0.98", "split.val_fraction=0", "split.test_fraction=0.02",
+            "train.epochs=20", "train.milestones=[16]"]
+    args = ["--workdir", workdir, *(a for s in sets for a in ("--set", s))]
+    for step in (("gen-data",), ("train",), ("unlearn", "--variant", "gradient-ascent")):
+        result = runner.invoke(cli.main, [*args, *step], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    record = json.loads((tmp_path / "work" / "run_unlearned_gradient-ascent.json").read_text())
+    assert len(record["epoch_losses"]) == 1 and record["epoch_losses"][0] > math.log(4)
 
 
 def test_variant_keys_in_the_config_exit_3(env, tmp_path):
@@ -502,13 +540,11 @@ def test_a_projected_unlearn_that_cannot_move_the_weights_exits_3(tmp_path):
 def test_numeric_failure_keeps_stderr_to_one_json_line(env):
     # In a process of its own, as a user runs it, so numpy's warnings would reach stderr.
     runner, cfg_path, workdir = env
-    sgd = ("--set", "unlearn.lr=1e15", "--set", "unlearn.batch_size=1")
-    for step in ("gen-data", "train"):
-        assert run(runner, cfg_path, workdir, *sgd, step).exit_code == 0
+    assert run(runner, cfg_path, workdir, "gen-data").exit_code == 0
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "nullspace_unlearn.cli", "--config", cfg_path, "--workdir", workdir,
-         *sgd, "unlearn", "--variant", "gradient-ascent"],
+         "--set", "train.lr=1e8", "train"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == cli.EXIT_NUMERIC

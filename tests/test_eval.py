@@ -1,5 +1,6 @@
 """Evaluation suite: utility, membership inference, audit, contour, agreement."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_utility_on_a_fitted_model(fitted):
     assert len(rep.per_class_acc) == 3
     assert all(v is not None for v in rep.per_class_acc)
     assert rep.loss_remaining >= 0.0
-    js = rep.to_json()
+    js = dataclasses.asdict(rep)
     assert set(js) == {"acc_remaining_test", "acc_unlearn_test", "per_class_acc", "loss_remaining"}
 
 
@@ -109,7 +110,7 @@ def test_utility_equals_the_per_set_oracle(fitted):
     for model in (net, constant_net()):
         for test_unlearn in (sp.test_unlearn, None):
             rep = evaluate.utility(model, sp.test_remaining, test_unlearn)
-            assert rep.to_json() == oracles.utility_by_set(model, sp.test_remaining, test_unlearn)
+            assert dataclasses.asdict(rep) == oracles.utility_by_set(model, sp.test_remaining, test_unlearn)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_mia_validation(fitted):
 
 def test_mia_sources_recorded(fitted):
     net, sp = fitted
-    rep = evaluate.mia(net, sp.d_u, sp.d_r, sp.test_remaining).to_json()
+    rep = dataclasses.asdict(evaluate.mia(net, sp.d_u, sp.d_r, sp.test_remaining))
     assert rep["member_source"] == "remaining-train" and rep["nonmember_source"] == "remaining-test"
 
 

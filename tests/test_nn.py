@@ -282,6 +282,26 @@ def test_extract_patches_identity_kernel():
     npt.assert_array_equal(cols[1], maps[0, 1].ravel())
 
 
+@pytest.mark.parametrize(
+    "shape,k,stride",
+    [
+        ((3, 5, 5), 1, 1),
+        ((2, 3, 5, 5), 5, 1),
+        ((2, 2, 7, 5), 3, 2),
+        ((1, 4, 6, 9), 2, 3),
+        ((3, 1, 8, 6), 6, 3),
+        ((2, 9, 4), 2, 2),
+        ((0, 2, 5, 5), 3, 1),
+    ],
+)
+def test_extract_patches_bytes_equal_the_offset_loop(shape, k, stride):
+    maps = np.random.default_rng(sum(shape) + 10 * k + stride).standard_normal(shape)
+    cols = nn.extract_patches(maps, kernel_size=k, stride=stride)
+    ref = oracles.extract_patches_loop(maps, k, stride)
+    assert cols.shape == ref.shape and cols.dtype == ref.dtype
+    assert cols.tobytes() == ref.tobytes()
+
+
 def test_extract_patches_validation():
     with pytest.raises(ValueError):
         nn.extract_patches(np.zeros((1, 2, 2)), kernel_size=3)

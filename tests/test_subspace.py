@@ -214,6 +214,7 @@ def test_subspace_round_trip_is_bit_exact(fitted, tmp_path):
     assert stamp == {"source_checkpoint_hash": "abc123", "seed": 7}
     assert (back.merged_classes, back.excluded_classes) == ((1, 2), (0,))
     assert (back.epsilons, back.ranks) == (proj.epsilons, proj.ranks)
+    assert type(back.epsilons) is tuple
     for b0, b1 in zip(proj.bases, back.bases):
         npt.assert_array_equal(b0, b1)
     # Rewriting the loaded artifact reproduces the bytes.

@@ -466,6 +466,26 @@ def test_gradient_ascent_stops_once_worse_than_chance(fitted):
     assert res.epoch_losses[-1] > math.log(net.n_classes) >= max(res.epoch_losses[:-1])
 
 
+def test_gradient_ascent_stops_at_the_step_its_running_mean_passes_chance(fitted, monkeypatch):
+    # Batch 1 gives one step per forget sample; the stop rule runs after each step.
+    net, sp, _ = fitted
+    losses = []
+    real = nn.loss_and_grads
+
+    def spy(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        losses.append(loss)
+        return loss, grads
+
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    ga = plan(labeling="keep", ascend=True, use_null_space=False, lr=1.0, epochs=3, batch_size=1)
+    res = unlearn.baseline_unlearn(net, sp.d_u, ga)
+    assert len(losses) < len(sp.d_u)
+    assert res.epoch_losses == [sum(losses) / len(losses)]
+    running = np.cumsum(losses) / np.arange(1, len(losses) + 1)
+    assert running[-1] > math.log(net.n_classes) >= running[:-1].max()
+
+
 def test_random_label_baseline_runs_without_projection(fitted):
     net, sp, _ = fitted
     res = unlearn.baseline_unlearn(net, sp.d_u, plan(labeling="random", use_null_space=False))

@@ -1,4 +1,4 @@
-"""Artifact files: atomic writes, their hashes, and the streamed JSON writer.
+"""Artifact files: atomic writes, their hashes, JSON documents and the array codec.
 
 `write_atomic` streams text to a temporary file beside the target, hashing
 the bytes as it writes, then moves it over the target with `os.replace`:
@@ -8,19 +8,23 @@ covers a failing or killed process, not a power cut.)  `file_hash` gives
 the same sha256 prefix for a file already on disk.
 
 `write_json` writes exactly `json.dumps(doc, sort_keys=True, indent=1)` plus
-a newline.  json's indented encoder is pure Python, one step per value;
-here each list of floats is one `join` over `float.__repr__` (json's
-spelling of a finite float), written as one chunk, and everything else is
-spelt by `json.dumps` itself.
+a newline.  Arrays of model state (checkpoint weights, retained bases) go
+into those documents as `encode_array` spells them: the standard base64 of
+their C-order little-endian float64 bytes, with their shape.  A save or load
+then copies bytes instead of spelling each float in decimal, and
+`decode_array` returns the same bits, sign of zero and subnormals included.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
-import itertools
 import json
+import math
 import os
+
+import numpy as np
 
 
 def write_atomic(path, chunks) -> str:
@@ -53,50 +57,32 @@ def file_hash(path) -> str:
 
 
 def write_json(doc, path) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=1)` plus a newline, streamed to path by `write_atomic`."""
-    return write_atomic(path, itertools.chain(_chunks(doc, 0), ["\n"]))
+    """`json.dumps(doc, sort_keys=True, indent=1)` plus a newline, written to path by `write_atomic`."""
+    return write_atomic(path, [json.dumps(doc, sort_keys=True, indent=1), "\n"])
 
 
-def _key(key) -> str:
-    """json's spelling of a dict key: str as is; int, float, bool and None as their JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+def encode_array(a) -> dict:
+    """{"base64": the standard base64 of a's C-order little-endian float64 bytes, "shape": a's shape}."""
+    a = np.asarray(a, dtype="<f8")
+    return {"base64": base64.b64encode(a.tobytes(order="C")).decode("ascii"), "shape": list(a.shape)}
 
 
-def _float_items(o, sep: str):
-    """sep.join of json's spelling of each item of o if every item is a float, else None."""
+def decode_array(doc, what: str) -> np.ndarray:
+    """The array `encode_array` spelt as doc, as a writeable C-contiguous float64 copy.
+
+    Raises ValueError naming what if doc is not exactly that spelling: a dict
+    of the two keys, a shape of non-negative ints, valid base64 and 8 bytes
+    per element.
+    """
+    if not isinstance(doc, dict) or doc.keys() != {"base64", "shape"}:
+        raise ValueError(f"{what} must be an object with exactly the keys base64 and shape")
+    shape = doc["shape"]
+    if not isinstance(shape, list) or any(isinstance(d, bool) or not isinstance(d, int) or d < 0 for d in shape):
+        raise ValueError(f"{what} shape must be a list of non-negative integers, got {shape!r}")
     try:
-        text = sep.join(map(float.__repr__, o))
-    except TypeError:
-        return None
-    # repr spells inf and nan, json Infinity and NaN; finite reprs have no "n".
-    return sep.join(map(json.dumps, o)) if "n" in text else text
-
-
-def _chunks(o, level: int):
-    """The indent=1, sorted-key JSON text of o at nesting depth level, in chunks."""
-    pad = "\n" + " " * (level + 1)
-    close = "\n" + " " * level
-    if isinstance(o, dict) and o:
-        sep = "{"
-        for key, value in sorted(o.items()):
-            yield sep + pad + json.dumps(_key(key)) + ": "
-            yield from _chunks(value, level + 1)
-            sep = ","
-        yield close + "}"
-    elif isinstance(o, (list, tuple)) and o:
-        text = _float_items(o, "," + pad)
-        if text is not None:
-            yield "[" + pad + text + close + "]"
-            return
-        sep = "["
-        for item in o:
-            yield sep + pad
-            yield from _chunks(item, level + 1)
-            sep = ","
-        yield close + "]"
-    else:
-        yield json.dumps(o)
+        raw = base64.b64decode(doc["base64"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} base64 is invalid: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{what} holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)

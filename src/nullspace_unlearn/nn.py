@@ -28,11 +28,11 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import decode_array, encode_array, write_json
 from .determinism import PortableRng, derive_seed
 from .linalg import NumericError, as_matrix
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -135,6 +135,8 @@ class Network:
     def __post_init__(self):
         self.specs = tuple(self.specs)
         self.input_shape = tuple(int(d) for d in self.input_shape)
+        if not isinstance(self.metadata, dict):
+            raise TypeError(f"metadata must be a dict, got {type(self.metadata).__name__}")
         if not self.specs:
             raise ValueError("network needs at least one layer")
         last = self.specs[-1]
@@ -568,12 +570,12 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
 
 
 def save_checkpoint(net: Network, path) -> None:
-    """Versioned JSON checkpoint, written atomically; floats round-trip bit-exactly (shortest-repr decimals)."""
+    """Versioned JSON checkpoint, written atomically; weights as exact float64 bytes (`encode_array`)."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "input_shape": list(net.input_shape),
         "layers": [spec.to_json() for spec in net.specs],
-        "weights": [w.tolist() for w in net.weights],
+        "weights": [encode_array(w) for w in net.weights],
         "seed": net.seed,
         "metadata": net.metadata,
     }
@@ -581,19 +583,21 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """The network `save_checkpoint` wrote; a malformed field raises ValueError naming path."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format_version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
+    try:
+        version = doc.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint format_version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
+            )
+        return Network(
+            specs=tuple(LayerSpec(**d) for d in doc["layers"]),
+            weights=[decode_array(w, f"{path} weights[{i}]") for i, w in enumerate(doc["weights"])],
+            input_shape=tuple(doc["input_shape"]),
+            seed=doc.get("seed"),
+            metadata=doc.get("metadata", {}),
         )
-    specs = tuple(LayerSpec(**d) for d in doc["layers"])
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    return Network(
-        specs=specs,
-        weights=weights,
-        input_shape=tuple(doc["input_shape"]),
-        seed=doc.get("seed"),
-        metadata=doc.get("metadata", {}),
-    )
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from None

@@ -20,10 +20,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .artifacts import write_json
+from .artifacts import decode_array, encode_array, write_json
 from .linalg import as_matrix, rank_cutoff, svd
 
-SUBSPACE_FORMAT_VERSION = 2
+SUBSPACE_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -163,19 +163,26 @@ class ProjectorCache:
 def save_subspace(proj: NullProjector, path, **stamp) -> None:
     """Versioned JSON artifact of one retained basis plus the caller's stamp keys, written atomically.
 
-    Arrays round-trip bit-exactly.
+    The bases are exact float64 bytes (`encode_array`); every other field is plain JSON.
     """
     doc = {f.name: getattr(proj, f.name) for f in fields(proj)}
-    doc["bases"] = [b.tolist() for b in proj.bases]
+    doc["bases"] = [encode_array(b) for b in proj.bases]
     write_json({**stamp, "format_version": SUBSPACE_FORMAT_VERSION, **doc}, path)
 
 
 def load_subspace(path) -> tuple:
-    """(NullProjector, stamp): the basis save_subspace wrote and the stamp keys saved with it."""
+    """(NullProjector, stamp): the basis save_subspace wrote and the stamp keys saved with it.
+
+    A malformed field raises ValueError naming path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.pop("format_version", None)
-    if version != SUBSPACE_FORMAT_VERSION:
-        raise ValueError(f"unsupported subspace format_version {version!r}, expected {SUBSPACE_FORMAT_VERSION}")
-    proj = NullProjector(**{f.name: doc.pop(f.name) for f in fields(NullProjector)})
-    return proj, doc
+    try:
+        version = doc.pop("format_version", None)
+        if version != SUBSPACE_FORMAT_VERSION:
+            raise ValueError(f"unsupported subspace format_version {version!r}, expected {SUBSPACE_FORMAT_VERSION}")
+        kw = {f.name: doc.pop(f.name) for f in fields(NullProjector)}
+        kw["bases"] = [decode_array(b, f"{path} bases[{i}]") for i, b in enumerate(kw["bases"])]
+        return NullProjector(**kw), doc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed subspace: {exc}") from None

@@ -5,7 +5,9 @@ or plain LAPACK calls without the package's validation, sign convention or
 noise floor -- so agreement with the library is evidence, not circularity.
 """
 
+import base64
 import json
+import struct
 
 import numpy as np
 
@@ -393,13 +395,20 @@ def json_dump_text(doc):
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def array_doc(a):
+    """An array as the artifacts spell it: base64 of its struct-packed little-endian doubles, with its shape."""
+    a = np.asarray(a)
+    packed = struct.pack("<%dd" % a.size, *a.ravel().tolist())
+    return {"base64": base64.b64encode(packed).decode("ascii"), "shape": list(a.shape)}
+
+
 def checkpoint_doc(net):
-    """The document a checkpoint of net holds, weights as nested lists."""
+    """The document a checkpoint of net holds."""
     return {
         "format_version": nn.CHECKPOINT_FORMAT_VERSION,
         "input_shape": list(net.input_shape),
         "layers": [spec.to_json() for spec in net.specs],
-        "weights": [w.tolist() for w in net.weights],
+        "weights": [array_doc(w) for w in net.weights],
         "seed": net.seed,
         "metadata": net.metadata,
     }
@@ -414,7 +423,7 @@ def subspace_doc(proj, **stamp):
         "excluded_classes": list(proj.excluded_classes),
         "epsilons": list(proj.epsilons),
         "ranks": list(proj.ranks),
-        "bases": [b.tolist() for b in proj.bases],
+        "bases": [array_doc(b) for b in proj.bases],
     }
 
 

@@ -1,4 +1,4 @@
-"""The artifact writer: bytes equal to json.dump's, atomic replacement, and who opens files to write."""
+"""The artifact writer and array codec: bytes equal to json.dump's, exact arrays, atomic replacement, and who opens files to write."""
 
 import ast
 import dataclasses
@@ -7,6 +7,7 @@ import pathlib
 import tracemalloc
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ import oracles
 from conftest import conv_net, trained_dense_net
 from nullspace_unlearn import artifacts, cli, data, evaluate, nn, subspace
 from nullspace_unlearn.config import load_config
+from nullspace_unlearn.linalg import NumericError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullspace_unlearn"
 
@@ -41,7 +43,7 @@ def metadata_net():
 
 
 # ---------------------------------------------------------------------------
-# bytes: the streamed writer against json.dump
+# bytes: the writer against json.dump
 # ---------------------------------------------------------------------------
 
 
@@ -118,6 +120,81 @@ def test_write_json_spells_keys_and_refuses_what_json_refuses(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the array codec
+# ---------------------------------------------------------------------------
+
+
+def test_arrays_round_trip_bit_exactly():
+    big = 1.7976931348623157e308
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, big, -big, 1.0])
+    # Each value's neighbour one ulp away, inward from the largest finite magnitudes.
+    a = np.stack([edges, np.nextafter(edges, [-np.inf, np.inf, np.inf, -np.inf, 0.0, 0.0, np.inf])])
+    back = artifacts.decode_array(artifacts.encode_array(a), "edges")
+    assert back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+    npt.assert_array_equal(np.signbit(back), np.signbit(a))
+    assert artifacts.encode_array(a) == oracles.array_doc(a)
+
+
+def test_any_layout_or_byte_order_encodes_as_its_c_order_little_endian_copy():
+    a = np.random.default_rng(3).standard_normal((6, 5))
+    expected = oracles.array_doc(a)
+    for view in (np.asfortranarray(a), a.astype(">f8"), a.T.copy().T):
+        assert artifacts.encode_array(view) == expected
+    sliced = np.random.default_rng(4).standard_normal((12, 10))[::2, 1::2]
+    assert artifacts.encode_array(sliced) == oracles.array_doc(np.ascontiguousarray(sliced, dtype="<f8"))
+    assert artifacts.encode_array(np.zeros((0, 3))) == {"base64": "", "shape": [0, 3]}
+
+
+def test_decoded_arrays_are_writeable_c_contiguous_float64():
+    for shape in ((4, 3), (0, 2), (5,)):
+        back = artifacts.decode_array(artifacts.encode_array(np.ones(shape)), "a")
+        assert back.flags.writeable and back.flags.c_contiguous
+        assert back.dtype == np.float64 and back.dtype.isnative and back.shape == shape
+        back[...] = 2.0
+
+
+_GOOD = artifacts.encode_array(np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "exactly the keys"),
+        ({"base64": _GOOD["base64"]}, "exactly the keys"),
+        ({**_GOOD, "dtype": "<f8"}, "exactly the keys"),
+        ({**_GOOD, "shape": (2, 3)}, "non-negative integers"),
+        ({**_GOOD, "shape": [2, -3]}, "non-negative integers"),
+        ({**_GOOD, "shape": [2, True]}, "non-negative integers"),
+        ({**_GOOD, "shape": [2.0, 3]}, "non-negative integers"),
+        ({**_GOOD, "shape": 6}, "non-negative integers"),
+        ({**_GOOD, "base64": _GOOD["base64"][:-1]}, "base64 is invalid"),
+        ({**_GOOD, "base64": "!" + _GOOD["base64"][1:]}, "base64 is invalid"),
+        ({**_GOOD, "base64": "é" * 4}, "base64 is invalid"),
+        ({**_GOOD, "base64": 12}, "base64 is invalid"),
+        ({**_GOOD, "shape": [2, 2]}, "48 bytes, shape"),
+        ({**_GOOD, "shape": [7]}, "48 bytes, shape"),
+    ],
+)
+def test_decode_refuses_anything_but_the_exact_spelling(doc, match):
+    with pytest.raises(ValueError, match=match) as err:
+        artifacts.decode_array(doc, "original.json weights[1]")
+    assert "original.json weights[1]" in str(err.value)
+
+
+def test_a_checkpoint_whose_bytes_encode_nan_still_exits_4(tmp_path):
+    net = toy_shaped_net()
+    net.weights[1][3, 4] = np.nan
+    path = tmp_path / "original.json"
+    nn.save_checkpoint(net, path)
+    with pytest.raises(NumericError, match=r"layer 1 weights has non-finite entry .*nan.* at \(3, 4\)"):
+        nn.load_checkpoint(path)
+    with pytest.raises(SystemExit) as exc:
+        cli._guarded(nn.load_checkpoint)(path)
+    assert exc.value.code == cli.EXIT_NUMERIC
+
+
+# ---------------------------------------------------------------------------
 # atomic replacement and the returned hash
 # ---------------------------------------------------------------------------
 
@@ -142,7 +219,7 @@ def test_a_checkpoint_that_fails_to_encode_keeps_the_previous_checkpoint(tmp_pat
     path = tmp_path / "original.json"
     nn.save_checkpoint(net, path)
     before = path.read_bytes()
-    net.seed = np.int64(3)  # sorted after "metadata": the failure comes after the first chunks
+    net.seed = np.int64(3)  # json cannot encode it
     with pytest.raises(TypeError):
         nn.save_checkpoint(net, path)
     assert path.read_bytes() == before
@@ -166,9 +243,10 @@ def test_atomic_writes_keep_the_default_file_mode(tmp_path):
 
 
 def test_save_checkpoint_streams_rather_than_building_the_text(tmp_path):
-    # The toy checkpoint is 990 KB of text.  Its weights as nested lists take
-    # about 1.2 MiB, as they did for json.dump; holding the whole text as
-    # one string on top of that would pass 2 MiB.
+    # The toy checkpoint is 410 KB of text, its weights 300 KB of float64.
+    # Holding the raw bytes, their base64 and the JSON text at once peaks at
+    # about 1.18 MiB; a copy more of the text, or nested lists of floats,
+    # would pass the bound.
     net = toy_shaped_net()
     path = tmp_path / "original.json"
     nn.save_checkpoint(net, path)

@@ -445,6 +445,56 @@ def test_subspaces_from_another_original_are_refused(env):
         assert "source checkpoint hash" in stderr_error(result)["message"]
 
 
+_SHORT = ("--set", "train.epochs=2", "--set", "train.milestones=[1]")
+
+
+def _edit_artifact(workdir, name, keys, value):
+    """Set doc[keys[0]]...[keys[-1]] = value in the JSON artifact workdir/name."""
+    path = os.path.join(workdir, name)
+    with open(path) as fh:
+        doc = json.load(fh)
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, step, named",
+    [
+        ("original.json", ("layers", 0, "bogus"), 1, "subspace", "original.json"),
+        ("original.json", ("input_shape",), 2, "evaluate", "original.json"),
+        ("original.json", ("metadata",), 5, "unlearn", "original.json: malformed checkpoint: metadata"),
+        ("subspace.json", ("ranks",), 5, "unlearn", "subspace.json"),
+        ("original.json", ("weights", 1), [[0.0]], "subspace", "original.json weights[1]"),
+        ("subspace.json", ("bases", 0, "base64"), "not base64!", "unlearn", "subspace.json bases[0]"),
+    ],
+)
+def test_a_malformed_model_state_field_exits_3_naming_the_file(env, name, keys, value, step, named):
+    runner, cfg_path, workdir = env
+    for made in ("gen-data", "train", "subspace"):
+        assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
+    _edit_artifact(workdir, name, keys, value)
+    result = run(runner, cfg_path, workdir, *_SHORT, step)
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert named in stderr_error(result)["message"]
+
+
+def test_a_version_1_checkpoint_with_nested_list_weights_exits_3(env):
+    runner, cfg_path, workdir = env
+    for made in ("gen-data", "train"):
+        assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
+    net = nn.load_checkpoint(os.path.join(workdir, "original.json"))
+    _edit_artifact(workdir, "original.json", ("weights",), [w.tolist() for w in net.weights])
+    _edit_artifact(workdir, "original.json", ("format_version",), 1)
+    result = run(runner, cfg_path, workdir, *_SHORT, "subspace")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    message = stderr_error(result)["message"]
+    assert f"format_version 1, expected {nn.CHECKPOINT_FORMAT_VERSION}" in message
+
+
 def test_subspace_merges_once_and_later_steps_load_its_basis(env, tmp_path, monkeypatch):
     runner, cfg_path, workdir = env
     for step in ("gen-data", "train", "retrain"):

@@ -665,7 +665,8 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     net = dense_net(seed=28)
     path = tmp_path / "net.json"
     nn.save_checkpoint(net, path)
-    doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
+    version = nn.CHECKPOINT_FORMAT_VERSION
+    doc = path.read_text().replace(f'"format_version": {version}', '"format_version": 99')
     path.write_text(doc)
     with pytest.raises(ValueError, match="format_version"):
         nn.load_checkpoint(path)

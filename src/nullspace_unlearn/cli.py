@@ -3,10 +3,11 @@
 Every subcommand reads one config document (the bundled toy preset by
 default), derives all randomness from its root seed, and writes artifacts
 that embed the config hash plus the dataset hash they were computed from.
-Re-running a subcommand with identical inputs rewrites byte-identical
-artifacts, each written atomically by `artifacts.write_atomic`.  Failures
-exit with a single-line JSON error on stderr: missing input file 2,
-validation 3, numeric breakdown 4.
+Re-running a subcommand with identical inputs on the same numpy/BLAS build
+and BLAS thread count rewrites byte-identical artifacts, each written
+atomically by `artifacts.write_atomic`.  Failures exit with a single-line
+JSON error on stderr: missing input file 2, validation 3, numeric
+breakdown 4.
 """
 
 from __future__ import annotations
@@ -39,8 +40,12 @@ def _write_record(doc: dict, path, cfg: RunConfig, data_hash: str) -> None:
 
 
 def _read_json(path) -> dict:
+    """A JSON record; a root that is not an object raises ValueError naming path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: root must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +67,9 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
     """Write dataset.csv + dataset.meta.json; returns (dataset, data_hash)."""
     os.makedirs(workdir, exist_ok=True)
     ds = cfg.dataset()
-    path = dataset_path(workdir)
-    data_hash = data.save_csv(ds, path)
+    data_hash = data.save_csv(ds, dataset_path(workdir))
     _write_record(
-        {
-            "n_classes": ds.n_classes,
-            "n_samples": len(ds),
-            "provenance": {k: v for k, v in ds.provenance.items() if k != "config_hash"},
-        },
+        {"n_classes": ds.n_classes, "n_samples": len(ds), "provenance": cfg.data_inputs()},
         os.path.join(workdir, "dataset.meta.json"), cfg, data_hash,
     )
     return ds, data_hash
@@ -84,10 +84,10 @@ def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
         raise ConfigError(
             f"dataset.csv hash {data_hash} does not match its metadata {meta.get('data_hash')}"
         )
-    sec = cfg.doc["data"]
-    inputs = {"generator": sec["kind"], "means": sec["means"], "covariances": sec["covariances"],
-              "n_per_class": sec["n_per_class"], "seed": cfg.seed_for("data")}
-    differ = sorted(k for k, v in inputs.items() if meta["provenance"].get(k) != v)
+    provenance = meta.get("provenance")
+    if not isinstance(provenance, dict):
+        raise ConfigError(f"dataset.meta.json provenance must be a JSON object, got {provenance!r}")
+    differ = sorted(k for k, v in cfg.data_inputs().items() if provenance.get(k) != v)
     if differ:
         raise ConfigError(f"dataset.meta.json records generator inputs {differ} other than this config's")
     ds = data.load_csv(path, n_classes=int(meta["n_classes"]))
@@ -110,15 +110,14 @@ def train_retrain(cfg: RunConfig, sp: data.Splits) -> nn.Network:
 
 
 def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) -> tuple:
-    """Each class's recorded layer inputs on its seeded build batch, plus the cache that SVDs them per unlearn set."""
-    subs = {}
+    """({class id: its recorded layer inputs on its seeded build batch}, the cache that merges them per unlearn set)."""
+    inputs = {}
     for c in range(train_set.n_classes):
         cls = train_set.class_filter((c,), keep=True)
         if len(cls) == 0:
             raise ConfigError(f"class {c} has no training samples to build a subspace from")
-        batch = cls.subset(cfg.build_indices(c, len(cls)))
-        subs[c] = subspace.class_subspace(net, batch)
-    return subs, subspace.ProjectorCache(subs, cfg.epsilon)
+        inputs[c] = subspace.class_subspace(net, cls.subset(cfg.build_indices(c, len(cls))))
+    return inputs, subspace.ProjectorCache(inputs, cfg.epsilon)
 
 
 def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlearn.UnlearnResult:
@@ -353,9 +352,9 @@ def ablate_cmd(ctx):
     One row per `_CHECKPOINTS` entry: original, retrain and each unlearn
     variant.  A variant's saved checkpoint is loaded when present; otherwise
     the variant runs in memory and nothing is saved, so `unlearn` stays the
-    only writer of checkpoints.  Runs are byte-reproducible, so both give
-    the same row.  `subspace.json` is read only if a variant that must run
-    projects.
+    only writer of checkpoints.  On one numpy/BLAS build and BLAS thread
+    count runs are byte-reproducible, so both give the same row.
+    `subspace.json` is read only if a variant that must run projects.
     """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     nets = _gather_models(cfg, workdir, data_hash)

@@ -5,7 +5,7 @@ subspace, unlearn, mia, contour) plus a root seed.  Every random choice in a
 run flows from that root through `derive_seed` with the component tags used
 here, so changing one section never reshuffles another.  `config_hash` is the
 identity every artifact embeds; byte-identical configs give byte-identical
-artifacts.
+artifacts on the same numpy/BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ def builtin_preset(name: str = "toy") -> dict:
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply `a.b.c=value` overrides; values parse as JSON, falling back to string.
 
-    Missing objects along the path are created; a path that runs through a
-    list or a scalar is a ConfigError.
+    Missing objects along the path are created; a root that is not an
+    object, or a path that runs through a list or a scalar, is a ConfigError.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
     out = copy.deepcopy(doc)
     for item in overrides:
         if "=" not in item:
@@ -124,11 +126,15 @@ class RunConfig:
         return make_config(out)
 
     # -- data ---------------------------------------------------------------
-    def dataset(self) -> data.Dataset:
+    def data_inputs(self) -> dict:
+        """The generator inputs that identify the dataset; dataset.meta.json records them as its provenance."""
         sec = self.doc["data"]
-        ds = data.gaussian_mixture(sec["means"], sec["covariances"], sec["n_per_class"], derive_seed(self.seed, "data"))
-        ds.provenance["config_hash"] = self.hash
-        return ds
+        return {"generator": sec["kind"], "means": sec["means"], "covariances": sec["covariances"],
+                "n_per_class": sec["n_per_class"], "seed": derive_seed(self.seed, "data")}
+
+    def dataset(self) -> data.Dataset:
+        inputs = self.data_inputs()
+        return data.gaussian_mixture(inputs["means"], inputs["covariances"], inputs["n_per_class"], inputs["seed"])
 
     def split_spec(self) -> data.SplitSpec:
         return data.SplitSpec(**self.doc["split"], seed=derive_seed(self.seed, "split"))
@@ -316,7 +322,9 @@ def load_config(path=None, overrides=()) -> RunConfig:
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from None
+        except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if overrides:
         doc = apply_overrides(doc, overrides)

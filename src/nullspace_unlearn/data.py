@@ -30,7 +30,7 @@ from .linalg import as_matrix
 
 @dataclass
 class Dataset:
-    """Feature rows, integer labels, and where they came from."""
+    """Feature rows and integer labels.  Nothing reads `provenance`; dataset.meta.json records the generator inputs."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -56,7 +56,6 @@ class Dataset:
             features=self.features[idx].copy(),
             labels=self.labels[idx].copy(),
             n_classes=self.n_classes,
-            provenance=dict(self.provenance),
         )
 
     def class_filter(self, classes, keep: bool = True) -> "Dataset":
@@ -97,18 +96,7 @@ def gaussian_mixture(means, covariances, n_per_class: int, seed: int) -> Dataset
         rows.append(mu[c] + z @ chols[c].T)
     features = np.vstack(rows)
     labels = np.repeat(np.arange(k, dtype=np.int64), n_per_class)
-    return Dataset(
-        features=features,
-        labels=labels,
-        n_classes=k,
-        provenance={
-            "generator": "gaussian_mixture",
-            "means": mu.tolist(),
-            "covariances": cov.tolist(),
-            "n_per_class": int(n_per_class),
-            "seed": int(seed),
-        },
-    )
+    return Dataset(features=features, labels=labels, n_classes=k)
 
 
 @dataclass(frozen=True)
@@ -243,12 +231,7 @@ def load_csv(path, n_classes: int) -> Dataset:
     labels = np.ascontiguousarray(rows["label"])
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         _raise_first_bad_line(path, d, n_classes)
-    return Dataset(
-        features=np.ascontiguousarray(rows["f"]),
-        labels=labels,
-        n_classes=n_classes,
-        provenance={"source": str(path), "format": "csv"},
-    )
+    return Dataset(features=np.ascontiguousarray(rows["f"]), labels=labels, n_classes=n_classes)
 
 
 def _raise_first_bad_line(path, d: int, n_classes: int) -> None:

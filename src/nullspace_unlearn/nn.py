@@ -35,6 +35,8 @@ from .linalg import NumericError, as_matrix
 CHECKPOINT_FORMAT_VERSION = 2
 
 _ACTIVATIONS = ("relu", "identity")
+# Each layer kind's size fields: each must be >= 1, and a checkpoint records exactly these.
+_SIZES = {"dense": ("in_features", "out_features"), "conv": ("in_channels", "out_channels", "kernel_size", "stride")}
 
 
 @dataclass(frozen=True)
@@ -51,20 +53,15 @@ class LayerSpec:
     stride: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("dense", "conv"):
+        if self.kind not in _SIZES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if any(isinstance(v, bool) or not isinstance(v, int) for v in astuple(self)[2:]):
             raise ValueError(f"layer sizes must be integers, got {astuple(self)[2:]}")
-        if self.kind == "dense":
-            if self.in_features < 1 or self.out_features < 1:
-                raise ValueError("dense layer needs positive in_features/out_features")
-        else:
-            if self.in_channels < 1 or self.out_channels < 1:
-                raise ValueError("conv layer needs positive channel counts")
-            if self.kernel_size < 1 or self.stride < 1:
-                raise ValueError("conv layer needs kernel_size >= 1 and stride >= 1")
+        for name in _SIZES[self.kind]:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{self.kind} layer needs {name} >= 1")
 
     def weight_shape(self) -> tuple[int, int]:
         if self.kind == "dense":
@@ -72,40 +69,27 @@ class LayerSpec:
         return (self.out_channels, self.in_channels * self.kernel_size * self.kernel_size + 1)
 
     def to_json(self) -> dict:
-        d = {"kind": self.kind, "activation": self.activation}
-        if self.kind == "dense":
-            d.update(in_features=self.in_features, out_features=self.out_features)
-        else:
-            d.update(
-                in_channels=self.in_channels,
-                out_channels=self.out_channels,
-                kernel_size=self.kernel_size,
-                stride=self.stride,
-            )
-        return d
+        return {"kind": self.kind, "activation": self.activation, **{k: getattr(self, k) for k in _SIZES[self.kind]}}
 
 
 def _plan_shapes(specs, input_shape):
-    """Per-layer (input form, output form), validating the chain.  Forms: ("flat", d) or ("image", (c, h, w))."""
-    if len(input_shape) == 1:
-        form = ("flat", int(input_shape[0]))
-    elif len(input_shape) == 3:
-        form = ("image", tuple(int(d) for d in input_shape))
-    else:
+    """Per-layer (input shape, output shape), validating the chain.  Shapes: (d,) flat or (c, h, w) image."""
+    if len(input_shape) not in (1, 3):
         raise ValueError(f"input_shape must be (features,) or (channels, h, w), got {input_shape}")
+    shape = input_shape
     plan = []
     for i, spec in enumerate(specs):
         if spec.kind == "dense":
-            flat = form[1] if form[0] == "flat" else int(np.prod(form[1]))
+            flat = math.prod(shape)
             if flat != spec.in_features:
                 raise ValueError(
                     f"layer {i}: dense expects {spec.in_features} input features, chain provides {flat}"
                 )
-            out = ("flat", spec.out_features)
+            out = (spec.out_features,)
         else:
-            if form[0] != "image":
+            if len(shape) != 3:
                 raise ValueError(f"layer {i}: conv layer needs an image input, chain provides flat")
-            c, h, w = form[1]
+            c, h, w = shape
             if c != spec.in_channels:
                 raise ValueError(
                     f"layer {i}: conv expects {spec.in_channels} channels, chain provides {c}"
@@ -116,9 +100,9 @@ def _plan_shapes(specs, input_shape):
                 )
             ho = (h - spec.kernel_size) // spec.stride + 1
             wo = (w - spec.kernel_size) // spec.stride + 1
-            out = ("image", (spec.out_channels, ho, wo))
-        plan.append((form, out))
-        form = out
+            out = (spec.out_channels, ho, wo)
+        plan.append((shape, out))
+        shape = out
     return plan
 
 
@@ -219,7 +203,7 @@ def extract_patches(feature_map, kernel_size: int, stride: int = 1) -> np.ndarra
 
 def _scatter_patches(cols: np.ndarray, shapes, n: int, kernel_size: int, stride: int) -> np.ndarray:
     """Adjoint of extract_patches onto n maps; `shapes` is the layer's `Network._plan` entry."""
-    (_, (c, h, w)), (_, (_, ho, wo)) = shapes
+    (c, h, w), (_, ho, wo) = shapes
     k, st = kernel_size, stride
     blocks = cols.reshape(c, k, k, n, ho, wo)
     out = np.zeros((n, c, h, w))
@@ -291,7 +275,7 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
             if record:
                 aug_inputs.append(patches)
                 preacts.append(z_cols)
-            o, ho, wo = net._plan[li][1][1]
+            o, ho, wo = net._plan[li][1]
             maps_out = z_cols.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
             current = _activate(maps_out, spec.activation)
     if not np.isfinite(current).all():
@@ -424,7 +408,7 @@ def loss_and_grads(net: Network, batch, labels, project=None):
     # Subgradient at exactly 0 is taken as 0 for relu.
     for li in range(len(net.specs) - 1, -1, -1):
         spec = net.specs[li]
-        form = net._plan[li][0]
+        shape = net._plan[li][0]
         if spec.kind == "dense":
             dz = delta
             if spec.activation == "relu":  # never the head, so layer li + 1 is dense
@@ -433,8 +417,8 @@ def loss_and_grads(net: Network, batch, labels, project=None):
             if li == 0:
                 break
             back = (net.weights[li].T @ dz)[:-1]  # drop the constant-1 row
-            if form[0] == "image":
-                back = back.T.reshape((n,) + form[1])
+            if len(shape) == 3:
+                back = back.T.reshape((n,) + shape)
             delta = back
         else:
             # delta arrives as maps (n, O, ho, wo); apply activation mask there.

@@ -26,16 +26,8 @@ from .linalg import as_matrix, rank_cutoff, svd
 SUBSPACE_FORMAT_VERSION = 3
 
 
-@dataclass
-class ClassSubspace:
-    """One class's recorded layer inputs: per layer the augmented (features x samples) matrix."""
-
-    class_id: int
-    activations: list
-
-
-def class_subspace(net: nn.Network, class_batch) -> ClassSubspace:
-    """Each layer's recorded inputs for a single-class batch; the merge SVDs them.
+def class_subspace(net: nn.Network, class_batch) -> list:
+    """Each layer's recorded inputs for a single-class batch, augmented (features x samples); the merge SVDs them.
 
     The batch must be non-empty and single-label; mixed labels would blend
     class directions and poison every projector built downstream.
@@ -47,7 +39,7 @@ def class_subspace(net: nn.Network, class_batch) -> ClassSubspace:
     if unique.size != 1:
         raise ValueError(f"class batch mixes labels {unique.tolist()}; expected exactly one class")
     _, trace = nn.forward(net, class_batch.features, record=True)
-    return ClassSubspace(class_id=int(unique[0]), activations=trace.per_layer)
+    return trace.per_layer
 
 
 @dataclass
@@ -82,35 +74,31 @@ class NullProjector:
         return self
 
 
-def merge_null_projector(subspaces, epsilon: float, excluded_classes=()) -> NullProjector:
-    """Merge class subspaces layer-wise and return the retained basis of the kept energy.
+def merge_null_projector(inputs: dict, epsilon: float, excluded_classes=()) -> NullProjector:
+    """The retained basis of every recorded class outside `excluded_classes`.
 
-    Per layer: stack the supplied classes' recorded inputs side by side,
-    SVD the stack once, and keep the leading left singular vectors of the
-    smallest rank holding epsilon of the squared energy (one epsilon for
+    `inputs` maps each class id to its `class_subspace` layer inputs.  Per
+    layer: stack the kept classes' inputs side by side in ascending class
+    order, SVD the stack once, and keep the leading left singular vectors of
+    the smallest rank holding epsilon of the squared energy (one epsilon for
     every layer; `rank_cutoff` checks its range).  The stack's column order
-    changes neither its Gram matrix nor, therefore, the retained span, so
-    the merge is order-invariant.
+    changes neither its Gram matrix nor, therefore, the retained span.
     """
-    subs = list(subspaces)
-    if not subs:
-        raise ValueError("need at least one class subspace to merge")
-    ids = [s.class_id for s in subs]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate class ids in merge: {sorted(ids)}")
-    n_layers = len(subs[0].activations)
-    for s in subs:
-        if len(s.activations) != n_layers:
-            raise ValueError("subspaces disagree on layer count")
+    excluded = tuple(sorted({int(c) for c in excluded_classes}))
+    for c in excluded:
+        if c not in inputs:
+            raise ValueError(f"no subspace recorded for class {c}")
+    kept = sorted(c for c in inputs if c not in excluded)
+    if not kept:
+        raise ValueError(f"excluding {list(excluded)} leaves no recorded class to merge")
     bases = []
-    for li in range(n_layers):
-        res = svd(np.hstack([s.activations[li] for s in subs]))
-        k = rank_cutoff(res.s, epsilon)
-        bases.append(np.ascontiguousarray(res.u[:, :k]))
+    for layer in zip(*(inputs[c] for c in kept), strict=True):
+        res = svd(np.hstack(layer))
+        bases.append(np.ascontiguousarray(res.u[:, : rank_cutoff(res.s, epsilon)]))
     return NullProjector(
-        merged_classes=tuple(sorted(ids)),
-        excluded_classes=tuple(excluded_classes),
-        epsilons=(float(epsilon),) * n_layers,
+        merged_classes=kept,
+        excluded_classes=excluded,
+        epsilons=(float(epsilon),) * len(bases),
         bases=bases,
         ranks=tuple(b.shape[1] for b in bases),
     )
@@ -131,32 +119,21 @@ def retained_energy(projector: NullProjector, trace: nn.ActivationTrace) -> list
 
 
 class ProjectorCache:
-    """Lazily merges and caches one NullProjector per excluded set of classes.
+    """Memoises `merge_null_projector` over every class's recorded layer inputs, one merge per excluded set.
 
-    Holds every class's recorded layer inputs; `for_excluded(*class_ids)`
-    stacks all the others' and SVDs them once per layer into one retained
-    basis.  An unlearn run excludes its whole unlearn set, so it merges
-    once, and the merge is reused across runs.
+    An unlearn run excludes its whole unlearn set, so it merges once, and
+    the merge is reused across runs.
     """
 
-    def __init__(self, subspaces: dict, epsilon: float):
-        self.subspaces = {int(c): s for c, s in subspaces.items()}
-        for c, s in self.subspaces.items():
-            if s.class_id != c:
-                raise ValueError(f"subspace keyed {c} carries class_id {s.class_id}")
+    def __init__(self, inputs: dict, epsilon: float):
+        self.inputs = inputs
         self.epsilon = epsilon
         self._cache: dict = {}
 
     def for_excluded(self, *class_ids: int) -> NullProjector:
         excluded = tuple(sorted({int(c) for c in class_ids}))
-        for c in excluded:
-            if c not in self.subspaces:
-                raise ValueError(f"no subspace recorded for class {c}")
         if excluded not in self._cache:
-            kept = [s for cid, s in sorted(self.subspaces.items()) if cid not in excluded]
-            if not kept:
-                raise ValueError(f"excluding {list(excluded)} leaves no recorded class to merge")
-            self._cache[excluded] = merge_null_projector(kept, self.epsilon, excluded_classes=excluded)
+            self._cache[excluded] = merge_null_projector(self.inputs, self.epsilon, excluded_classes=excluded)
         return self._cache[excluded]
 
 

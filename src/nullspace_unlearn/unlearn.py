@@ -74,7 +74,11 @@ class UnlearnPlan:
 
 @dataclass
 class PseudoLabeledSet:
-    """Forget-set samples with original labels and their assigned training labels."""
+    """Forget-set samples with original labels and their assigned training labels.
+
+    The one place the forget set's arrays are normalised: features to
+    float64, labels to flat int64 arrays.
+    """
 
     features: np.ndarray
     original_labels: np.ndarray
@@ -82,6 +86,7 @@ class PseudoLabeledSet:
     labeling: str
 
     def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
         self.original_labels = np.asarray(self.original_labels, dtype=np.int64).reshape(-1)
         self.assigned_labels = np.asarray(self.assigned_labels, dtype=np.int64).reshape(-1)
         if self.original_labels.size != self.assigned_labels.size:
@@ -111,38 +116,24 @@ def pseudo_label_set(net_o: nn.Network, d_u, unlearn_classes) -> PseudoLabeledSe
     k = net_o.n_classes
     if set(classes) >= set(range(k)):
         raise ValueError("unlearn classes cover every class; no pseudo-label target remains")
-    labels = np.asarray(d_u.labels, dtype=np.int64).reshape(-1)
-    outside = ~np.isin(labels, classes)
+    outside = ~np.isin(d_u.labels, classes)
     if outside.any():
         raise ValueError(
-            f"forget set contains label {labels[outside][0]} outside the unlearn classes {classes}"
+            f"forget set contains label {d_u.labels[outside][0]} outside the unlearn classes {classes}"
         )
     probs = nn.predict_proba(net_o, d_u.features)
-    masked = probs.copy()
-    masked[classes, :] = -np.inf
-    assigned = np.argmax(masked, axis=0).astype(np.int64)
-    return PseudoLabeledSet(
-        features=np.asarray(d_u.features, dtype=np.float64),
-        original_labels=labels,
-        assigned_labels=assigned,
-        labeling="pseudo",
-    )
+    probs[classes, :] = -np.inf
+    return PseudoLabeledSet(d_u.features, d_u.labels, np.argmax(probs, axis=0), "pseudo")
 
 
 def random_label_set(d_u, n_classes: int, unlearn_classes, seed: int) -> PseudoLabeledSet:
     """Uniform random class outside the unlearn set per sample, drawn once, seeded."""
-    labels = np.asarray(d_u.labels, dtype=np.int64).reshape(-1)
     remaining = np.setdiff1d(np.arange(n_classes), np.asarray(unlearn_classes, dtype=np.int64))
     if remaining.size == 0:
         raise ValueError("random relabeling needs at least two classes, one outside the unlearn set")
     rng = PortableRng(derive_seed(seed, "random-labels"))
-    assigned = remaining[rng.integers_below(np.full(labels.size, remaining.size, dtype=np.uint64))]
-    return PseudoLabeledSet(
-        features=np.asarray(d_u.features, dtype=np.float64),
-        original_labels=labels,
-        assigned_labels=assigned,
-        labeling="random",
-    )
+    assigned = remaining[rng.integers_below(np.full(len(d_u.labels), remaining.size, dtype=np.uint64))]
+    return PseudoLabeledSet(d_u.features, d_u.labels, assigned, "random")
 
 
 def _frozen_prefix(net: nn.Network, projector: NullProjector) -> int:
@@ -232,13 +223,7 @@ def _label_for_plan(net_o: nn.Network, d_u, plan: UnlearnPlan) -> PseudoLabeledS
         return pseudo_label_set(net_o, d_u, plan.unlearn_classes)
     if plan.labeling == "random":
         return random_label_set(d_u, net_o.n_classes, plan.unlearn_classes, plan.seed)
-    labels = np.asarray(d_u.labels, dtype=np.int64).reshape(-1)
-    return PseudoLabeledSet(
-        features=np.asarray(d_u.features, dtype=np.float64),
-        original_labels=labels,
-        assigned_labels=labels.copy(),
-        labeling="keep",
-    )
+    return PseudoLabeledSet(d_u.features, d_u.labels, d_u.labels, "keep")
 
 
 def calibrated_unlearn(net_o: nn.Network, d_u, cache: ProjectorCache, plan: UnlearnPlan) -> UnlearnResult:

@@ -249,7 +249,7 @@ def reference_forward(net, batch):
             patches = extract_patches_loop(current, spec.kernel_size, spec.stride)
             aug = np.vstack([patches, np.ones((1, patches.shape[1]))])
             z = net.weights[li] @ aug
-            c, h, w = net._plan[li][0][1]
+            c, h, w = net._plan[li][0]
             ho = (h - spec.kernel_size) // spec.stride + 1
             wo = (w - spec.kernel_size) // spec.stride + 1
             maps = z.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
@@ -278,15 +278,15 @@ def reference_loss_and_grads(net, batch, labels):
     grads = [None] * len(net.specs)
     for li in range(len(net.specs) - 1, -1, -1):
         spec = net.specs[li]
-        form = net._plan[li][0]
+        shape = net._plan[li][0]
         mask = (preacts[li] > 0.0).astype(np.float64) if spec.activation == "relu" else None
         if spec.kind == "dense":
             dz = delta if mask is None else delta * mask
             grads[li] = dz @ aug_inputs[li].T
             back = (net.weights[li].T @ dz)[:-1]
-            delta = back.T.reshape((n,) + form[1]) if form[0] == "image" else back
+            delta = back.T.reshape((n,) + shape) if len(shape) == 3 else back
         else:
-            c, h, w = form[1]
+            c, h, w = shape
             k, st = spec.kernel_size, spec.stride
             ho = (h - k) // st + 1
             wo = (w - k) // st + 1
@@ -465,5 +465,4 @@ def load_csv_loop(path, n_classes):
         features=np.asarray(features, dtype=np.float64).reshape(len(labels), d),
         labels=np.asarray(labels, dtype=np.int64),
         n_classes=n_classes,
-        provenance={"source": str(path), "format": "csv"},
     )

@@ -294,3 +294,37 @@ def test_only_the_atomic_writer_opens_files_for_writing():
 def test_the_tooling_check_sees_a_plain_write():
     tree = ast.parse('with open(p, "w") as fh:\n    pass\nopen(p, mode="ab")\nopen(p)\nopen(p, "rb")\nq.write_text("x")\n')
     assert sorted(_opens_for_writing(tree)) == [1, 3, 6]
+
+
+# ---------------------------------------------------------------------------
+# tooling: no module imports a name it never uses
+# ---------------------------------------------------------------------------
+
+
+def _unused_imports(tree):
+    """(line, name) of each name the module binds by import and never references; `__future__` is exempt."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports its submodules to re-export them.
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if found and path.name != "__init__.py":
+            unused[path.name] = found
+    assert unused == {}
+
+
+def test_the_import_check_sees_an_unused_name():
+    tree = ast.parse("from __future__ import annotations\nimport os, json as j\nimport a.b\nfrom x import y, z as w\nos.sep\nw()\n")
+    assert _unused_imports(tree) == [(2, "j"), (3, "a"), (4, "y")]

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nullspace_unlearn import cli, nn, subspace
+from nullspace_unlearn import cli, evaluate, nn, subspace
 from nullspace_unlearn.config import ConfigError, load_config
 from nullspace_unlearn.linalg import NumericError
 
@@ -159,6 +160,47 @@ def test_pipeline_is_byte_reproducible(env, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+_EXACT_PASS = ("train.epochs=200", "train.milestones=[160]", "subspace.epsilon=1.0", "subspace.build_batch=16")
+
+
+def test_a_pass_agrees_across_blas_thread_counts(tmp_path):
+    # Bytes are promised for one numpy/BLAS build at one BLAS thread count
+    # only; across thread counts the ranks, the accuracies and the
+    # guarantee must still hold.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    sets = [arg for item in _EXACT_PASS for arg in ("--set", item)]
+    script = (
+        "import sys\n"
+        "from nullspace_unlearn import cli\n"
+        "for step in ('gen-data', 'train', 'subspace', 'unlearn', 'evaluate'):\n"
+        "    cli.main(['--workdir', sys.argv[1], *sys.argv[2:], step], standalone_mode=False)\n"
+    )
+    workdirs = {threads: tmp_path / f"blas{threads}" for threads in (1, 2)}
+    for threads, workdir in workdirs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(workdir), *sets], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)},
+        )
+        assert proc.returncode == 0, proc.stderr
+    ranks, accuracies = [], []
+    cfg = load_config(overrides=_EXACT_PASS)
+    held = cfg.unlearn_plan().unlearn_classes
+    for workdir in workdirs.values():
+        ranks.append(json.loads((workdir / "subspace.json").read_text())["ranks"])
+        utility = json.loads((workdir / "evaluate.json").read_text())["utility"]
+        accuracies.append({m: (u["acc_remaining_test"], u["acc_unlearn_test"]) for m, u in utility.items()})
+        ds, _ = cli.load_dataset_artifact(cfg, workdir)
+        net_o = nn.load_checkpoint(cli.checkpoint_path(workdir, "original"))
+        net_u = nn.load_checkpoint(cli.checkpoint_path(workdir, "unlearned_calibrated"))
+        inputs, _ = cli.build_subspaces(cfg, net_o, cfg.splits(ds).train)
+        remaining = [inputs[c] for c in sorted(inputs) if c not in held]
+        trace = nn.ActivationTrace(per_layer=[np.hstack(layer) for layer in zip(*remaining)])
+        assert max(evaluate.orthogonality_audit(net_o, net_u, trace).per_layer_residual) <= 1e-6
+    assert ranks[0] == ranks[1]
+    assert accuracies[0] == accuracies[1]
+    assert set(accuracies[0]) == {"original", "calibrated"}
+
+
 def test_missing_artifact_exits_2(env, tmp_path):
     runner, cfg_path, workdir = env
     result = run(runner, cfg_path, workdir, "train")
@@ -217,6 +259,32 @@ def test_invalid_config_exits_3(env):
         result = run(runner, cfg_path, workdir, "--set", bad, "gen-data")
         assert result.exit_code == cli.EXIT_VALIDATION, bad
         assert named in stderr_error(result)["message"], bad
+
+
+@pytest.mark.parametrize(
+    "content, overrides",
+    [
+        (b"[1]", ("--set", "seed=1")),
+        (b"null", ("--set", "a.b=1")),
+        (None, ()),  # --config names a directory
+        (b"\xff\xfe{", ()),
+    ],
+    ids=["list-root-with-override", "null-root-with-override", "directory", "undecodable"],
+)
+def test_a_config_that_is_not_a_readable_json_object_exits_3(tmp_path, content, overrides):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    result = CliRunner().invoke(
+        cli.main, ["--config", str(path), "--workdir", str(tmp_path / "work"), *overrides, "gen-data"],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == cli.EXIT_VALIDATION
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"] == "validation"
 
 
 def test_config_file_missing_a_key_exits_3(env, tmp_path):
@@ -477,6 +545,29 @@ def test_a_malformed_model_state_field_exits_3_naming_the_file(env, name, keys, 
     for made in ("gen-data", "train", "subspace"):
         assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
     _edit_artifact(workdir, name, keys, value)
+    result = run(runner, cfg_path, workdir, *_SHORT, step)
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert named in stderr_error(result)["message"]
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, step, named",
+    [
+        ("dataset.meta.json", (), [], "train", "dataset.meta.json"),
+        ("dataset.meta.json", ("provenance",), [1], "train", "provenance"),
+        ("evaluate.json", (), [], "report", "evaluate.json"),
+    ],
+    ids=["meta-root", "meta-provenance", "evaluate-root"],
+)
+def test_a_json_record_whose_root_or_provenance_is_not_an_object_exits_3(env, name, keys, value, step, named):
+    runner, cfg_path, workdir = env
+    for made in ("gen-data", "train", "evaluate"):
+        assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
+    if keys:
+        _edit_artifact(workdir, name, keys, value)
+    else:
+        with open(os.path.join(workdir, name), "w") as fh:
+            json.dump(value, fh)
     result = run(runner, cfg_path, workdir, *_SHORT, step)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
     assert named in stderr_error(result)["message"]

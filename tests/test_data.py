@@ -1,5 +1,6 @@
 """Synthetic data generation, stratified splits, and file round trips."""
 
+import json
 import re
 import tracemalloc
 import warnings
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import BLOB_COV, BLOB_MEANS, blob_dataset
-from nullspace_unlearn import data
+from nullspace_unlearn import cli, data
+from nullspace_unlearn.artifacts import file_hash
+from nullspace_unlearn.config import load_config
 
 # ---------------------------------------------------------------------------
 # gaussian_mixture
@@ -24,7 +27,16 @@ def test_mixture_shapes_and_labels():
     assert ds.features.shape == (30, 4)
     npt.assert_array_equal(ds.labels, np.repeat([0, 1, 2], 10))
     assert ds.n_classes == 3
-    assert ds.provenance["generator"] == "gaussian_mixture"
+
+
+def test_dataset_meta_records_the_config_data_inputs(tmp_path):
+    # The preset's dataset.meta.json bytes are pinned by hash; its provenance
+    # is exactly the config's generator inputs.
+    cfg = load_config()
+    cli.generate_dataset(cfg, tmp_path)
+    meta = json.loads((tmp_path / "dataset.meta.json").read_text())
+    assert meta["provenance"] == cfg.data_inputs()
+    assert file_hash(tmp_path / "dataset.meta.json") == "52bd757e55cf22ae"
 
 
 def test_mixture_is_seed_deterministic():

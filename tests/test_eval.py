@@ -89,10 +89,10 @@ def test_utility_peak_memory(monkeypatch):
     net = nn.init_network(specs, input_shape=(2,), seed=1)
     rng = np.random.default_rng(0)
     remaining = data.Dataset(
-        features=rng.standard_normal((14850, 2)), labels=rng.integers(1, 4, 14850), n_classes=4, provenance={}
+        features=rng.standard_normal((14850, 2)), labels=rng.integers(1, 4, 14850), n_classes=4
     )
     forget = data.Dataset(
-        features=rng.standard_normal((4950, 2)), labels=np.zeros(4950, dtype=np.int64), n_classes=4, provenance={}
+        features=rng.standard_normal((4950, 2)), labels=np.zeros(4950, dtype=np.int64), n_classes=4
     )
     monkeypatch.setattr(nn, "_WORKERS", 2)
     tracemalloc.start()
@@ -206,10 +206,8 @@ def test_audit_passes_null_space_updates(fitted):
     net, sp = fitted
     build = sp.d_r
     _, trace = nn.forward(net, build.features, record=True)
-    subs = {
-        c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in (1, 2)
-    }
-    proj = subspace.merge_null_projector([subs[1], subs[2]], 1.0)
+    inputs = {c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in (1, 2)}
+    proj = subspace.merge_null_projector(inputs, 1.0)
     moved = net.copy()
     rng = np.random.default_rng(3)
     for w, b in zip(moved.weights, proj.bases):
@@ -292,10 +290,8 @@ def test_contour_csv_format(fitted, tmp_path):
 
 def test_contour_directions_are_unit_and_separated(fitted):
     net, sp = fitted
-    subs = {
-        c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in (1, 2)
-    }
-    proj = subspace.merge_null_projector([subs[1], subs[2]], 0.99, excluded_classes=(0,))
+    inputs = {c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in range(3)}
+    proj = subspace.merge_null_projector(inputs, 0.99, excluded_classes=(0,))
     null_dir, off_dir = evaluate.contour_directions(proj, net, seed=9)
     for nb, ob, b in zip(null_dir, off_dir, proj.bases):
         p = linalg.null_projector(b)

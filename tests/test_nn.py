@@ -512,7 +512,6 @@ def test_train_keeps_best_epoch_and_patience_stops():
         features=sp.train.features,
         labels=(sp.train.labels + 1) % 3,
         n_classes=3,
-        provenance={},
     )
     schedule = nn.TrainSchedule(lr=5.0, epochs=40, batch_size=8, patience=2, seed=1)
     out = nn.train(net, wrecked, sp.val, schedule)
@@ -538,7 +537,7 @@ def _noisy_blobs(seed=41):
     # Random labels on the blob features: accuracy plateaus, so patience can fire.
     sp = blob_splits(seed=seed)
     labels = np.random.default_rng(0).integers(0, 3, size=len(sp.train))
-    return data.Dataset(features=sp.train.features, labels=labels, n_classes=3, provenance={})
+    return data.Dataset(features=sp.train.features, labels=labels, n_classes=3)
 
 
 FULL_BATCH_CASES = {
@@ -607,7 +606,7 @@ def test_full_batch_training_peak_memory():
     )
     rng = np.random.default_rng(0)
     train_set = data.Dataset(
-        features=rng.standard_normal((200, 2)), labels=rng.integers(0, 4, 200), n_classes=4, provenance={}
+        features=rng.standard_normal((200, 2)), labels=rng.integers(0, 4, 200), n_classes=4
     )
     net = nn.init_network(specs, input_shape=(2,), seed=1)
     schedule = nn.TrainSchedule(lr=0.5, epochs=5, batch_size=200, patience=None)

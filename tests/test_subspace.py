@@ -1,4 +1,4 @@
-"""Class activation subspaces, merged retained bases, and their cache."""
+"""Per-class layer inputs, merged retained bases, and their cache."""
 
 import numpy as np
 import numpy.testing as npt
@@ -14,11 +14,13 @@ from nullspace_unlearn import linalg, nn, subspace
 @pytest.fixture(scope="module")
 def fitted():
     net, sp = trained_dense_net(seed=40)
-    subs = {
-        c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True))
-        for c in range(3)
-    }
-    return net, sp, subs
+    inputs = {c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in range(3)}
+    return net, sp, inputs
+
+
+def kept(inputs, *classes):
+    """The class-keyed inputs of just `classes`."""
+    return {c: inputs[c] for c in classes}
 
 
 # ---------------------------------------------------------------------------
@@ -27,13 +29,11 @@ def fitted():
 
 
 def test_class_subspace_shapes_follow_the_trace(fitted):
-    net, sp, subs = fitted
+    net, sp, inputs = fitted
     batch = sp.train.class_filter((1,), keep=True)
     _, trace = nn.forward(net, batch.features, record=True)
-    sub = subs[1]
-    assert sub.class_id == 1
-    assert len(sub.activations) == len(trace.per_layer) == 2
-    for a, r in zip(sub.activations, trace.per_layer):
+    assert len(inputs[1]) == len(trace.per_layer) == 2
+    for a, r in zip(inputs[1], trace.per_layer):
         assert a.tobytes() == r.tobytes() and a.shape == r.shape
 
 
@@ -51,8 +51,8 @@ def test_class_subspace_rejects_mixed_or_empty(fitted):
 
 
 def test_merged_projector_properties(fitted):
-    _, _, subs = fitted
-    proj = subspace.merge_null_projector([subs[1], subs[2]], 0.99, excluded_classes=(0,))
+    _, _, inputs = fitted
+    proj = subspace.merge_null_projector(inputs, 0.99, excluded_classes=(0,))
     assert proj.merged_classes == (1, 2)
     assert proj.excluded_classes == (0,)
     assert len(proj.bases) == 2
@@ -62,18 +62,18 @@ def test_merged_projector_properties(fitted):
 
 
 def test_merge_is_order_invariant(fitted):
-    _, _, subs = fitted
-    ab = subspace.merge_null_projector([subs[1], subs[2]], 0.99)
-    ba = subspace.merge_null_projector([subs[2], subs[1]], 0.99)
-    assert ab.ranks == ba.ranks
-    # Singular vectors may differ in sign and rotation; the spans may not.
+    # The kept classes are stacked in ascending class order, whatever order the dict was built in.
+    _, _, inputs = fitted
+    ab = subspace.merge_null_projector({1: inputs[1], 2: inputs[2]}, 0.99)
+    ba = subspace.merge_null_projector({2: inputs[2], 1: inputs[1]}, 0.99)
+    assert (ab.merged_classes, ab.ranks) == (ba.merged_classes, ba.ranks)
     for qa, qb in zip(ab.bases, ba.bases):
-        npt.assert_allclose(qa @ qa.T, qb @ qb.T, atol=1e-8)
+        assert qa.tobytes() == qb.tobytes()
 
 
 def test_full_energy_projector_annihilates_build_activations(fitted):
-    net, sp, subs = fitted
-    proj = subspace.merge_null_projector([subs[1], subs[2]], 1.0)
+    net, sp, inputs = fitted
+    proj = subspace.merge_null_projector(kept(inputs, 1, 2), 1.0)
     for c in (1, 2):
         batch = sp.train.class_filter((c,), keep=True)
         _, trace = nn.forward(net, batch.features, record=True)
@@ -82,8 +82,8 @@ def test_full_energy_projector_annihilates_build_activations(fitted):
 
 
 def test_rank_grows_with_epsilon(fitted):
-    _, _, subs = fitted
-    pair = [subs[1], subs[2]]
+    _, _, inputs = fitted
+    pair = kept(inputs, 1, 2)
     ranks = [subspace.merge_null_projector(pair, eps).ranks for eps in (0.5, 0.99, 1.0)]
     for lo, hi in zip(ranks, ranks[1:]):
         assert all(a <= b for a, b in zip(lo, hi))
@@ -99,18 +99,18 @@ def test_svd_runs_once_per_layer_per_merge_and_never_per_class(fitted, monkeypat
         return real_svd(m)
 
     monkeypatch.setattr(subspace, "svd", spy)
-    subs = [subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in (1, 2)]
+    inputs = {c: subspace.class_subspace(net, sp.train.class_filter((c,), keep=True)) for c in (1, 2)}
     assert shapes == []
-    subspace.merge_null_projector(subs, 0.99)
-    assert shapes == [(a.shape[0], a.shape[1] + b.shape[1]) for a, b in zip(subs[0].activations, subs[1].activations)]
+    subspace.merge_null_projector(inputs, 0.99)
+    assert shapes == [(a.shape[0], a.shape[1] + b.shape[1]) for a, b in zip(inputs[1], inputs[2])]
 
 
 @pytest.mark.parametrize("epsilon", [0.5, 0.99, 1.0])
 def test_merge_matches_the_per_class_svd_route(fitted, epsilon):
-    _, _, subs = fitted
-    proj = subspace.merge_null_projector([subs[1], subs[2]], epsilon)
+    _, _, inputs = fitted
+    proj = subspace.merge_null_projector(kept(inputs, 1, 2), epsilon)
     for li, b in enumerate(proj.bases):
-        ref, _ = oracles.per_class_merge_basis([subs[1].activations[li], subs[2].activations[li]], epsilon)
+        ref, _ = oracles.per_class_merge_basis([inputs[1][li], inputs[2][li]], epsilon)
         assert b.shape == ref.shape
         npt.assert_allclose(b @ b.T, ref @ ref.T, rtol=0.0, atol=1e-10)
 
@@ -135,26 +135,29 @@ def test_merge_matches_the_per_class_svd_route_on_rank_deficient_classes(rows, s
     ref, ref_s = oracles.per_class_merge_basis(per_class, 1.0)
     stacked_s = linalg.svd(np.hstack(per_class)).s
     npt.assert_allclose(stacked_s, ref_s, rtol=0.0, atol=1e-10 * ref_s[0])
-    subs = [subspace.ClassSubspace(class_id=c, activations=[r]) for c, r in enumerate(per_class)]
-    proj = subspace.merge_null_projector(subs, 1.0)
+    proj = subspace.merge_null_projector({c: [r] for c, r in enumerate(per_class)}, 1.0)
     assert proj.ranks == (ref.shape[1],)
     b = proj.bases[0]
     npt.assert_allclose(b @ b.T, ref @ ref.T, rtol=0.0, atol=1e-9)
 
 
 def test_merge_validation(fitted):
-    _, _, subs = fitted
-    with pytest.raises(ValueError, match="duplicate"):
-        subspace.merge_null_projector([subs[1], subs[1]], 0.99)
-    with pytest.raises(ValueError, match="at least one"):
-        subspace.merge_null_projector([], 0.99)
+    _, _, inputs = fitted
+    with pytest.raises(ValueError, match="no subspace recorded"):
+        subspace.merge_null_projector(inputs, 0.99, excluded_classes=(7,))
+    with pytest.raises(ValueError, match="no recorded class"):
+        subspace.merge_null_projector({}, 0.99)
+    with pytest.raises(ValueError, match="no recorded class"):
+        subspace.merge_null_projector(inputs, 0.99, excluded_classes=(0, 1, 2))
     with pytest.raises(ValueError, match="epsilon"):
-        subspace.merge_null_projector([subs[1]], 0.0)
+        subspace.merge_null_projector(kept(inputs, 1), 0.0)
+    with pytest.raises(ValueError, match="zip"):
+        subspace.merge_null_projector({1: inputs[1], 2: inputs[2][:1]}, 0.99)
 
 
 def test_retained_energy_bounds(fitted):
-    net, sp, subs = fitted
-    proj = subspace.merge_null_projector([subs[1], subs[2]], 1.0)
+    net, sp, inputs = fitted
+    proj = subspace.merge_null_projector(kept(inputs, 1, 2), 1.0)
     batch = sp.train.class_filter((1,), keep=True)
     _, trace = nn.forward(net, batch.features, record=True)
     removed = subspace.retained_energy(proj, trace)
@@ -170,11 +173,11 @@ def test_retained_energy_bounds(fitted):
 
 
 def test_cache_builds_once_and_matches_direct_merge(fitted):
-    _, _, subs = fitted
-    cache = subspace.ProjectorCache(subs, 0.99)
+    _, _, inputs = fitted
+    cache = subspace.ProjectorCache(inputs, 0.99)
     first = cache.for_excluded(0)
     assert cache.for_excluded(0) is first
-    direct = subspace.merge_null_projector([subs[1], subs[2]], 0.99, excluded_classes=(0,))
+    direct = subspace.merge_null_projector(kept(inputs, 1, 2), 0.99)
     assert first.merged_classes == direct.merged_classes
     for pa, pb in zip(first.bases, direct.bases):
         npt.assert_array_equal(pa, pb)
@@ -183,21 +186,19 @@ def test_cache_builds_once_and_matches_direct_merge(fitted):
     assert cache.for_excluded(1, 0) is pair
     assert pair.merged_classes == (2,)
     assert pair.excluded_classes == (0, 1)
-    direct = subspace.merge_null_projector([subs[2]], 0.99)
+    direct = subspace.merge_null_projector(kept(inputs, 2), 0.99)
     for pa, pb in zip(pair.bases, direct.bases):
         npt.assert_array_equal(pa, pb)
 
 
 def test_cache_validation(fitted):
-    _, _, subs = fitted
+    _, _, inputs = fitted
     with pytest.raises(ValueError, match="no subspace recorded"):
-        subspace.ProjectorCache(subs, 0.99).for_excluded(7)
+        subspace.ProjectorCache(inputs, 0.99).for_excluded(7)
     with pytest.raises(ValueError, match="no recorded class"):
-        subspace.ProjectorCache({1: subs[1]}, 0.99).for_excluded(1)
+        subspace.ProjectorCache(kept(inputs, 1), 0.99).for_excluded(1)
     with pytest.raises(ValueError, match="no recorded class"):
-        subspace.ProjectorCache(subs, 0.99).for_excluded(0, 1, 2)
-    with pytest.raises(ValueError, match="carries class_id"):
-        subspace.ProjectorCache({0: subs[1]}, 0.99)
+        subspace.ProjectorCache(inputs, 0.99).for_excluded(0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +207,8 @@ def test_cache_validation(fitted):
 
 
 def test_subspace_round_trip_is_bit_exact(fitted, tmp_path):
-    _, _, subs = fitted
-    proj = subspace.ProjectorCache(subs, 0.99).for_excluded(0)
+    _, _, inputs = fitted
+    proj = subspace.ProjectorCache(inputs, 0.99).for_excluded(0)
     path = tmp_path / "subspace.json"
     subspace.save_subspace(proj, path, source_checkpoint_hash="abc123", seed=7)
     back, stamp = subspace.load_subspace(path)
@@ -228,9 +229,9 @@ def test_subspace_round_trip_is_bit_exact(fitted, tmp_path):
 
 
 def test_subspace_load_rejects_unknown_version(fitted, tmp_path):
-    _, _, subs = fitted
+    _, _, inputs = fitted
     path = tmp_path / "subspace.json"
-    subspace.save_subspace(subspace.ProjectorCache(subs, 0.99).for_excluded(0), path)
+    subspace.save_subspace(subspace.ProjectorCache(inputs, 0.99).for_excluded(0), path)
     version = subspace.SUBSPACE_FORMAT_VERSION
     path.write_text(path.read_text().replace(f'"format_version": {version}', f'"format_version": {version + 1}'))
     with pytest.raises(ValueError, match="format_version"):
@@ -238,8 +239,8 @@ def test_subspace_load_rejects_unknown_version(fitted, tmp_path):
 
 
 def test_basis_stands_in_for_its_cache_only_for_its_own_unlearn_set(fitted):
-    _, _, subs = fitted
-    proj = subspace.ProjectorCache(subs, 0.99).for_excluded(0, 1)
+    _, _, inputs = fitted
+    proj = subspace.ProjectorCache(inputs, 0.99).for_excluded(0, 1)
     assert proj.for_excluded(1, 0) is proj
     for other in ((0,), (1,), (0, 1, 2), ()):
         with pytest.raises(ValueError, match="excludes classes"):

@@ -8,11 +8,12 @@ covers a failing or killed process, not a power cut.)  `file_hash` gives
 the same sha256 prefix for a file already on disk.
 
 `write_json` writes exactly `json.dumps(doc, sort_keys=True, indent=1)` plus
-a newline.  Arrays of model state (checkpoint weights, retained bases) go
-into those documents as `encode_array` spells them: the standard base64 of
-their C-order little-endian float64 bytes, with their shape.  A save or load
-then copies bytes instead of spelling each float in decimal, and
-`decode_array` returns the same bits, sign of zero and subnormals included.
+a newline, and `read_json` is every artifact's one reader.  Arrays of model
+state (checkpoint weights, retained bases) go into those documents as
+`encode_array` spells them: the standard base64 of their C-order
+little-endian float64 bytes, with their shape.  A save or load then copies
+bytes instead of spelling each float in decimal, and `decode_array`
+returns the same bits, sign of zero and subnormals included.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ def file_hash(path) -> str:
 def write_json(doc, path) -> str:
     """`json.dumps(doc, sort_keys=True, indent=1)` plus a newline, written to path by `write_atomic`."""
     return write_atomic(path, [json.dumps(doc, sort_keys=True, indent=1), "\n"])
+
+
+def read_json(path, format_version=None) -> dict:
+    """The JSON object at path, its format_version popped and checked if one is given; errors name path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: root must be a JSON object, got {type(doc).__name__}")
+    if format_version is not None:
+        found = doc.pop("format_version", None)
+        if found != format_version:
+            raise ValueError(f"{path}: unsupported format_version {found!r}, expected {format_version}")
+    return doc
 
 
 def encode_array(a) -> dict:

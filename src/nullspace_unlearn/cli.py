@@ -22,6 +22,7 @@ import numpy as np
 
 from . import data, evaluate, nn, subspace, unlearn
 from .artifacts import file_hash as _file_hash
+from .artifacts import read_json as _read_json
 from .artifacts import write_atomic, write_json
 from .config import ConfigError, RunConfig, load_config
 from .linalg import NumericError
@@ -37,15 +38,6 @@ _CHECKPOINTS = {"original": "original", "retrain": "retrain", **{v: f"unlearned_
 def _write_record(doc: dict, path, cfg: RunConfig, data_hash: str) -> None:
     """A JSON record stamped with the config, root seed and dataset it was computed from."""
     write_json({**doc, "config_hash": cfg.hash, "seed": cfg.seed, "data_hash": data_hash}, path)
-
-
-def _read_json(path) -> dict:
-    """A JSON record; a root that is not an object raises ValueError naming path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: root must be a JSON object, got {type(doc).__name__}")
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +60,7 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
     os.makedirs(workdir, exist_ok=True)
     ds = cfg.dataset()
     data_hash = data.save_csv(ds, dataset_path(workdir))
-    _write_record(
-        {"n_classes": ds.n_classes, "n_samples": len(ds), "provenance": cfg.data_inputs()},
-        os.path.join(workdir, "dataset.meta.json"), cfg, data_hash,
-    )
+    _write_record({"provenance": cfg.data_inputs()}, os.path.join(workdir, "dataset.meta.json"), cfg, data_hash)
     return ds, data_hash
 
 
@@ -90,8 +79,7 @@ def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
     differ = sorted(k for k, v in cfg.data_inputs().items() if provenance.get(k) != v)
     if differ:
         raise ConfigError(f"dataset.meta.json records generator inputs {differ} other than this config's")
-    ds = data.load_csv(path, n_classes=int(meta["n_classes"]))
-    return ds, data_hash
+    return data.load_csv(path, n_classes=len(cfg.data_inputs()["means"])), data_hash
 
 
 def train_original(cfg: RunConfig, sp: data.Splits) -> nn.Network:
@@ -121,7 +109,10 @@ def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) ->
 
 
 def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlearn.UnlearnResult:
-    """One `unlearn.VARIANTS` entry; `cache`, a ProjectorCache or the run's basis, is used only if the plan projects."""
+    """The config's plan for `variant`, run by `unlearn.baseline_unlearn`.
+
+    `cache`, a ProjectorCache or the run's basis, is used only if the variant projects.
+    """
     return unlearn.baseline_unlearn(net_o, sp.d_u, cfg.unlearn_plan(variant), cache)
 
 
@@ -295,8 +286,7 @@ def unlearn_cmd(ctx, variant):
     _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
     _write_record(
         {
-            "variant": variant, "plan": res.plan.describe(),
-            "epoch_losses": res.epoch_losses,
+            "variant": variant, "epoch_losses": res.epoch_losses,
             "assigned_labels": res.labeled.assigned_labels.tolist(),
             "original_labels": res.labeled.original_labels.tolist(),
         },
@@ -394,10 +384,10 @@ def report_cmd(ctx):
             hashes[name] = (doc.get("config_hash"), doc.get("data_hash"))
     if not sections:
         raise FileNotFoundError(f"no evaluate/ablation/contour artifacts under {workdir}")
-    distinct = set(hashes.values())
-    if len(distinct) > 1:
+    first = next(iter(hashes.values()))
+    if any(h != first for h in hashes.values()):
         raise ConfigError(f"artifacts disagree on config/data hashes: {sorted(hashes.items())}")
-    (config_hash_value, data_hash_value) = next(iter(distinct))
+    config_hash_value, data_hash_value = first
     write_json(
         {"config_hash": config_hash_value, "data_hash": data_hash_value, "sections": sections},
         os.path.join(workdir, "report.json"),

@@ -174,12 +174,9 @@ class RunConfig:
 
     def unlearn_plan(self, variant: str = "calibrated") -> unlearn.UnlearnPlan:
         """The `unlearn.VARIANTS` entry for `variant` with this config's SGD settings."""
-        if variant not in unlearn.VARIANTS:
-            raise ConfigError(f"unknown unlearn variant {variant!r}; expected one of {sorted(unlearn.VARIANTS)}")
-        labeling, use_null_space, ascend = unlearn.VARIANTS[variant]
         return unlearn.UnlearnPlan(
-            **self.doc["unlearn"], unlearn_classes=self.doc["split"]["unlearn_classes"], labeling=labeling,
-            use_null_space=use_null_space, ascend=ascend, seed=derive_seed(self.seed, "unlearn"),
+            **self.doc["unlearn"], unlearn_classes=self.doc["split"]["unlearn_classes"], variant=variant,
+            seed=derive_seed(self.seed, "unlearn"),
         )
 
     # -- evaluation ----------------------------------------------------------

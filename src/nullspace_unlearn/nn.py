@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextvars
 import copy as _copy
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +27,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import decode_array, encode_array, write_json
+from .artifacts import decode_array, encode_array, read_json, write_json
 from .determinism import PortableRng, derive_seed
 from .linalg import NumericError, as_matrix
 
@@ -511,7 +510,6 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
     full_batch = schedule.batch_size >= n
     fused = full_batch and np.array_equal(x_tr, x_val) and np.array_equal(y_tr, y_val)
     out = net.copy()
-    out.metadata = dict(out.metadata)
     rng = PortableRng(derive_seed(schedule.seed, "shuffle"))
     lr = schedule.lr
     best_acc, best_epoch, best_weights = -1.0, 0, out.weights
@@ -568,14 +566,8 @@ def save_checkpoint(net: Network, path) -> None:
 
 def load_checkpoint(path) -> Network:
     """The network `save_checkpoint` wrote; a malformed field raises ValueError naming path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, CHECKPOINT_FORMAT_VERSION)
     try:
-        version = doc.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format_version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
-            )
         return Network(
             specs=tuple(LayerSpec(**d) for d in doc["layers"]),
             weights=[decode_array(w, f"{path} weights[{i}]") for i, w in enumerate(doc["weights"])],

@@ -14,13 +14,12 @@ against each other as it would their factors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import nn
-from .artifacts import decode_array, encode_array, write_json
+from .artifacts import decode_array, encode_array, read_json, write_json
 from .linalg import as_matrix, rank_cutoff, svd
 
 SUBSPACE_FORMAT_VERSION = 3
@@ -152,12 +151,8 @@ def load_subspace(path) -> tuple:
 
     A malformed field raises ValueError naming path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, SUBSPACE_FORMAT_VERSION)
     try:
-        version = doc.pop("format_version", None)
-        if version != SUBSPACE_FORMAT_VERSION:
-            raise ValueError(f"unsupported subspace format_version {version!r}, expected {SUBSPACE_FORMAT_VERSION}")
         kw = {f.name: doc.pop(f.name) for f in fields(NullProjector)}
         kw["bases"] = [decode_array(b, f"{path} bases[{i}]") for i, b in enumerate(kw["bases"])]
         return NullProjector(**kw), doc

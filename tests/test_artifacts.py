@@ -280,20 +280,124 @@ def _opens_for_writing(tree):
                 yield node.lineno
 
 
+def _parsed(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _only_inside(found, function: str) -> bool:
+    """Whether found, a set of (file name, line), is non-empty and lies wholly inside artifacts.function."""
+    helper = next(n for n in _parsed(SRC / "artifacts.py").body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return bool(found) and all(name == "artifacts.py" and helper.lineno <= line <= helper.end_lineno for name, line in found)
+
+
 def test_only_the_atomic_writer_opens_files_for_writing():
-    found = {
-        (path.name, line)
-        for path in sorted(SRC.rglob("*.py"))
-        for line in _opens_for_writing(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    writer = ast.parse((SRC / "artifacts.py").read_text(encoding="utf-8"))
-    helper = next(n for n in writer.body if isinstance(n, ast.FunctionDef) and n.name == "write_atomic")
-    assert found and all(name == "artifacts.py" and helper.lineno <= line <= helper.end_lineno for name, line in found)
+    found = {(path.name, line) for path in sorted(SRC.rglob("*.py")) for line in _opens_for_writing(_parsed(path))}
+    assert _only_inside(found, "write_atomic")
 
 
 def test_the_tooling_check_sees_a_plain_write():
     tree = ast.parse('with open(p, "w") as fh:\n    pass\nopen(p, mode="ab")\nopen(p)\nopen(p, "rb")\nq.write_text("x")\n')
     assert sorted(_opens_for_writing(tree)) == [1, 3, 6]
+
+
+# ---------------------------------------------------------------------------
+# tooling: one reader of JSON documents
+# ---------------------------------------------------------------------------
+
+
+def _parses_json(tree):
+    """Line of each json.load / json.loads call and each import of either name from json."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("load", "loads") and isinstance(node.func.value, ast.Name) and node.func.value.id == "json":
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if {a.name for a in node.names} & {"load", "loads"}:
+                yield node.lineno
+
+
+def test_only_read_json_parses_json():
+    # config.py parses the user's config file and the bundled preset, each
+    # failure with its own ConfigError message.
+    found = {
+        (path.name, line)
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "config.py"
+        for line in _parses_json(_parsed(path))
+    }
+    assert _only_inside(found, "read_json")
+
+
+def test_the_reader_check_sees_a_plain_load():
+    tree = ast.parse("import json\nwith open(p) as fh:\n    json.load(fh)\njson.loads(s)\njson.dumps(d)\nfrom json import loads\n")
+    assert sorted(_parses_json(tree)) == [3, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# tooling: every module-level name is used
+# ---------------------------------------------------------------------------
+
+# linalg.null_projector is called only by tests/test_acceptance.py::test_c9_numerical_property_suite.
+_UNREFERENCED_BY_DESIGN = {"linalg.null_projector"}
+
+
+def _module_defs(tree):
+    """(name, first line, last line) of each module-level def and class that is not a click command."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not any(
+            isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+            for d in node.decorator_list
+        ):
+            yield node.name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) of each name, attribute, imported name and whole string constant in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _unreferenced(modules: dict, others: dict) -> list:
+    """`module.name` of each module-level def or class in modules that no tree references outside its own definition.
+
+    modules and others map a label to a parsed file; only modules' definitions are checked.
+    """
+    refs = {}
+    for label, tree in {**modules, **others}.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((label, line))
+    return sorted(
+        f"{label}.{name}"
+        for label, tree in modules.items()
+        for name, first, last in _module_defs(tree)
+        if all(where == label and first <= line <= last for where, line in refs.get(name, ()))
+    )
+
+
+def test_every_module_level_name_is_referenced():
+    modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
+    benchmarks = SRC.parents[1] / "benchmarks"
+    others = {f"benchmarks/{path.name}": _parsed(path) for path in sorted(benchmarks.glob("*.py"))}
+    assert set(_unreferenced(modules, others)) == _UNREFERENCED_BY_DESIGN
+
+
+def test_the_dead_name_check_sees_an_unreferenced_def():
+    mod = ast.parse(
+        "import click\n"
+        "def used():\n    return 1\n"
+        "def dead():\n    return dead()\n"
+        "class Kept:\n    pass\n"
+        "@main.command('x')\ndef cmd():\n    pass\n"
+    )
+    other = ast.parse("from mod import used\nused()\nTARGETS = ((mod, 'Kept'),)\n")
+    assert _unreferenced({"mod": mod}, {"other": other}) == ["mod.dead"]
 
 
 # ---------------------------------------------------------------------------

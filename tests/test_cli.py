@@ -392,7 +392,7 @@ def test_gradient_ascent_variant_ascends(env, tmp_path):
         result = run(runner, cfg_path, workdir, *step)
         assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "work" / "run_unlearned_gradient-ascent.json").read_text())
-    assert record["plan"] == "keep+ascend"
+    assert record["variant"] == "gradient-ascent"
     assert record["epoch_losses"][-1] > record["epoch_losses"][0]
 
 
@@ -571,6 +571,28 @@ def test_a_json_record_whose_root_or_provenance_is_not_an_object_exits_3(env, na
     result = run(runner, cfg_path, workdir, *_SHORT, step)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
     assert named in stderr_error(result)["message"]
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, step, code, named",
+    [
+        ("dataset.meta.json", ("n_classes",), [4], "train", 0, None),
+        ("dataset.meta.json", ("provenance", "means"), 4, "train", cli.EXIT_VALIDATION, "means"),
+        ("evaluate.json", ("config_hash",), [], "report", cli.EXIT_VALIDATION, "disagree"),
+    ],
+    ids=["meta-n-classes-list", "meta-means-number", "evaluate-config-hash-list"],
+)
+def test_a_record_field_of_the_wrong_type_does_not_crash(env, name, keys, value, step, code, named):
+    # The class count comes from the config, not from a record field, and
+    # report compares the sections' hashes without hashing them.
+    runner, cfg_path, workdir = env
+    for made in ("gen-data", "train", "retrain", "subspace", "evaluate", "ablate"):
+        assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
+    _edit_artifact(workdir, name, keys, value)
+    result = run(runner, cfg_path, workdir, *_SHORT, step)
+    assert result.exit_code == code, result.output
+    if named:
+        assert named in stderr_error(result)["message"]
 
 
 def test_a_version_1_checkpoint_with_nested_list_weights_exits_3(env):

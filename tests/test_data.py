@@ -31,12 +31,14 @@ def test_mixture_shapes_and_labels():
 
 def test_dataset_meta_records_the_config_data_inputs(tmp_path):
     # The preset's dataset.meta.json bytes are pinned by hash; its provenance
-    # is exactly the config's generator inputs.
+    # is exactly the config's generator inputs, and it restates no count the
+    # config or the CSV already gives.
     cfg = load_config()
     cli.generate_dataset(cfg, tmp_path)
     meta = json.loads((tmp_path / "dataset.meta.json").read_text())
     assert meta["provenance"] == cfg.data_inputs()
-    assert file_hash(tmp_path / "dataset.meta.json") == "52bd757e55cf22ae"
+    assert sorted(meta) == ["config_hash", "data_hash", "provenance", "seed"]
+    assert file_hash(tmp_path / "dataset.meta.json") == "8622dd4d69774419"
 
 
 def test_mixture_is_seed_deterministic():

@@ -480,6 +480,17 @@ def test_train_zero_epochs_is_identity():
     assert sorted(out.metadata) == sorted(one.metadata)
 
 
+def test_train_returns_its_own_metadata_and_leaves_the_input_unchanged():
+    net = dense_net(seed=21)
+    net.metadata.update(config_hash="abc", notes={"kept": [1]})
+    sp = blob_splits(seed=21)
+    out = nn.train(net, sp.train, sp.val, nn.TrainSchedule(lr=0.1, epochs=1, batch_size=8))
+    assert out.metadata is not net.metadata
+    assert out.metadata["notes"] is not net.metadata["notes"]
+    assert net.metadata == {"config_hash": "abc", "notes": {"kept": [1]}}
+    assert {k: out.metadata[k] for k in net.metadata} == net.metadata
+
+
 def test_train_fits_the_blobs():
     net, sp = trained_dense_net(seed=22)
     assert nn.accuracy(net, sp.test.features, sp.test.labels) >= 0.9

@@ -12,15 +12,8 @@ import oracles
 from conftest import dense_specs, trained_dense_net
 from test_nn import _kernel_cases
 from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
-from nullspace_unlearn.config import ConfigError, load_config
+from nullspace_unlearn.config import load_config
 from nullspace_unlearn.determinism import PortableRng, derive_seed
-
-DESCRIBED = {
-    "calibrated": "pseudo+nullspace",
-    "random-label": "random",
-    "random-label+nullspace": "random+nullspace",
-    "gradient-ascent": "keep+ascend",
-}
 
 
 @pytest.fixture(scope="module")
@@ -151,49 +144,45 @@ def test_pseudo_labeled_set_validation():
 def test_plan_validation():
     with pytest.raises(ValueError):
         plan(unlearn_classes=())
-    with pytest.raises(ValueError):
-        plan(labeling="hard")
-    with pytest.raises(ValueError):
-        plan(labeling="pseudo", ascend=True)
+    with pytest.raises(ValueError, match="unknown unlearn variant"):
+        plan(variant="hard")
     with pytest.raises(ValueError):
         plan(lr=-1.0)
     with pytest.raises(ValueError):
         plan(epochs=-1)
     with pytest.raises(ValueError):
         plan(batch_size=0)
-    assert plan(labeling="keep", ascend=True, use_null_space=False).describe() == "keep+ascend"
-    assert plan().describe() == "pseudo+nullspace"
+    with pytest.raises(TypeError):
+        plan(labeling="keep")
+    ga = plan(variant="gradient-ascent")
+    assert (ga.labeling, ga.use_null_space, ga.ascend) == ("keep", False, True)
+    # replace() keeps the row when the variant stays and derives it again when the variant moves.
+    longer = dataclasses.replace(ga, epochs=20)
+    assert (longer.variant, longer.epochs, longer.labeling, longer.ascend) == ("gradient-ascent", 20, "keep", True)
+    moved = dataclasses.replace(ga, variant="random-label+nullspace")
+    assert (moved.labeling, moved.use_null_space, moved.ascend) == unlearn.VARIANTS["random-label+nullspace"]
 
 
 @pytest.mark.parametrize("variant", sorted(unlearn.VARIANTS))
 def test_config_builds_each_variant_from_the_table(variant):
     cfg = load_config()
     built = cfg.unlearn_plan(variant)
-    assert built.describe() == DESCRIBED[variant]
+    assert built.variant == variant
+    assert (built.labeling, built.use_null_space, built.ascend) == unlearn.VARIANTS[variant]
     sgd = cfg.doc["unlearn"]
     assert (built.lr, built.epochs, built.batch_size) == (sgd["lr"], sgd["epochs"], sgd["batch_size"])
     assert built.seed == cfg.seed_for("unlearn")
 
 
-def test_unknown_variant_is_a_config_error():
-    assert set(DESCRIBED) == set(unlearn.VARIANTS)
-    with pytest.raises(ConfigError, match="unknown unlearn variant"):
+def test_unknown_variant_is_refused_by_the_plan():
+    with pytest.raises(ValueError, match="unknown unlearn variant"):
         load_config().unlearn_plan("fine-tune")
-
-
-def test_calibrated_requires_the_calibrated_plan(fitted):
-    net, sp, subs = fitted
-    cache = subspace.ProjectorCache(subs, 0.99)
-    with pytest.raises(ValueError, match="pseudo\\+nullspace"):
-        unlearn.calibrated_unlearn(net, sp.d_u, cache, plan(labeling="random"))
-    with pytest.raises(ValueError, match="pseudo\\+nullspace"):
-        unlearn.calibrated_unlearn(net, sp.d_u, cache, plan(use_null_space=False))
 
 
 def test_baseline_nullspace_needs_a_cache(fitted):
     net, sp, _ = fitted
     with pytest.raises(ValueError, match="projector cache"):
-        unlearn.baseline_unlearn(net, sp.d_u, plan(labeling="random", use_null_space=True))
+        unlearn.baseline_unlearn(net, sp.d_u, plan(variant="random-label+nullspace"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +193,7 @@ def test_baseline_nullspace_needs_a_cache(fitted):
 def test_zero_epochs_returns_original_weights(fitted):
     net, sp, subs = fitted
     cache = subspace.ProjectorCache(subs, 0.99)
-    res = unlearn.calibrated_unlearn(net, sp.d_u, cache, plan(epochs=0))
+    res = unlearn.baseline_unlearn(net, sp.d_u, plan(epochs=0), cache)
     assert res.epoch_losses == []
     for w0, w1 in zip(net.weights, res.network.weights):
         npt.assert_array_equal(w0, w1)
@@ -214,8 +203,8 @@ def test_zero_epochs_returns_original_weights(fitted):
 def test_unlearn_is_bit_deterministic(fitted):
     net, sp, subs = fitted
     cache = subspace.ProjectorCache(subs, 0.99)
-    a = unlearn.calibrated_unlearn(net, sp.d_u, cache, plan())
-    b = unlearn.calibrated_unlearn(net, sp.d_u, subspace.ProjectorCache(subs, 0.99), plan())
+    a = unlearn.baseline_unlearn(net, sp.d_u, plan(), cache)
+    b = unlearn.baseline_unlearn(net, sp.d_u, plan(), subspace.ProjectorCache(subs, 0.99))
     assert a.epoch_losses == b.epoch_losses
     for wa, wb in zip(a.network.weights, b.network.weights):
         npt.assert_array_equal(wa, wb)
@@ -224,7 +213,7 @@ def test_unlearn_is_bit_deterministic(fitted):
 def test_unlearn_records_losses_and_reduces_them(fitted):
     net, sp, subs = fitted
     cache = subspace.ProjectorCache(subs, 0.99)
-    res = unlearn.calibrated_unlearn(net, sp.d_u, cache, plan(epochs=12))
+    res = unlearn.baseline_unlearn(net, sp.d_u, plan(epochs=12), cache)
     assert len(res.epoch_losses) == 12
     assert res.epoch_losses[-1] < res.epoch_losses[0]
 
@@ -232,7 +221,7 @@ def test_unlearn_records_losses_and_reduces_them(fitted):
 def test_unlearn_drops_forget_class_and_keeps_remaining(fitted):
     net, sp, subs = fitted
     cache = subspace.ProjectorCache(subs, 0.99)
-    res = unlearn.calibrated_unlearn(net, sp.d_u, cache, plan(epochs=25))
+    res = unlearn.baseline_unlearn(net, sp.d_u, plan(epochs=25), cache)
     d_u_test = sp.test_unlearn
     rem_test = sp.test_remaining
     before_forget = nn.accuracy(net, d_u_test.features, d_u_test.labels)
@@ -247,7 +236,7 @@ def test_full_energy_projection_freezes_build_outputs(fitted):
     # network's outputs on the very activations the subspaces were built from.
     net, sp, subs = fitted
     cache = subspace.ProjectorCache(subs, 1.0)
-    res = unlearn.calibrated_unlearn(net, sp.d_u, cache, plan(epochs=10))
+    res = unlearn.baseline_unlearn(net, sp.d_u, plan(epochs=10), cache)
     build = sp.train.class_filter((0,), keep=False)
     before, _ = nn.forward(net, build.features)
     after, _ = nn.forward(res.network, build.features)
@@ -270,7 +259,7 @@ def test_two_class_unlearn_merges_once_over_the_remaining_classes(fitted, monkey
     monkeypatch.setattr(subspace, "merge_null_projector", spy)
     d_u = sp.train.class_filter((0, 1), keep=True)
     cache = subspace.ProjectorCache(subs, 0.99)
-    unlearn.calibrated_unlearn(net, d_u, cache, plan(unlearn_classes=(0, 1)))
+    unlearn.baseline_unlearn(net, d_u, plan(unlearn_classes=(0, 1)), cache)
     assert [m.merged_classes for m in merges] == [(2,)]
 
 
@@ -320,7 +309,7 @@ def test_projection_gets_the_smaller_factor_of_each_gradient(preset, monkeypatch
         return real(rows, basis)
 
     monkeypatch.setattr(unlearn, "apply_projection", spy)
-    unlearn.calibrated_unlearn(net_o, sp.d_u, caches[mode], dataclasses.replace(cfg.unlearn_plan(), epochs=2))
+    unlearn.baseline_unlearn(net_o, sp.d_u, dataclasses.replace(cfg.unlearn_plan(), epochs=2), caches[mode])
     assert seen == {(1, (25, 193)), (2, (4, 193))}
 
 
@@ -328,7 +317,7 @@ def test_projection_gets_the_smaller_factor_of_each_gradient(preset, monkeypatch
 def test_projected_finetune_matches_projecting_each_full_gradient(preset, mode):
     cfg, sp, net_o, caches = preset
     run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
-    res = unlearn.calibrated_unlearn(net_o, sp.d_u, caches[mode], run)
+    res = unlearn.baseline_unlearn(net_o, sp.d_u, run, caches[mode])
     weights, losses = oracles.reference_projected_finetune(
         net_o, res.labeled, caches[mode].for_excluded(0).bases, run
     )
@@ -422,7 +411,7 @@ def test_spanning_conv_layers_freeze_only_in_front_of_a_dense_layer(monkeypatch,
     )
     y = rng.integers(0, 3, size=len(x))
     labeled = unlearn.PseudoLabeledSet(features=x, original_labels=y, assigned_labels=y, labeling="keep")
-    run = plan(labeling="keep", lr=0.1, epochs=3, batch_size=3)
+    run = plan(lr=0.1, epochs=3, batch_size=3)
     _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen=frozen)
 
 
@@ -438,18 +427,18 @@ def test_zero_epochs_and_plain_runs_forward_no_prefix(preset, monkeypatch):
 
     monkeypatch.setattr(nn, "forward", spy)
     calibrated = cfg.unlearn_plan()
-    res = unlearn.calibrated_unlearn(net_o, sp.d_u, caches["preset"], dataclasses.replace(calibrated, epochs=0))
+    res = unlearn.baseline_unlearn(net_o, sp.d_u, dataclasses.replace(calibrated, epochs=0), caches["preset"])
     assert res.epoch_losses == []
     assert all(w.tobytes() == w0.tobytes() for w, w0 in zip(res.network.weights, net_o.weights))
     unlearn.baseline_unlearn(net_o, sp.d_u, dataclasses.replace(cfg.unlearn_plan("random-label"), epochs=1))
     assert not any(recorded)
-    unlearn.calibrated_unlearn(net_o, sp.d_u, caches["preset"], dataclasses.replace(calibrated, epochs=1))
+    unlearn.baseline_unlearn(net_o, sp.d_u, dataclasses.replace(calibrated, epochs=1), caches["preset"])
     assert recorded.count(True) == 1
 
 
 def test_gradient_ascent_raises_forget_loss(fitted):
     net, sp, _ = fitted
-    ga = plan(labeling="keep", ascend=True, use_null_space=False, lr=0.005, epochs=5)
+    ga = plan(variant="gradient-ascent", lr=0.005, epochs=5)
     res = unlearn.baseline_unlearn(net, sp.d_u, ga)
     assert nn.mean_loss(res.network, sp.d_u.features, sp.d_u.labels) > nn.mean_loss(
         net, sp.d_u.features, sp.d_u.labels
@@ -460,7 +449,7 @@ def test_gradient_ascent_raises_forget_loss(fitted):
 def test_gradient_ascent_stops_once_worse_than_chance(fitted):
     # Unbounded ascent overflows the weights; it stops past the uniform-guess loss.
     net, sp, _ = fitted
-    ga = plan(labeling="keep", ascend=True, use_null_space=False, lr=0.05, epochs=200)
+    ga = plan(variant="gradient-ascent", lr=0.05, epochs=200)
     res = unlearn.baseline_unlearn(net, sp.d_u, ga)
     assert len(res.epoch_losses) < 200
     assert res.epoch_losses[-1] > math.log(net.n_classes) >= max(res.epoch_losses[:-1])
@@ -478,7 +467,7 @@ def test_gradient_ascent_stops_at_the_step_its_running_mean_passes_chance(fitted
         return loss, grads
 
     monkeypatch.setattr(nn, "loss_and_grads", spy)
-    ga = plan(labeling="keep", ascend=True, use_null_space=False, lr=1.0, epochs=3, batch_size=1)
+    ga = plan(variant="gradient-ascent", lr=1.0, epochs=3, batch_size=1)
     res = unlearn.baseline_unlearn(net, sp.d_u, ga)
     assert len(losses) < len(sp.d_u)
     assert res.epoch_losses == [sum(losses) / len(losses)]
@@ -488,7 +477,7 @@ def test_gradient_ascent_stops_at_the_step_its_running_mean_passes_chance(fitted
 
 def test_random_label_baseline_runs_without_projection(fitted):
     net, sp, _ = fitted
-    res = unlearn.baseline_unlearn(net, sp.d_u, plan(labeling="random", use_null_space=False))
+    res = unlearn.baseline_unlearn(net, sp.d_u, plan(variant="random-label"))
     assert res.labeled.labeling == "random"
     assert (res.labeled.assigned_labels != res.labeled.original_labels).all()
     changed = any((w0 != w1).any() for w0, w1 in zip(net.weights, res.network.weights))

@@ -111,6 +111,7 @@ def build_subspaces(cfg: RunConfig, net: nn.Network, train_set: data.Dataset) ->
 def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlearn.UnlearnResult:
     """The config's plan for `variant`, run by `unlearn.baseline_unlearn`.
 
+    In the CLI only `unlearn` calls it, once per `unlearn.VARIANTS` row.
     `cache`, a ProjectorCache or the run's basis, is used only if the variant projects.
     """
     return unlearn.baseline_unlearn(net_o, sp.d_u, cfg.unlearn_plan(variant), cache)
@@ -272,36 +273,29 @@ def subspace_cmd(ctx):
 
 
 @main.command("unlearn")
-@click.option("--variant", type=click.Choice(sorted(unlearn.VARIANTS)), default="calibrated",
-              help="Labeling/projection combination to run.")
 @click.pass_context
 @_guarded
-def unlearn_cmd(ctx, variant):
-    """Unlearn the forget classes from the original model (checkpoint: unlearned_<variant>.json)."""
+def unlearn_cmd(ctx):
+    """Run every `unlearn.VARIANTS` row from the original model (checkpoints: unlearned_<variant>.json).
+
+    Every variant runs before any is written, so a refused or failed run leaves no new checkpoint.
+    """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     net_o = _load_net(cfg, workdir, "original", data_hash)
-    basis = _load_basis(cfg, workdir, data_hash) if cfg.unlearn_plan(variant).use_null_space else None
-    res = run_unlearn_variant(cfg, net_o, sp, basis, variant)
-    name = _CHECKPOINTS[variant]
-    _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
-    _write_record(
-        {
-            "variant": variant, "epoch_losses": res.epoch_losses,
-            "assigned_labels": res.labeled.assigned_labels.tolist(),
-            "original_labels": res.labeled.original_labels.tolist(),
-        },
-        os.path.join(workdir, f"run_{name}.json"), cfg, data_hash,
-    )
-    click.echo(json.dumps({"checkpoint": checkpoint_path(workdir, name), "variant": variant}))
-
-
-def _gather_models(cfg: RunConfig, workdir, data_hash: str) -> dict:
-    """original.json, which must exist, and every other checkpoint present, each lineage-checked."""
-    return {
-        name: _load_net(cfg, workdir, fname, data_hash)
-        for name, fname in _CHECKPOINTS.items()
-        if name == "original" or os.path.exists(checkpoint_path(workdir, fname))
-    }
+    basis = _load_basis(cfg, workdir, data_hash)
+    results = {v: run_unlearn_variant(cfg, net_o, sp, basis, v) for v in unlearn.VARIANTS}
+    for variant, res in results.items():
+        name = _CHECKPOINTS[variant]
+        _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
+        _write_record(
+            {
+                "variant": variant, "epoch_losses": res.epoch_losses,
+                "assigned_labels": res.labeled.assigned_labels.tolist(),
+                "original_labels": res.labeled.original_labels.tolist(),
+            },
+            os.path.join(workdir, f"run_{name}.json"), cfg, data_hash,
+        )
+    click.echo(json.dumps({"checkpoints": [checkpoint_path(workdir, _CHECKPOINTS[v]) for v in results]}))
 
 
 @main.command("evaluate")
@@ -310,7 +304,11 @@ def _gather_models(cfg: RunConfig, workdir, data_hash: str) -> dict:
 def evaluate_cmd(ctx):
     """Utility/MIA/agreement report over every checkpoint present (evaluate.json)."""
     cfg, workdir, sp, data_hash = _inputs(ctx)
-    nets = _gather_models(cfg, workdir, data_hash)
+    nets = {
+        name: _load_net(cfg, workdir, fname, data_hash)
+        for name, fname in _CHECKPOINTS.items()
+        if name == "original" or os.path.exists(checkpoint_path(workdir, fname))
+    }
     _write_record(evaluate_models(cfg, sp, nets), os.path.join(workdir, "evaluate.json"), cfg, data_hash)
     click.echo(json.dumps({"report": os.path.join(workdir, "evaluate.json"), "models": sorted(nets)}))
 
@@ -339,28 +337,29 @@ def contour_cmd(ctx, model):
 def ablate_cmd(ctx):
     """Remaining/forget test accuracy of every model side by side (ablation.csv + ablation.json).
 
-    One row per `_CHECKPOINTS` entry: original, retrain and each unlearn
-    variant.  A variant's saved checkpoint is loaded when present; otherwise
-    the variant runs in memory and nothing is saved, so `unlearn` stays the
-    only writer of checkpoints.  On one numpy/BLAS build and BLAS thread
-    count runs are byte-reproducible, so both give the same row.
-    `subspace.json` is read only if a variant that must run projects.
+    A view over `evaluate.json`: one row per `_CHECKPOINTS` entry (original,
+    retrain and each unlearn variant) copied from its `utility` section.  It
+    reads no dataset rows, checkpoint or basis and runs nothing; the file
+    must come from this config and the current dataset.csv.
     """
-    cfg, workdir, sp, data_hash = _inputs(ctx)
-    nets = _gather_models(cfg, workdir, data_hash)
-    missing = [v for v in unlearn.VARIANTS if v not in nets]
-    projects = any(cfg.unlearn_plan(v).use_null_space for v in missing)
-    basis = _load_basis(cfg, workdir, data_hash) if projects else None
-    if "retrain" not in nets:
-        raise FileNotFoundError(f"retrain checkpoint not found: {checkpoint_path(workdir, 'retrain')}")
-    for variant in missing:
-        nets[variant] = run_unlearn_variant(cfg, nets["original"], sp, basis, variant).network
-    rows = []
-    for name in _CHECKPOINTS:
-        rep = evaluate.utility(nets[name], sp.test_remaining, sp.test_unlearn)
-        rows.append(
-            {"method": name, "acc_remaining_test": rep.acc_remaining_test, "acc_unlearn_test": rep.acc_unlearn_test}
-        )
+    cfg, workdir = ctx.obj
+    path = os.path.join(workdir, "evaluate.json")
+    doc = _read_json(path)
+    data_hash = _file_hash(dataset_path(workdir))
+    made_by = (doc.get("config_hash"), doc.get("data_hash"))
+    _require_lineage(f"{path} (config hash, data hash)", made_by, (cfg.hash, data_hash))
+    utility = doc.get("utility")
+    if not isinstance(utility, dict):
+        raise ConfigError(f"{path} utility must be a JSON object, got {utility!r}")
+    missing = [name for name in _CHECKPOINTS if name not in utility]
+    if missing:
+        raise FileNotFoundError(f"{path} has no utility for {missing}; evaluate scores only the checkpoints present")
+    keys = ("acc_remaining_test", "acc_unlearn_test")
+    entries = {name: utility[name] if isinstance(utility[name], dict) else {} for name in _CHECKPOINTS}
+    rows = [{"method": name, **{k: entry.get(k) for k in keys}} for name, entry in entries.items()]
+    bad = [r["method"] for r in rows if not all(isinstance(r[k], float) for k in keys)]
+    if bad:
+        raise ConfigError(f"{path} utility entries {bad} must be objects with number fields {list(keys)}")
     csv_path = os.path.join(workdir, "ablation.csv")
     lines = [f"{r['method']},{r['acc_remaining_test']:.17g},{r['acc_unlearn_test']:.17g}\n" for r in rows]
     write_atomic(csv_path, ["method,acc_remaining_test,acc_unlearn_test\n", *lines])
@@ -372,27 +371,25 @@ def ablate_cmd(ctx):
 @click.pass_context
 @_guarded
 def report_cmd(ctx):
-    """Join evaluate/ablation/contour artifacts into report.json, verifying hashes agree."""
-    _, workdir = ctx.obj
+    """Join evaluate/ablation/contour artifacts into report.json.
+
+    Each section must come from this config, and all from one dataset.
+    """
+    cfg, workdir = ctx.obj
     sections = {}
-    hashes = {}
     for name in ("evaluate", "ablation", "contour"):
         path = os.path.join(workdir, f"{name}.json")
         if os.path.exists(path):
-            doc = _read_json(path)
-            sections[name] = doc
-            hashes[name] = (doc.get("config_hash"), doc.get("data_hash"))
+            sections[name] = _read_json(path)
+            _require_lineage(f"{path} config hash", sections[name].get("config_hash"), cfg.hash)
     if not sections:
         raise FileNotFoundError(f"no evaluate/ablation/contour artifacts under {workdir}")
-    first = next(iter(hashes.values()))
-    if any(h != first for h in hashes.values()):
-        raise ConfigError(f"artifacts disagree on config/data hashes: {sorted(hashes.items())}")
-    config_hash_value, data_hash_value = first
-    write_json(
-        {"config_hash": config_hash_value, "data_hash": data_hash_value, "sections": sections},
-        os.path.join(workdir, "report.json"),
-    )
-    click.echo(json.dumps({"report": os.path.join(workdir, "report.json"), "sections": sorted(sections)}))
+    data_hashes = [(name, doc.get("data_hash")) for name, doc in sections.items()]
+    if any(h != data_hashes[0][1] for _, h in data_hashes):
+        raise ConfigError(f"artifacts disagree on data hashes: {data_hashes}")
+    path = os.path.join(workdir, "report.json")
+    write_json({"config_hash": cfg.hash, "data_hash": data_hashes[0][1], "sections": sections}, path)
+    click.echo(json.dumps({"report": path, "sections": sorted(sections)}))
 
 
 if __name__ == "__main__":

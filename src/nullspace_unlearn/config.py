@@ -230,7 +230,7 @@ def _check(value, kind, path: str) -> None:
 
 def _reject_unknown(path: str, known: list) -> None:
     if path in ("unlearn.labeling", "unlearn.use_null_space"):
-        raise ConfigError(f"{path} is not a config key; choose the variant with `unlearn --variant`")
+        raise ConfigError(f"{path} is not a config key; `unlearn` runs every variant in `unlearn.VARIANTS`")
     near = difflib.get_close_matches(path, known, n=1)
     raise ConfigError(f"unknown config key {path}" + (f"; did you mean {near[0]}?" if near else ""))
 

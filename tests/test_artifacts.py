@@ -432,3 +432,41 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_import_check_sees_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport os, json as j\nimport a.b\nfrom x import y, z as w\nos.sep\nw()\n")
     assert _unused_imports(tree) == [(2, "j"), (3, "a"), (4, "y")]
+
+
+# ---------------------------------------------------------------------------
+# tooling: only `unlearn` runs an unlearn
+# ---------------------------------------------------------------------------
+
+
+def _callers(modules: dict, names) -> set:
+    """`module.def` of each module-level def (`module.<module>` for top-level code) that calls f() or x.f() for f in names."""
+    found = set()
+    for label, tree in modules.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                    if name in names:
+                        found.add(f"{label}.{owner}")
+    return found
+
+
+def test_only_the_unlearn_command_runs_an_unlearn():
+    modules = {path.stem: _parsed(path) for path in sorted(SRC.glob("*.py"))}
+    assert _callers(modules, {"run_unlearn_variant"}) == {"cli.unlearn_cmd"}
+    assert _callers(modules, {"baseline_unlearn", "calibrated_unlearn"}) == {"cli.run_unlearn_variant"}
+
+
+def test_the_unlearn_check_sees_a_second_caller():
+    mod = ast.parse(
+        "def unlearn_cmd():\n    run_unlearn_variant()\n"
+        "def ablate_cmd():\n    def inner():\n        cli.run_unlearn_variant()\n"
+        "class Runner:\n    def go(self):\n        unlearn.baseline_unlearn()\n"
+        "run_unlearn_variant\n"
+        "unlearn.calibrated_unlearn()\n"
+    )
+    assert _callers({"cli": mod}, {"run_unlearn_variant"}) == {"cli.unlearn_cmd", "cli.ablate_cmd"}
+    assert _callers({"cli": mod}, {"baseline_unlearn", "calibrated_unlearn"}) == {"cli.Runner", "cli.<module>"}

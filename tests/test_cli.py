@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nullspace_unlearn import cli, evaluate, nn, subspace
+from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
 from nullspace_unlearn.config import ConfigError, load_config
 from nullspace_unlearn.linalg import NumericError
 
@@ -92,9 +93,6 @@ def test_full_pipeline_produces_every_artifact(env, tmp_path):
         ("retrain",),
         ("subspace",),
         ("unlearn",),
-        ("unlearn", "--variant", "random-label"),
-        ("unlearn", "--variant", "random-label+nullspace"),
-        ("unlearn", "--variant", "gradient-ascent"),
         ("evaluate",),
         ("contour",),
         ("ablate",),
@@ -198,7 +196,7 @@ def test_a_pass_agrees_across_blas_thread_counts(tmp_path):
         assert max(evaluate.orthogonality_audit(net_o, net_u, trace).per_layer_residual) <= 1e-6
     assert ranks[0] == ranks[1]
     assert accuracies[0] == accuracies[1]
-    assert set(accuracies[0]) == {"original", "calibrated"}
+    assert set(accuracies[0]) == {"original", "calibrated", "random-label", "random-label+nullspace", "gradient-ascent"}
 
 
 def test_missing_artifact_exits_2(env, tmp_path):
@@ -216,9 +214,9 @@ def test_missing_artifact_exits_2(env, tmp_path):
 
     for step in ("train", "subspace"):
         assert run(runner, cfg_path, workdir, step).exit_code == 0
-    result = run(runner, cfg_path, workdir, "ablate")  # needs retrain.json
+    result = run(runner, cfg_path, workdir, "ablate")  # needs evaluate.json
     assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
-    assert "retrain" in stderr_error(result)["message"]
+    assert "evaluate.json" in stderr_error(result)["message"]
 
     (tmp_path / "work" / "subspace.json").unlink()
     result = run(runner, cfg_path, workdir, "unlearn")
@@ -375,21 +373,10 @@ def test_override_seed_changes_dataset(env, tmp_path):
     assert a == c
 
 
-def test_random_label_variant_runs_without_subspaces(env):
-    runner, cfg_path, workdir = env
-    run(runner, cfg_path, workdir, "gen-data")
-    run(runner, cfg_path, workdir, "train")
-    result = run(runner, cfg_path, workdir, "unlearn", "--variant", "random-label")
-    assert result.exit_code == 0
-    # The projected variant genuinely needs the subspace artifacts.
-    result = run(runner, cfg_path, workdir, "unlearn", "--variant", "random-label+nullspace")
-    assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
-
-
 def test_gradient_ascent_variant_ascends(env, tmp_path):
     runner, cfg_path, workdir = env
-    for step in (("gen-data",), ("train",), ("unlearn", "--variant", "gradient-ascent")):
-        result = run(runner, cfg_path, workdir, *step)
+    for step in ("gen-data", "train", "subspace", "unlearn"):
+        result = run(runner, cfg_path, workdir, step)
         assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "work" / "run_unlearned_gradient-ascent.json").read_text())
     assert record["variant"] == "gradient-ascent"
@@ -399,13 +386,14 @@ def test_gradient_ascent_variant_ascends(env, tmp_path):
 def test_gradient_ascent_stops_inside_a_long_first_epoch(tmp_path):
     # The toy preset with 98 % of the data in train: 4900 forget samples, 196
     # ascent steps per epoch, and the weights overflow inside the first epoch
-    # unless the stop rule runs after each step.
+    # unless the stop rule runs after each step.  One epoch bounds the other
+    # three variants' runs on the same forget set.
     runner, workdir = CliRunner(), str(tmp_path / "work")
     sets = ["split.train_fraction=0.98", "split.val_fraction=0", "split.test_fraction=0.02",
-            "train.epochs=20", "train.milestones=[16]"]
+            "train.epochs=20", "train.milestones=[16]", "unlearn.epochs=1"]
     args = ["--workdir", workdir, *(a for s in sets for a in ("--set", s))]
-    for step in (("gen-data",), ("train",), ("unlearn", "--variant", "gradient-ascent")):
-        result = runner.invoke(cli.main, [*args, *step], catch_exceptions=False)
+    for step in ("gen-data", "train", "subspace", "unlearn"):
+        result = runner.invoke(cli.main, [*args, step], catch_exceptions=False)
         assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "work" / "run_unlearned_gradient-ascent.json").read_text())
     assert len(record["epoch_losses"]) == 1 and record["epoch_losses"][0] > math.log(4)
@@ -417,7 +405,7 @@ def test_variant_keys_in_the_config_exit_3(env, tmp_path):
     stale.write_text(json.dumps(dict(MINI_CONFIG, unlearn=dict(MINI_CONFIG["unlearn"], labeling="pseudo"))))
     result = run(runner, str(stale), workdir, "gen-data")
     assert result.exit_code == cli.EXIT_VALIDATION
-    assert "unlearn --variant" in stderr_error(result)["message"]
+    assert "unlearn.VARIANTS" in stderr_error(result)["message"]
     result = run(runner, str(stale), workdir, "--set", "unlearn.labeling=random", "gen-data")
     assert result.exit_code == cli.EXIT_VALIDATION
 
@@ -436,41 +424,77 @@ def test_evaluate_agreement_does_not_read_the_run_record(env, tmp_path):
     assert json.loads((work / "evaluate.json").read_text())["agreement"] == agreement
 
 
-def test_ablate_runs_missing_variants_in_memory_and_saves_nothing(env, tmp_path):
+def _evaluated(env, *sets, skip=()):
+    """Run every step up to evaluate, leaving out skip; returns the workdir as a Path."""
     runner, cfg_path, workdir = env
-    for step in ("gen-data", "train", "retrain", "subspace", "ablate"):
-        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
-    work = tmp_path / "work"
-    assert not [p.name for p in work.iterdir() if "unlearned_" in p.name]
-    in_memory = (work / "ablation.json").read_bytes()
-    for variant in ("calibrated", "random-label", "random-label+nullspace", "gradient-ascent"):
-        assert run(runner, cfg_path, workdir, "unlearn", "--variant", variant).exit_code == 0, variant
-    assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
-    assert (work / "ablation.json").read_bytes() == in_memory
-    # A saved checkpoint is what gets scored.
-    (work / "unlearned_calibrated.json").write_bytes((work / "unlearned_gradient-ascent.json").read_bytes())
-    assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
-    rows = {r["method"]: r for r in json.loads((work / "ablation.json").read_text())["rows"]}
-    assert dict(rows["calibrated"], method="gradient-ascent") == rows["gradient-ascent"]
+    for step in ("gen-data", "train", "retrain", "subspace", "unlearn", "evaluate"):
+        if step not in skip:
+            assert run(runner, cfg_path, workdir, *sets, step).exit_code == 0, step
+    return pathlib.Path(workdir)
 
 
-def test_ablate_reads_no_basis_when_every_variant_is_saved(env, tmp_path):
+def test_ablate_is_a_view_over_evaluate_json(env, monkeypatch):
     runner, cfg_path, workdir = env
-    for step in ("gen-data", "train", "retrain", "subspace"):
-        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
-    for variant in ("calibrated", "random-label", "random-label+nullspace", "gradient-ascent"):
-        assert run(runner, cfg_path, workdir, "unlearn", "--variant", variant).exit_code == 0, variant
+    work = _evaluated(env)
+    calls = []
+    for module, name in ((data, "load_csv"), (nn, "load_checkpoint"), (evaluate, "utility"),
+                         (unlearn, "baseline_unlearn")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
     assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
-    work = tmp_path / "work"
-    with_basis = (work / "ablation.json").read_bytes()
-    (work / "subspace.json").unlink()
-    (work / "ablation.json").unlink()
-    result = run(runner, cfg_path, workdir, "ablate")
-    assert result.exit_code == 0, result.output
-    assert (work / "ablation.json").read_bytes() == with_basis
-    # A variant that must run and projects still needs the basis.
-    (work / "unlearned_calibrated.json").unlink()
-    assert run(runner, cfg_path, workdir, "ablate").exit_code == cli.EXIT_MISSING_ARTIFACT
+    assert calls == []
+    utility = json.loads((work / "evaluate.json").read_text())["utility"]
+    rows = json.loads((work / "ablation.json").read_text())["rows"]
+    assert [r["method"] for r in rows] == list(cli._CHECKPOINTS)
+    for row in rows:
+        scored = utility[row["method"]]
+        assert row == {"method": row["method"], "acc_remaining_test": scored["acc_remaining_test"],
+                       "acc_unlearn_test": scored["acc_unlearn_test"]}
+    written = {name: (work / name).read_bytes() for name in ("ablation.csv", "ablation.json")}
+    # No checkpoint and no basis is read: without them the view is unchanged.
+    for path in work.iterdir():
+        if path.name.startswith(("original", "retrain", "unlearned_", "subspace", "ablation")):
+            path.unlink()
+    assert run(runner, cfg_path, workdir, "ablate").exit_code == 0
+    assert {name: (work / name).read_bytes() for name in written} == written
+
+
+def test_ablate_exits_2_naming_a_model_evaluate_did_not_score(env):
+    runner, cfg_path, workdir = env
+    _evaluated(env, *_SHORT, skip=("retrain",))
+    result = run(runner, cfg_path, workdir, *_SHORT, "ablate")
+    assert result.exit_code == cli.EXIT_MISSING_ARTIFACT
+    assert "['retrain']" in stderr_error(result)["message"]
+
+
+def test_ablate_refuses_an_evaluate_json_from_another_config_or_dataset(env):
+    runner, cfg_path, workdir = env
+    work = _evaluated(env, *_SHORT)
+    result = run(runner, cfg_path, workdir, "ablate")  # not the _SHORT config
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "evaluate.json (config hash, data hash)" in stderr_error(result)["message"]
+    with open(work / "dataset.csv", "a") as fh:
+        fh.write("0.0,0.0,0\n")
+    result = run(runner, cfg_path, workdir, *_SHORT, "ablate")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "evaluate.json (config hash, data hash)" in stderr_error(result)["message"]
+    assert not (work / "ablation.json").exists()
+
+
+def test_unlearn_writes_no_checkpoint_unless_every_variant_runs(env, monkeypatch):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "subspace"):
+        assert run(runner, cfg_path, workdir, *_SHORT, step).exit_code == 0, step
+    real = cli.run_unlearn_variant
+
+    def fail_last(cfg, net_o, sp, cache, variant):
+        if variant == list(unlearn.VARIANTS)[-1]:
+            raise NumericError("unlearning loss went non-finite")
+        return real(cfg, net_o, sp, cache, variant)
+
+    monkeypatch.setattr(cli, "run_unlearn_variant", fail_last)
+    assert run(runner, cfg_path, workdir, *_SHORT, "unlearn").exit_code == cli.EXIT_NUMERIC
+    assert not [name for name in os.listdir(workdir) if "unlearned_" in name]
 
 
 def test_report_refuses_mismatched_hashes(env, tmp_path):
@@ -487,14 +511,24 @@ def test_report_refuses_mismatched_hashes(env, tmp_path):
     assert "disagree" in stderr_error(result)["message"]
 
 
+def test_report_refuses_sections_from_another_config(env):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "evaluate"):
+        assert run(runner, cfg_path, workdir, *_SHORT, step).exit_code == 0
+    for step in ("evaluate", "report"):
+        result = run(runner, cfg_path, workdir, *_SHORT, "--set", "seed=6", step)
+        assert result.exit_code == cli.EXIT_VALIDATION, step
+    assert "evaluate.json config hash" in stderr_error(result)["message"]
+    assert not os.path.exists(os.path.join(workdir, "report.json"))
+
+
 def test_checkpoint_from_another_config_is_refused(env):
     runner, cfg_path, workdir = env
     for step in (("gen-data",), ("train",), ("--set", "train.epochs=0", "retrain"), ("subspace",)):
         assert run(runner, cfg_path, workdir, *step).exit_code == 0
-    for step in ("ablate", "evaluate"):
-        result = run(runner, cfg_path, workdir, step)
-        assert result.exit_code == cli.EXIT_VALIDATION, step
-        assert "retrain checkpoint" in stderr_error(result)["message"]
+    result = run(runner, cfg_path, workdir, "evaluate")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "retrain checkpoint" in stderr_error(result)["message"]
     # An original retrained after `subspace` no longer matches this run either.
     assert run(runner, cfg_path, workdir, "--set", "train.epochs=1", "train").exit_code == 0
     result = run(runner, cfg_path, workdir, "unlearn")
@@ -507,7 +541,7 @@ def test_subspaces_from_another_original_are_refused(env):
     other = ("--set", "train.epochs=1")
     for step in (("gen-data",), (*other, "train"), (*other, "subspace"), ("train",)):
         assert run(runner, cfg_path, workdir, *step).exit_code == 0
-    for step in (("unlearn",), ("contour", "--model", "original"), ("ablate",)):
+    for step in (("unlearn",), ("contour", "--model", "original")):
         result = run(runner, cfg_path, workdir, *step)
         assert result.exit_code == cli.EXIT_VALIDATION, step
         assert "source checkpoint hash" in stderr_error(result)["message"]
@@ -578,15 +612,24 @@ def test_a_json_record_whose_root_or_provenance_is_not_an_object_exits_3(env, na
     [
         ("dataset.meta.json", ("n_classes",), [4], "train", 0, None),
         ("dataset.meta.json", ("provenance", "means"), 4, "train", cli.EXIT_VALIDATION, "means"),
-        ("evaluate.json", ("config_hash",), [], "report", cli.EXIT_VALIDATION, "disagree"),
+        ("evaluate.json", ("config_hash",), [], "report", cli.EXIT_VALIDATION, "evaluate.json config hash"),
+        ("evaluate.json", ("utility",), [1], "ablate", cli.EXIT_VALIDATION, "evaluate.json utility"),
+        ("evaluate.json", ("utility", "retrain"), 5, "ablate", cli.EXIT_VALIDATION, "evaluate.json utility"),
+        ("evaluate.json", ("utility", "retrain"), {"acc_remaining_test": 0.5}, "ablate", cli.EXIT_VALIDATION,
+         "evaluate.json utility"),
+        ("evaluate.json", ("utility", "retrain", "acc_unlearn_test"), [0.5], "ablate", cli.EXIT_VALIDATION,
+         "evaluate.json utility"),
+        ("evaluate.json", ("utility", "retrain", "acc_unlearn_test"), "0.5", "ablate", cli.EXIT_VALIDATION,
+         "evaluate.json utility"),
     ],
-    ids=["meta-n-classes-list", "meta-means-number", "evaluate-config-hash-list"],
+    ids=["meta-n-classes-list", "meta-means-number", "evaluate-config-hash-list", "utility-list",
+         "utility-entry-number", "utility-entry-missing-key", "utility-field-list", "utility-field-string"],
 )
 def test_a_record_field_of_the_wrong_type_does_not_crash(env, name, keys, value, step, code, named):
     # The class count comes from the config, not from a record field, and
     # report compares the sections' hashes without hashing them.
     runner, cfg_path, workdir = env
-    for made in ("gen-data", "train", "retrain", "subspace", "evaluate", "ablate"):
+    for made in ("gen-data", "train", "retrain", "subspace", "unlearn", "evaluate", "ablate"):
         assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
     _edit_artifact(workdir, name, keys, value)
     result = run(runner, cfg_path, workdir, *_SHORT, step)
@@ -621,11 +664,11 @@ def test_subspace_merges_once_and_later_steps_load_its_basis(env, tmp_path, monk
 
     monkeypatch.setattr(subspace, "merge_null_projector", spy)
     counts = {}
-    for step in (("subspace",), ("unlearn",), ("contour",), ("ablate",)):
+    for step in ("subspace", "unlearn", "evaluate", "contour", "ablate"):
         before = len(merges)
-        assert run(runner, cfg_path, workdir, *step).exit_code == 0, step
-        counts[step[0]] = len(merges) - before
-    assert counts == {"subspace": 1, "unlearn": 0, "contour": 0, "ablate": 0}
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
+        counts[step] = len(merges) - before
+    assert counts == {"subspace": 1, "unlearn": 0, "evaluate": 0, "contour": 0, "ablate": 0}
 
     # The saved basis is bit-equal to the one built in memory.
     cfg = load_config(cfg_path)
@@ -695,9 +738,7 @@ def test_a_projected_unlearn_that_cannot_move_the_weights_exits_3(tmp_path):
     assert result.exit_code == cli.EXIT_VALIDATION
     error = stderr_error(result)
     assert error["error"] == "validation" and "ranks [3]" in error["message"]
-    assert not (tmp_path / "work" / "unlearned_calibrated.json").exists()
-    # An unprojected variant still trains.
-    assert run(runner, str(cfg_path), workdir, "unlearn", "--variant", "random-label").exit_code == 0
+    assert not [p.name for p in (tmp_path / "work").iterdir() if "unlearned_" in p.name]
 
 
 def test_numeric_failure_keeps_stderr_to_one_json_line(env):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -48,13 +49,28 @@ def write_atomic(path, chunks) -> str:
     return digest.hexdigest()[:16]
 
 
+class HashingReader(io.BufferedReader):
+    """path opened for binary reading; `hash()` is the sha256 prefix of what `read1`, a text wrapper's read, gave."""
+
+    def __init__(self, path):
+        super().__init__(open(path, "rb", buffering=0))
+        self._digest = hashlib.sha256()
+
+    def read1(self, size=-1):
+        chunk = super().read1(size)
+        self._digest.update(chunk)
+        return chunk
+
+    def hash(self) -> str:
+        return self._digest.hexdigest()[:16]
+
+
 def file_hash(path) -> str:
     """The sha256 prefix of a file on disk, as `write_atomic` returns it for the bytes it writes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
+    with HashingReader(path) as fh:
+        while fh.read1(1 << 20):
+            pass
+        return fh.hash()
 
 
 def write_json(doc, path) -> str:

@@ -65,21 +65,19 @@ def generate_dataset(cfg: RunConfig, workdir) -> tuple:
 
 
 def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
-    """Read back dataset.csv, verified against its sidecar metadata and this config's data section."""
+    """Read back dataset.csv once, verified against its sidecar metadata and this config's data section."""
     path = dataset_path(workdir)
     meta = _read_json(os.path.join(workdir, "dataset.meta.json"))
-    data_hash = _file_hash(path)
-    if data_hash != meta.get("data_hash"):
-        raise ConfigError(
-            f"dataset.csv hash {data_hash} does not match its metadata {meta.get('data_hash')}"
-        )
+    data_hash = meta.get("data_hash")
+    if not isinstance(data_hash, str):
+        raise ConfigError(f"dataset.meta.json data_hash must be a string, got {data_hash!r}")
     provenance = meta.get("provenance")
     if not isinstance(provenance, dict):
         raise ConfigError(f"dataset.meta.json provenance must be a JSON object, got {provenance!r}")
     differ = sorted(k for k, v in cfg.data_inputs().items() if provenance.get(k) != v)
     if differ:
         raise ConfigError(f"dataset.meta.json records generator inputs {differ} other than this config's")
-    return data.load_csv(path, n_classes=len(cfg.data_inputs()["means"])), data_hash
+    return data.load_csv(path, n_classes=len(cfg.data_inputs()["means"]), data_hash=data_hash), data_hash
 
 
 def train_original(cfg: RunConfig, sp: data.Splits) -> nn.Network:

@@ -17,13 +17,15 @@ names the first bad line whatever numpy reports.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import HashingReader, write_atomic
 from .determinism import PortableRng
 from .linalg import as_matrix
 
@@ -120,32 +122,32 @@ class SplitSpec:
 
 @dataclass
 class Splits:
-    """Train/val/test partition plus the unlearn/remaining views of each part."""
+    """Train/val/test partition plus the unlearn/remaining views of each part, each filtered once, when first read."""
 
     train: Dataset
     val: Dataset
     test: Dataset
     unlearn_classes: tuple
 
-    @property
+    @cached_property
     def d_u(self) -> Dataset:
         """Training samples of the unlearn classes: the forget set."""
         return self.train.class_filter(self.unlearn_classes, keep=True)
 
-    @property
+    @cached_property
     def d_r(self) -> Dataset:
         """Training samples of the remaining classes."""
         return self.train.class_filter(self.unlearn_classes, keep=False)
 
-    @property
+    @cached_property
     def val_remaining(self) -> Dataset:
         return self.val.class_filter(self.unlearn_classes, keep=False)
 
-    @property
+    @cached_property
     def test_remaining(self) -> Dataset:
         return self.test.class_filter(self.unlearn_classes, keep=False)
 
-    @property
+    @cached_property
     def test_unlearn(self) -> Dataset:
         return self.test.class_filter(self.unlearn_classes, keep=True)
 
@@ -210,9 +212,12 @@ def save_csv(dataset: Dataset, path) -> str:
     return write_atomic(path, blocks())
 
 
-def load_csv(path, n_classes: int) -> Dataset:
-    """Read a save_csv file (blank lines skipped); errors name the first bad line as `path:line`."""
-    with open(path, "r", encoding="utf-8") as fh:
+def load_csv(path, n_classes: int, data_hash: str | None = None) -> Dataset:
+    """Read a save_csv file (blank lines skipped); errors name the first bad line as `path:line`.
+
+    With data_hash, the bytes parsed must hash to it (`artifacts.file_hash`): one read serves both.
+    """
+    with io.TextIOWrapper(HashingReader(path), encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split(",")
         if cols[-1] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[:-1])):
@@ -228,6 +233,8 @@ def load_csv(path, n_classes: int) -> Dataset:
         except ValueError as exc:
             _raise_first_bad_line(path, d, n_classes)
             raise ValueError(f"{path}: unparseable value ({exc})") from None
+        if data_hash is not None and fh.buffer.hash() != data_hash:
+            raise ValueError(f"{path} hash {fh.buffer.hash()} does not match the recorded {data_hash}")
     labels = np.ascontiguousarray(rows["label"])
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         _raise_first_bad_line(path, d, n_classes)

@@ -223,7 +223,9 @@ def loss_contour(net: nn.Network, null_dir, off_dir, alphas, betas, remaining_se
     Directions are per-layer blocks, each unit Frobenius norm or identically
     zero (a layer whose null space is trivial contributes a zero block).
     Both axes must contain 0.0 so the grid's center is exactly the
-    unperturbed loss.
+    unperturbed loss.  Each alpha row is one `nn.map_shares` job with its
+    own probe copy of the network, so its forwards run on the row's thread
+    and the grid is the same bits for any number of threads.
     """
     n_blocks = _check_direction(null_dir, net.weights, "null_dir")
     o_blocks = _check_direction(off_dir, net.weights, "off_dir")
@@ -233,17 +235,19 @@ def loss_contour(net: nn.Network, null_dir, off_dir, alphas, betas, remaining_se
         raise ValueError("both contour axes must contain 0.0 for an exact center cell")
     if len(remaining_set) == 0:
         raise ValueError("remaining set is empty")
-    probe = net.copy()
-    losses = []
-    for a in alphas:
-        row = []
+
+    def row(a):
+        probe = net.copy()
+        out = []
         for b in betas:
             for w, w0, nb, ob in zip(probe.weights, net.weights, n_blocks, o_blocks):
                 np.copyto(w, w0)
                 w += a * nb
                 w += b * ob
-            row.append(nn.mean_loss(probe, remaining_set.features, remaining_set.labels))
-        losses.append(row)
+            out.append(nn.mean_loss(probe, remaining_set.features, remaining_set.labels))
+        return out
+
+    losses = nn.map_shares(row, alphas)
     base = losses[alphas.index(0.0)][betas.index(0.0)]
     return ContourGrid(alphas=alphas, betas=betas, losses=losses, base_loss=base)
 

@@ -22,8 +22,9 @@ import contextvars
 import copy as _copy
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -285,10 +286,43 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
 # Rows per scoring block, a multiple of 8.  The block layout depends only on
 # the row count, so logits come out the same bits whatever the worker count.
 SCORE_BLOCK = 512
-# Scoring threads: one per core this process may run on.  The executor
-# starts a thread only when a job is submitted, so importing nn starts none.
+# Workers: one per core this process may run on.  The calling thread runs
+# one share of `map_shares` itself, so the pool holds the others; it starts
+# a thread only when a job is submitted, so importing nn starts none.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="nn-score")
+_pool = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1), thread_name_prefix="nn-share")
+_in_share = contextvars.ContextVar("nn_in_share", default=False)
+
+
+def _run_share(fn, share) -> list:
+    _in_share.set(True)  # in the share's own context copy only
+    return [fn(item) for item in share]
+
+
+def map_shares(fn, items) -> list:
+    """[fn(item) for item in items], the items dealt round-robin into one share per worker.
+
+    The caller runs share 0 and `_pool` the rest, each in a copy of the
+    caller's context (np.errstate carries over); a call from inside a share
+    runs inline, so no share waits on the pool.  An exception reaches the
+    caller once every share has finished.  Only coarse jobs gain: on a
+    2-core VM an idle pool thread takes 130-400 us to wake.
+    """
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers <= 1 or _in_share.get():
+        return [fn(item) for item in items]
+    jobs = [
+        _pool.submit(contextvars.copy_context().run, _run_share, fn, items[w::workers]) for w in range(1, workers)
+    ]
+    try:
+        first = contextvars.copy_context().run(_run_share, fn, items[::workers])
+    finally:
+        wait(jobs)
+    out = [None] * len(items)
+    for w, results in enumerate([first, *(job.result() for job in jobs)]):
+        out[w::workers] = results
+    return out
 
 
 def _score_blocks(net: Network, x: np.ndarray, logits: np.ndarray, starts) -> None:
@@ -309,16 +343,15 @@ def forward(net: Network, batch, record: bool = False):
 
     record=True runs the whole batch at once and returns every layer's
     augmented input as the ActivationTrace.  Without it the rows are scored
-    in blocks of SCORE_BLOCK, spread over one thread per core in the
-    process's CPU affinity set; each thread reuses two buffers for the
-    hidden dense layers of its blocks and writes their logits straight into
-    the result.  A batch of one block or less stays on the calling thread;
-    the pool starts its threads at the first batch of more than one block,
-    and each scores under the caller's numpy error state.  Each block's
-    logits are checked for non-finite values.  Blocks depend only on the
-    row count, so the logits are the same bits for any number of threads.
-    Against one product over every row, BLAS may round a block's last few
-    columns differently (by about 1e-16).
+    in blocks of SCORE_BLOCK, dealt into one share per worker and run by
+    `map_shares`; each share reuses two buffers for the hidden dense layers
+    of its blocks and writes their logits straight into the result.  A
+    batch of one block, or a forward inside another share (a contour row),
+    runs on the calling thread.  Each block's logits are checked for
+    non-finite values.  Blocks depend only on the row count, so the logits
+    are the same bits for any number of threads.  Against one product over
+    every row, BLAS may round a block's last few columns differently (by
+    about 1e-16).
     """
     x = _batch_matrix(net, batch)
     if record:
@@ -327,15 +360,7 @@ def forward(net: Network, batch, record: bool = False):
     logits = np.empty((net.n_classes, x.shape[0]))
     starts = range(0, x.shape[0], SCORE_BLOCK)
     workers = min(_WORKERS, len(starts))
-    if workers <= 1:
-        _score_blocks(net, x, logits, starts)
-    else:  # a copy of the caller's context carries its np.errstate to the thread
-        jobs = [
-            _pool.submit(contextvars.copy_context().run, _score_blocks, net, x, logits, starts[w::workers])
-            for w in range(workers)
-        ]
-        for job in jobs:
-            job.result()
+    map_shares(partial(_score_blocks, net, x, logits), [starts[w::workers] for w in range(workers)])
     return logits, None
 
 

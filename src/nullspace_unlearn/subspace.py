@@ -81,7 +81,9 @@ def merge_null_projector(inputs: dict, epsilon: float, excluded_classes=()) -> N
     order, SVD the stack once, and keep the leading left singular vectors of
     the smallest rank holding epsilon of the squared energy (one epsilon for
     every layer; `rank_cutoff` checks its range).  The stack's column order
-    changes neither its Gram matrix nor, therefore, the retained span.
+    changes neither its Gram matrix nor, therefore, the retained span.  The
+    layers' SVDs are independent, so each layer is one `nn.map_shares` job;
+    a job's result does not depend on the thread that runs it.
     """
     excluded = tuple(sorted({int(c) for c in excluded_classes}))
     for c in excluded:
@@ -90,10 +92,12 @@ def merge_null_projector(inputs: dict, epsilon: float, excluded_classes=()) -> N
     kept = sorted(c for c in inputs if c not in excluded)
     if not kept:
         raise ValueError(f"excluding {list(excluded)} leaves no recorded class to merge")
-    bases = []
-    for layer in zip(*(inputs[c] for c in kept), strict=True):
+
+    def retained_basis(layer):
         res = svd(np.hstack(layer))
-        bases.append(np.ascontiguousarray(res.u[:, : rank_cutoff(res.s, epsilon)]))
+        return np.ascontiguousarray(res.u[:, : rank_cutoff(res.s, epsilon)])
+
+    bases = nn.map_shares(retained_basis, zip(*(inputs[c] for c in kept), strict=True))
     return NullProjector(
         merged_classes=kept,
         excluded_classes=excluded,

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -705,6 +706,32 @@ def test_tampered_dataset_is_rejected(env, tmp_path):
     result = run(runner, cfg_path, workdir, "train")
     assert result.exit_code == cli.EXIT_VALIDATION
     assert "hash" in stderr_error(result)["message"]
+    # A metadata file without a recorded hash cannot vouch for any dataset.
+    _edit_artifact(workdir, "dataset.meta.json", ("data_hash",), None)
+    result = run(runner, cfg_path, workdir, "train")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "data_hash must be a string" in stderr_error(result)["message"]
+
+
+def test_a_step_reads_dataset_csv_once(env, monkeypatch):
+    runner, cfg_path, workdir = env
+    assert run(runner, cfg_path, workdir, "gen-data").exit_code == 0
+    csv_path = os.path.join(workdir, "dataset.csv")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == csv_path:
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    ctx = types.SimpleNamespace(obj=(load_config(cfg_path), workdir))
+    _, _, sp, data_hash = cli._inputs(ctx)
+    assert opened == ["rb"]
+    monkeypatch.undo()
+    assert data_hash == cli._file_hash(csv_path)
+    assert len(sp.train) + len(sp.val) + len(sp.test) == len(data.load_csv(csv_path, n_classes=3))
 
 
 def test_bad_config_file_exits_3(env, tmp_path):

@@ -153,6 +153,14 @@ def test_split_views_partition_by_unlearn_classes():
     assert set(sp.test_unlearn.labels.tolist()) == {0}
     assert set(sp.test_remaining.labels.tolist()) == {1, 2}
     assert 0 not in sp.val_remaining.labels
+    # Each view is filtered once and then the same object.
+    for name, part, keep in (("d_u", sp.train, True), ("d_r", sp.train, False), ("val_remaining", sp.val, False),
+                             ("test_remaining", sp.test, False), ("test_unlearn", sp.test, True)):
+        view = getattr(sp, name)
+        assert getattr(sp, name) is view
+        expect = part.class_filter((0,), keep=keep)
+        assert view.features.tobytes() == expect.features.tobytes()
+        assert view.labels.tolist() == expect.labels.tolist()
 
 
 def test_split_validation():

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,8 @@ from conftest import (
     image_batch,
     trained_dense_net,
 )
-from nullspace_unlearn import data, linalg, nn
+from nullspace_unlearn import cli, data, evaluate, linalg, nn, subspace, unlearn
+from nullspace_unlearn.config import load_config
 
 # ---------------------------------------------------------------------------
 # construction and initialization
@@ -214,6 +216,122 @@ def test_non_finite_logit_in_the_last_block_raises():
     assert np.isfinite(nn.forward(net, x[:-1])[0]).all()
     with pytest.raises(linalg.NumericError, match="non-finite logits"):
         nn.forward(net, x)
+
+
+class CountingPool:
+    """A pool stand-in that counts submits and runs them on a real pool."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 7])
+def test_map_shares_returns_results_in_input_order_and_runs_share_0_on_the_caller(monkeypatch, n_items):
+    monkeypatch.setattr(nn, "_WORKERS", 3)
+    ran_on = {}
+
+    def job(item):
+        ran_on[item] = threading.get_ident()
+        return item * item
+
+    assert nn.map_shares(job, range(n_items)) == [i * i for i in range(n_items)]
+    workers = min(3, n_items)
+    assert sorted(ran_on) == list(range(n_items))
+    assert all(ran_on[i] == threading.get_ident() for i in range(0, n_items, max(workers, 1)))
+    if workers > 1:
+        assert len(set(ran_on.values())) > 1
+
+
+def test_a_map_shares_call_inside_a_share_runs_inline(monkeypatch):
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    pool = CountingPool(nn._pool)
+    monkeypatch.setattr(nn, "_pool", pool)
+    got = nn.map_shares(lambda i: nn.map_shares(lambda j: (i, j), range(5)), range(4))
+    assert got == [[(i, j) for j in range(5)] for i in range(4)]
+    assert pool.submits == 1  # the outer call's second share, and nothing nested
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_share_exception_reaches_the_caller_after_every_share_finished(monkeypatch, failing):
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    finished = []
+
+    def job(item):
+        if item == failing:
+            raise KeyError(item)
+        time.sleep(0.2)  # the other share is still running when the failing one raises
+        finished.append(item)
+
+    with pytest.raises(KeyError):
+        nn.map_shares(job, range(2))
+    assert finished == [1 - failing]
+
+
+def test_more_share_threads_than_cores_give_the_one_worker_merge_and_contour(monkeypatch):
+    # A short switch interval and more threads than cores: a basis or a grid
+    # row lost, swapped or computed from another row's probe would differ
+    # from the one-worker bits.
+    specs = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=24),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=24, out_features=24),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=24, out_features=3),
+    )
+    net = nn.init_network(specs, input_shape=(4,), seed=2)
+    sp = blob_splits(seed=3, n_per_class=500)
+    inputs = {c: subspace.class_subspace(net, sp.train.class_filter((c,))) for c in range(3)}
+    remaining = sp.train  # 750 rows: two scoring blocks per forward
+    alphas, betas = [-0.5, -0.25, 0.0, 0.25, 0.5], [-0.5, 0.0, 0.5]
+
+    def both():
+        proj = subspace.merge_null_projector(inputs, 0.99, excluded_classes=(0,))
+        null_dir, off_dir = evaluate.contour_directions(proj, net, seed=4)
+        grid = evaluate.loss_contour(net, null_dir, off_dir, alphas, betas, remaining)
+        return [b.tobytes() for b in proj.bases], np.array(grid.losses).tobytes()
+
+    monkeypatch.setattr(nn, "_WORKERS", 1)
+    expect = both()
+    monkeypatch.setattr(nn, "_WORKERS", 4)
+    pool = ThreadPoolExecutor(max_workers=3, thread_name_prefix="nn-share-test")
+    monkeypatch.setattr(nn, "_pool", pool)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.extend(both() for _ in range(20)))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    assert got == [expect] * 20
+
+
+def test_sgd_loops_never_use_the_pool(monkeypatch):
+    # Training and unlearning steps are too fine-grained for the pool: at the
+    # toy preset's shapes, a full-batch train and every unlearn variant run
+    # on the calling thread alone.
+    cfg = load_config(None, ["train.epochs=20", "unlearn.epochs=2"])
+    sp = cfg.splits(cfg.dataset())
+    net_o = cli.train_original(cfg, sp)
+    _, cache = cli.build_subspaces(cfg, net_o, sp.train)
+    basis = cache.for_excluded(*cfg.unlearn_plan().unlearn_classes)
+
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("an SGD loop used the pool")
+
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    monkeypatch.setattr(nn, "_pool", NoPool())
+    assert cfg.train_schedule(n_train=len(sp.train), tag="train").batch_size >= len(sp.train)
+    cli.train_original(cfg, sp)
+    for variant in unlearn.VARIANTS:
+        cli.run_unlearn_variant(cfg, net_o, sp, basis, variant)
 
 
 def test_scoring_threads_keep_the_callers_error_state(monkeypatch):

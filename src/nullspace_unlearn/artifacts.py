@@ -1,4 +1,4 @@
-"""Artifact files: atomic writes, their hashes, JSON documents and the array codec.
+"""Artifact files: atomic writes, their hashes, JSON documents, CSV tables and the array codec.
 
 `write_atomic` streams text to a temporary file beside the target, hashing
 the bytes as it writes, then moves it over the target with `os.replace`:
@@ -14,6 +14,9 @@ state (checkpoint weights, retained bases) go into those documents as
 little-endian float64 bytes, with their shape.  A save or load then copies
 bytes instead of spelling each float in decimal, and `decode_array`
 returns the same bits, sign of zero and subnormals included.
+
+`write_table` writes the CSV result tables (contour.csv, ablation.csv),
+each float spelt `.17g`, which round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ def file_hash(path) -> str:
 def write_json(doc, path) -> str:
     """`json.dumps(doc, sort_keys=True, indent=1)` plus a newline, written to path by `write_atomic`."""
     return write_atomic(path, [json.dumps(doc, sort_keys=True, indent=1), "\n"])
+
+
+def write_table(path, header, rows) -> str:
+    """A CSV table by `write_atomic`: the header's names, then one line per row, str cells as is and floats as `.17g`."""
+    lines = (",".join(c if isinstance(c, str) else f"{c:.17g}" for c in cells) + "\n" for cells in [header, *rows])
+    return write_atomic(path, lines)
 
 
 def read_json(path, format_version=None) -> dict:

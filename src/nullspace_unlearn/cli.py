@@ -23,7 +23,7 @@ import numpy as np
 from . import data, evaluate, nn, subspace, unlearn
 from .artifacts import file_hash as _file_hash
 from .artifacts import read_json as _read_json
-from .artifacts import write_atomic, write_json
+from .artifacts import write_json, write_table
 from .config import ConfigError, RunConfig, load_config
 from .linalg import NumericError
 
@@ -142,25 +142,6 @@ def _load_basis(cfg: RunConfig, workdir, data_hash: str) -> subspace.NullProject
     expected = (_file_hash(checkpoint_path(workdir, "original")), cfg.hash, data_hash)
     _require_lineage(f"{path} (source checkpoint hash, config hash, data hash)", made_by, expected)
     return proj
-
-
-def evaluate_models(cfg: RunConfig, sp: data.Splits, nets: dict) -> dict:
-    """Utility for every supplied model; MIA and agreement where the inputs allow.
-
-    Agreement scores the original model's pseudo-labels, the ones the calibrated
-    run trains on, against the retrained model's predictions.
-    """
-    report = {"utility": {}, "mia": {}, "agreement": None}
-    for name, net in nets.items():
-        report["utility"][name] = asdict(evaluate.utility(net, sp.test_remaining, sp.test_unlearn))
-    member, nonmember = cfg.mia_holdouts(sp)
-    for name in ("original", "retrain", "calibrated"):
-        if name in nets:
-            report["mia"][name] = asdict(evaluate.mia(nets[name], sp.d_u, member, nonmember))
-    if "retrain" in nets:
-        labeled = unlearn.pseudo_label_set(nets["original"], sp.d_u, sp.unlearn_classes)
-        report["agreement"] = asdict(evaluate.pseudo_label_agreement(labeled, nets["retrain"]))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +281,28 @@ def unlearn_cmd(ctx):
 @click.pass_context
 @_guarded
 def evaluate_cmd(ctx):
-    """Utility/MIA/agreement report over every checkpoint present (evaluate.json)."""
+    """Utility for every checkpoint present, MIA and agreement where the inputs allow (evaluate.json).
+
+    Agreement scores the original model's pseudo-labels, the ones the
+    calibrated run trains on, against the retrained model's predictions.
+    """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     nets = {
         name: _load_net(cfg, workdir, fname, data_hash)
         for name, fname in _CHECKPOINTS.items()
         if name == "original" or os.path.exists(checkpoint_path(workdir, fname))
     }
-    _write_record(evaluate_models(cfg, sp, nets), os.path.join(workdir, "evaluate.json"), cfg, data_hash)
+    report = {"utility": {}, "mia": {}, "agreement": None}
+    for name, net in nets.items():
+        report["utility"][name] = asdict(evaluate.utility(net, sp.test_remaining, sp.test_unlearn))
+    member, nonmember = cfg.mia_holdouts(sp)
+    for name in ("original", "retrain", "calibrated"):
+        if name in nets:
+            report["mia"][name] = asdict(evaluate.mia(nets[name], sp.d_u, member, nonmember))
+    if "retrain" in nets:
+        labeled = unlearn.pseudo_label_set(nets["original"], sp.d_u, sp.unlearn_classes)
+        report["agreement"] = asdict(evaluate.pseudo_label_agreement(labeled, nets["retrain"]))
+    _write_record(report, os.path.join(workdir, "evaluate.json"), cfg, data_hash)
     click.echo(json.dumps({"report": os.path.join(workdir, "evaluate.json"), "models": sorted(nets)}))
 
 
@@ -324,7 +319,8 @@ def contour_cmd(ctx, model):
     null_dir, off_dir = evaluate.contour_directions(basis, net, cfg.seed_for("contour-dirs"))
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))
-    grid.to_csv(os.path.join(workdir, "contour.csv"))
+    cells = ((a, b, loss) for a, row in zip(grid.alphas, grid.losses) for b, loss in zip(grid.betas, row))
+    write_table(os.path.join(workdir, "contour.csv"), ("alpha", "beta", "loss"), cells)
     _write_record({**asdict(grid), "model": model}, os.path.join(workdir, "contour.json"), cfg, data_hash)
     click.echo(json.dumps({"grid": os.path.join(workdir, "contour.csv"), "base_loss": grid.base_loss}))
 
@@ -359,8 +355,7 @@ def ablate_cmd(ctx):
     if bad:
         raise ConfigError(f"{path} utility entries {bad} must be objects with number fields {list(keys)}")
     csv_path = os.path.join(workdir, "ablation.csv")
-    lines = [f"{r['method']},{r['acc_remaining_test']:.17g},{r['acc_unlearn_test']:.17g}\n" for r in rows]
-    write_atomic(csv_path, ["method,acc_remaining_test,acc_unlearn_test\n", *lines])
+    write_table(csv_path, ("method", *keys), [r.values() for r in rows])
     _write_record({"rows": rows}, os.path.join(workdir, "ablation.json"), cfg, data_hash)
     click.echo(json.dumps({"table": csv_path, "methods": [r["method"] for r in rows]}))
 

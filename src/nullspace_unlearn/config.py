@@ -28,13 +28,13 @@ class ConfigError(ValueError):
     """A config document that parses but does not validate."""
 
 
-def builtin_preset(name: str = "toy") -> dict:
-    """The packaged preset document (deep copy, safe to mutate)."""
-    ref = importlib.resources.files("nullspace_unlearn") / "presets" / f"{name}.json"
+def builtin_preset() -> dict:
+    """The packaged toy preset document (a fresh parse, safe to mutate); a missing preset file is a ConfigError."""
+    ref = importlib.resources.files("nullspace_unlearn") / "presets" / "toy.json"
     try:
         text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"no builtin preset named {name!r}") from None
+        raise ConfigError(f"the packaged preset {ref} is missing") from None
     return json.loads(text)
 
 
@@ -312,7 +312,7 @@ def make_config(doc: dict) -> RunConfig:
 def load_config(path=None, overrides=()) -> RunConfig:
     """Load a config file (the bundled toy preset when path is None) and validate."""
     if path is None:
-        doc = builtin_preset("toy")
+        doc = builtin_preset()
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:

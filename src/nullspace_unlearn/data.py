@@ -56,7 +56,7 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
+            labels=self.labels[idx],
             n_classes=self.n_classes,
         )
 

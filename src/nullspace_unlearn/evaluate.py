@@ -1,7 +1,8 @@
 """Evaluation suite: utility, membership inference, orthogonality audit, loss contours.
 
-Every report here is a plain dataclass of JSON-native fields, so the CLI
-writes `dataclasses.asdict(report)` as its artifact record byte-stably.
+Pure computation: nothing here writes a file.  Every report is a plain
+dataclass of JSON-native fields, so the CLI writes `dataclasses.asdict(report)`
+as its artifact record byte-stably, and writes the contour grid's table.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .artifacts import write_atomic
 from .determinism import PortableRng, derive_seed
 from .linalg import apply_projection, as_matrix
 from .subspace import NullProjector
@@ -22,31 +22,28 @@ class UtilityReport:
     """Accuracy on remaining/unlearn test data plus per-class detail."""
 
     acc_remaining_test: float
-    acc_unlearn_test: float | None
+    acc_unlearn_test: float
     per_class_acc: list
     loss_remaining: float
 
 
-def utility(net: nn.Network, test_remaining, test_unlearn=None) -> UtilityReport:
-    """Score a model on the remaining-class test set and, when present, the unlearn-class test set.
+def utility(net: nn.Network, test_remaining, test_unlearn) -> UtilityReport:
+    """Score a model on the remaining-class and the unlearn-class test sets.
 
-    Every number comes from one forward pass over both sets stacked.  An
-    empty remaining test set is an error; an empty (or absent) unlearn test
-    set just leaves acc_unlearn_test unset.  Per-class accuracy covers the
-    union, None for classes with no test samples.
+    Every number comes from one forward pass over both sets stacked.  Either
+    set empty is a ValueError.  Per-class accuracy covers the union, None for
+    classes with no test samples.
     """
-    if len(test_remaining) == 0:
-        raise ValueError("remaining test set is empty; utility is undefined")
-    parts = [test_remaining]
-    if test_unlearn is not None and len(test_unlearn) > 0:
-        parts.append(test_unlearn)
+    for name, part in (("remaining", test_remaining), ("unlearn", test_unlearn)):
+        if len(part) == 0:
+            raise ValueError(f"{name} test set is empty; utility is undefined")
     n_r = len(test_remaining)
-    all_y = np.concatenate([p.labels for p in parts])
-    logits, _ = nn.forward(net, np.vstack([p.features for p in parts]))
+    all_y = np.concatenate([test_remaining.labels, test_unlearn.labels])
+    logits, _ = nn.forward(net, np.vstack([test_remaining.features, test_unlearn.features]))
     preds = np.argmax(logits, axis=0)
     hits = preds == all_y
     acc_rt = float(np.mean(hits[:n_r]))
-    acc_ut = float(np.mean(hits[n_r:])) if len(parts) == 2 else None
+    acc_ut = float(np.mean(hits[n_r:]))
     loss_rt = nn.cross_entropy(logits[:, :n_r], all_y[:n_r])
     per_class = []
     for c in range(net.n_classes):
@@ -186,14 +183,6 @@ class ContourGrid:
     betas: list
     losses: list  # losses[i][j] at (alphas[i], betas[j])
     base_loss: float
-
-    def to_csv(self, path) -> None:
-        lines = (
-            f"{a:.17g},{b:.17g},{self.losses[i][j]:.17g}\n"
-            for i, a in enumerate(self.alphas)
-            for j, b in enumerate(self.betas)
-        )
-        write_atomic(path, ["alpha,beta,loss\n", *lines])
 
 
 def _check_direction(direction, weights, name: str) -> list:

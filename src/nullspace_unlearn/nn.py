@@ -179,17 +179,14 @@ class GradientSet:
 
 
 def extract_patches(feature_map, kernel_size: int, stride: int = 1) -> np.ndarray:
-    """Unfold an image (or batch) into patch columns, without augmentation.
+    """Unfold a batch of (n, c, h, w) maps into (c*k*k, n*patches) patch columns, without augmentation.
 
-    (c, h, w) input gives (c*k*k, patches); (n, c, h, w) gives (c*k*k, n*patches)
-    with columns sample-major.  A 1x1 kernel at stride 1 is exactly a pixel-wise
-    rearrangement of the input.
+    Columns are sample-major.  A 1x1 kernel at stride 1 is exactly a
+    pixel-wise rearrangement of the input.
     """
     maps = np.asarray(feature_map, dtype=np.float64)
-    if maps.ndim == 3:
-        maps = maps[np.newaxis]
     if maps.ndim != 4:
-        raise ValueError(f"feature map must be (c,h,w) or (n,c,h,w), got shape {maps.shape}")
+        raise ValueError(f"feature maps must be (n,c,h,w), got shape {maps.shape}")
     n, c, h, w = maps.shape
     k, st = int(kernel_size), int(stride)
     if k < 1 or st < 1:

@@ -88,7 +88,7 @@ class PseudoLabeledSet:
 
 @dataclass
 class UnlearnResult:
-    """An unlearned network plus what the CLI's `run_unlearned_<variant>.json` record holds of the run."""
+    """An unlearned network, its metadata empty, plus what the CLI's `run_unlearned_<variant>.json` record holds of the run."""
 
     network: nn.Network
     epoch_losses: list
@@ -165,6 +165,7 @@ def _finetune(
     mean is the last epoch loss.
     """
     out = net.copy()
+    out.metadata = {}
     feats = labeled.features
     y_train = labeled.assigned_labels
     tuned, frozen = out, 0

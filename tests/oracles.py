@@ -150,19 +150,15 @@ def best_balanced_threshold(conf_member, conf_nonmember):
     return best_t, best_score
 
 
-def utility_by_set(net, test_remaining, test_unlearn=None):
+def utility_by_set(net, test_remaining, test_unlearn):
     """The utility report as JSON, scoring each set with its own forward passes.
 
     Remaining accuracy and loss, forget accuracy and the predictions on the
     union each come from a separate nn.accuracy / nn.mean_loss / nn.predict
     call, so every test row goes through the network more than once.
     """
-    x, y = test_remaining.features, test_remaining.labels
-    acc_unlearn = None
-    if test_unlearn is not None and len(test_unlearn) > 0:
-        acc_unlearn = nn.accuracy(net, test_unlearn.features, test_unlearn.labels)
-        x = np.vstack([x, test_unlearn.features])
-        y = np.concatenate([y, test_unlearn.labels])
+    x = np.vstack([test_remaining.features, test_unlearn.features])
+    y = np.concatenate([test_remaining.labels, test_unlearn.labels])
     preds = nn.predict(net, x)
     per_class = []
     for c in range(net.n_classes):
@@ -170,7 +166,7 @@ def utility_by_set(net, test_remaining, test_unlearn=None):
         per_class.append(float(np.mean(preds[mask] == c)) if mask.any() else None)
     return {
         "acc_remaining_test": nn.accuracy(net, test_remaining.features, test_remaining.labels),
-        "acc_unlearn_test": acc_unlearn,
+        "acc_unlearn_test": nn.accuracy(net, test_unlearn.features, test_unlearn.labels),
         "per_class_acc": per_class,
         "loss_remaining": nn.mean_loss(net, test_remaining.features, test_remaining.labels),
     }
@@ -215,8 +211,6 @@ def extract_patches_loop(feature_map, kernel_size, stride=1):
     column; columns sample-major), without its input checks.
     """
     maps = np.asarray(feature_map, dtype=np.float64)
-    if maps.ndim == 3:
-        maps = maps[np.newaxis]
     n, c, h, w = maps.shape
     k, st = kernel_size, stride
     ho = (h - k) // st + 1

@@ -80,7 +80,8 @@ def test_contour_record_and_table_equal_the_old_writers(tmp_path):
     cli._write_record(record, path, cfg, "feedbeef")
     stamp = {"config_hash": cfg.hash, "seed": cfg.seed, "data_hash": "feedbeef"}
     assert path.read_text(encoding="ascii") == oracles.json_dump_text({**record, **stamp})
-    grid.to_csv(tmp_path / "contour.csv")
+    cells = [(a, b, grid.losses[i][j]) for i, a in enumerate(alphas) for j, b in enumerate(betas)]
+    artifacts.write_table(tmp_path / "contour.csv", ("alpha", "beta", "loss"), cells)
     rows = [f"{a:.17g},{b:.17g},{grid.losses[i][j]:.17g}\n" for i, a in enumerate(alphas) for j, b in enumerate(betas)]
     assert (tmp_path / "contour.csv").read_text() == "alpha,beta,loss\n" + "".join(rows)
 
@@ -331,6 +332,41 @@ def test_only_read_json_parses_json():
 def test_the_reader_check_sees_a_plain_load():
     tree = ast.parse("import json\nwith open(p) as fh:\n    json.load(fh)\njson.loads(s)\njson.dumps(d)\nfrom json import loads\n")
     assert sorted(_parses_json(tree)) == [3, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# tooling: who imports the artifact module
+# ---------------------------------------------------------------------------
+
+# evaluate, linalg, unlearn, config and determinism compute; the modules that
+# read or write artifact files, and the package that re-exports it, import it.
+_ARTIFACT_IMPORTERS = {"__init__", "cli", "data", "nn", "subspace"}
+
+
+def _imports_artifacts(tree):
+    """Line of each import of the artifacts module or of a name from it, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "artifacts" or (
+                module in ("", "nullspace_unlearn") and any(a.name == "artifacts" for a in node.names)
+            ):
+                yield node.lineno
+        elif isinstance(node, ast.Import) and any(a.name == "nullspace_unlearn.artifacts" for a in node.names):
+            yield node.lineno
+
+
+def test_only_the_file_modules_import_artifacts():
+    importers = {path.stem for path in sorted(SRC.glob("*.py")) if any(_imports_artifacts(_parsed(path)))}
+    assert importers == _ARTIFACT_IMPORTERS
+
+
+def test_the_layering_check_sees_both_import_forms():
+    tree = ast.parse(
+        "from .artifacts import write_atomic\nfrom . import artifacts\nfrom . import nn\n"
+        "from .nn import artifacts_note\nimport nullspace_unlearn.artifacts\nfrom nullspace_unlearn import artifacts, nn\n"
+    )
+    assert sorted(_imports_artifacts(tree)) == [1, 2, 5, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,11 @@ def test_full_pipeline_produces_every_artifact(env, tmp_path):
     contour_lines = (tmp_path / "work" / "contour.csv").read_text().splitlines()
     assert contour_lines[0] == "alpha,beta,loss"
     assert len(contour_lines) == 1 + 3 * 3
+    # The table spells contour.json's grid, alpha-major.
+    grid = json.loads((tmp_path / "work" / "contour.json").read_text())
+    assert contour_lines[1:] == [
+        f"{a:.17g},{b:.17g},{grid['losses'][i][j]:.17g}" for i, a in enumerate(grid["alphas"]) for j, b in enumerate(grid["betas"])
+    ]
 
     final = json.loads((tmp_path / "work" / "report.json").read_text())
     assert set(final["sections"]) == {"evaluate", "ablation", "contour"}
@@ -480,6 +485,17 @@ def test_ablate_refuses_an_evaluate_json_from_another_config_or_dataset(env):
     assert result.exit_code == cli.EXIT_VALIDATION
     assert "evaluate.json (config hash, data hash)" in stderr_error(result)["message"]
     assert not (work / "ablation.json").exists()
+
+
+def test_an_unlearned_checkpoint_records_its_lineage_not_the_originals_training(env):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "subspace", "unlearn"):
+        assert run(runner, cfg_path, workdir, *_SHORT, step).exit_code == 0, step
+    original = json.loads((pathlib.Path(workdir) / "original.json").read_text())["metadata"]
+    assert {"best_epoch", "best_val_accuracy", "epochs_run", "final_lr", "train_seed"} <= set(original)
+    for variant in unlearn.VARIANTS:
+        meta = json.loads((pathlib.Path(workdir) / f"unlearned_{variant}.json").read_text())["metadata"]
+        assert sorted(meta) == ["config_hash", "data_hash", "root_seed"], variant
 
 
 def test_unlearn_writes_no_checkpoint_unless_every_variant_runs(env, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import blob_splits, dense_net, dense_specs, trained_dense_net
-from nullspace_unlearn import data, evaluate, linalg, nn, subspace, unlearn
+from nullspace_unlearn import artifacts, data, evaluate, linalg, nn, subspace, unlearn
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +51,13 @@ def test_utility_constant_model_scores_chance(fitted):
     assert rep.per_class_acc[1] == 0.0 and rep.per_class_acc[2] == 0.0
 
 
-def test_utility_without_unlearn_set(fitted):
+def test_utility_refuses_an_empty_test_set_on_either_side(fitted):
     net, sp = fitted
-    rep = evaluate.utility(net, sp.test_remaining)
-    assert rep.acc_unlearn_test is None
-    assert rep.per_class_acc[0] is None  # class 0 absent from the scored data
-    with pytest.raises(ValueError, match="empty"):
-        evaluate.utility(net, sp.test_remaining.subset(np.array([], dtype=int)))
+    empty = sp.test_remaining.subset(np.array([], dtype=int))
+    with pytest.raises(ValueError, match="remaining test set is empty"):
+        evaluate.utility(net, empty, sp.test_unlearn)
+    with pytest.raises(ValueError, match="unlearn test set is empty"):
+        evaluate.utility(net, sp.test_remaining, empty)
 
 
 def test_utility_runs_one_forward_pass(fitted, monkeypatch):
@@ -72,9 +72,6 @@ def test_utility_runs_one_forward_pass(fitted, monkeypatch):
     monkeypatch.setattr(nn, "forward", spy)
     evaluate.utility(net, sp.test_remaining, sp.test_unlearn)
     assert rows == [len(sp.test_remaining) + len(sp.test_unlearn)]
-    rows.clear()
-    evaluate.utility(net, sp.test_remaining)
-    assert rows == [len(sp.test_remaining)]
 
 
 def test_utility_peak_memory(monkeypatch):
@@ -107,10 +104,12 @@ def test_utility_peak_memory(monkeypatch):
 
 def test_utility_equals_the_per_set_oracle(fitted):
     net, sp = fitted
+    only_1 = sp.test_remaining.class_filter((1,), keep=True)  # class 2 has no test samples
     for model in (net, constant_net()):
-        for test_unlearn in (sp.test_unlearn, None):
-            rep = evaluate.utility(model, sp.test_remaining, test_unlearn)
-            assert dataclasses.asdict(rep) == oracles.utility_by_set(model, sp.test_remaining, test_unlearn)
+        for remaining in (sp.test_remaining, only_1):
+            rep = evaluate.utility(model, remaining, sp.test_unlearn)
+            assert dataclasses.asdict(rep) == oracles.utility_by_set(model, remaining, sp.test_unlearn)
+    assert rep.per_class_acc[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +278,8 @@ def test_contour_csv_format(fitted, tmp_path):
         net, unit_blocks(net, 1), unit_blocks(net, 2), [0.0, 0.1], [0.0], sp.test_remaining
     )
     path = tmp_path / "contour.csv"
-    grid.to_csv(path)
+    cells = [(a, b, grid.losses[i][j]) for i, a in enumerate(grid.alphas) for j, b in enumerate(grid.betas)]
+    artifacts.write_table(path, ("alpha", "beta", "loss"), cells)
     lines = path.read_text().splitlines()
     assert lines[0] == "alpha,beta,loss"
     assert len(lines) == 1 + 2 * 1

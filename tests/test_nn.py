@@ -403,12 +403,12 @@ def test_extract_patches_identity_kernel():
 @pytest.mark.parametrize(
     "shape,k,stride",
     [
-        ((3, 5, 5), 1, 1),
+        ((1, 3, 5, 5), 1, 1),
         ((2, 3, 5, 5), 5, 1),
         ((2, 2, 7, 5), 3, 2),
         ((1, 4, 6, 9), 2, 3),
         ((3, 1, 8, 6), 6, 3),
-        ((2, 9, 4), 2, 2),
+        ((1, 2, 9, 4), 2, 2),
         ((0, 2, 5, 5), 3, 1),
     ],
 )
@@ -421,10 +421,11 @@ def test_extract_patches_bytes_equal_the_offset_loop(shape, k, stride):
 
 
 def test_extract_patches_validation():
-    with pytest.raises(ValueError):
-        nn.extract_patches(np.zeros((1, 2, 2)), kernel_size=3)
-    with pytest.raises(ValueError):
-        nn.extract_patches(np.zeros((2, 2)), kernel_size=1)
+    with pytest.raises(ValueError, match="does not fit"):
+        nn.extract_patches(np.zeros((1, 1, 2, 2)), kernel_size=3)
+    for shape in ((2, 2), (1, 2, 2)):  # a single (c, h, w) map is not a batch
+        with pytest.raises(ValueError, match=r"\(n,c,h,w\)"):
+            nn.extract_patches(np.zeros(shape), kernel_size=1)
 
 
 def test_softmax_columns_sum_to_one():

@@ -126,20 +126,24 @@ def _require_lineage(what: str, recorded, expected) -> None:
         raise ConfigError(f"{what} records {recorded}, but this run expects {expected}")
 
 
-def _load_net(cfg: RunConfig, workdir, name: str, data_hash: str) -> nn.Network:
-    """A checkpoint, refused unless this run's config and dataset produced it."""
+def _load_net(cfg: RunConfig, workdir, name: str, data_hash: str, source=None) -> nn.Network:
+    """A checkpoint, refused unless this run's config and dataset made it; an unlearned one must also record `source`.
+
+    `source` is the hash of the current original.json, the checkpoint an unlearned one must have started from.
+    """
     net = nn.load_checkpoint(checkpoint_path(workdir, name))
-    made_by = (net.metadata.get("config_hash"), net.metadata.get("data_hash"))
-    _require_lineage(f"{name} checkpoint (config hash, data hash)", made_by, (cfg.hash, data_hash))
+    keys = ("config hash", "data hash", "source checkpoint hash")[: 3 if name.startswith("unlearned_") else 2]
+    made_by = tuple(net.metadata.get(k.replace(" ", "_")) for k in keys)
+    _require_lineage(f"{name} checkpoint ({', '.join(keys)})", made_by, (cfg.hash, data_hash, source)[: len(keys)])
     return net
 
 
-def _load_basis(cfg: RunConfig, workdir, data_hash: str) -> subspace.NullProjector:
-    """The run's retained basis, refused unless this run built it from the current original.json."""
+def _load_basis(cfg: RunConfig, workdir, data_hash: str, source: str) -> subspace.NullProjector:
+    """The run's retained basis, refused unless this run built it from `source`, the current original.json's hash."""
     path = os.path.join(workdir, "subspace.json")
     proj, stamp = subspace.load_subspace(path)
     made_by = tuple(stamp.get(k) for k in ("source_checkpoint_hash", "config_hash", "data_hash"))
-    expected = (_file_hash(checkpoint_path(workdir, "original")), cfg.hash, data_hash)
+    expected = (source, cfg.hash, data_hash)
     _require_lineage(f"{path} (source checkpoint hash, config hash, data hash)", made_by, expected)
     return proj
 
@@ -261,10 +265,12 @@ def unlearn_cmd(ctx):
     """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     net_o = _load_net(cfg, workdir, "original", data_hash)
-    basis = _load_basis(cfg, workdir, data_hash)
+    source = _file_hash(checkpoint_path(workdir, "original"))
+    basis = _load_basis(cfg, workdir, data_hash, source)
     results = {v: run_unlearn_variant(cfg, net_o, sp, basis, v) for v in unlearn.VARIANTS}
     for variant, res in results.items():
         name = _CHECKPOINTS[variant]
+        res.network.metadata["source_checkpoint_hash"] = source
         _save_net(res.network, checkpoint_path(workdir, name), cfg, data_hash)
         _write_record(
             {
@@ -287,8 +293,9 @@ def evaluate_cmd(ctx):
     calibrated run trains on, against the retrained model's predictions.
     """
     cfg, workdir, sp, data_hash = _inputs(ctx)
+    source = _file_hash(checkpoint_path(workdir, "original"))
     nets = {
-        name: _load_net(cfg, workdir, fname, data_hash)
+        name: _load_net(cfg, workdir, fname, data_hash, source)
         for name, fname in _CHECKPOINTS.items()
         if name == "original" or os.path.exists(checkpoint_path(workdir, fname))
     }
@@ -314,8 +321,9 @@ def evaluate_cmd(ctx):
 def contour_cmd(ctx, model):
     """Remaining-loss grid along an in-null-space and an off-null-space direction."""
     cfg, workdir, sp, data_hash = _inputs(ctx)
-    net = _load_net(cfg, workdir, _CHECKPOINTS[model], data_hash)
-    basis = _load_basis(cfg, workdir, data_hash)
+    source = _file_hash(checkpoint_path(workdir, "original"))
+    net = _load_net(cfg, workdir, _CHECKPOINTS[model], data_hash, source)
+    basis = _load_basis(cfg, workdir, data_hash, source)
     null_dir, off_dir = evaluate.contour_directions(basis, net, cfg.seed_for("contour-dirs"))
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))

@@ -229,17 +229,22 @@ def _batch_matrix(net: Network, batch) -> np.ndarray:
     return x
 
 
-def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
+def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resume=None):
     """Run every layer on a checked batch x; return (logits, aug_inputs, preacts) in column form.
 
     Non-finite logits raise NumericError.  Without buffers every array is
     fresh, and each layer's augmented input and, for a conv layer, its
-    pre-activation (None for a dense layer) are kept.  With buffers, two flat arrays of at least (widest hidden dense
-    layer + 1) x samples entries, hidden dense layer li writes into the
-    front of buffers[li % 2], the logit head writes into `out`, and both
+    pre-activation (None for a dense layer) are kept.  With buffers, the
+    two flat arrays of `_block_buffers`, hidden dense layer li writes into
+    the front of buffers[li % 2], the logit head writes into `out`, and both
     lists come back empty.  A hidden dense layer writes W @ aug straight
     into the next dense layer's augmented input and applies its activation
     there in place, so its relu mask is that input's positive entries.
+
+    `stop=p` runs only the layers before p and returns layer p's augmented
+    input.  `resume=(p, preact)` starts at layer p, whose pre-activation
+    `preact(out=dest)` writes where W_p @ input would (dest None: a fresh
+    array), so x gives only the row count.
     """
     record = buffers is None
     aug_inputs = []
@@ -248,29 +253,37 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None):
     # flat columns (d, n) or image maps (n, c, h, w)
     current = x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
     aug = None  # the next dense layer's augmented input, when already written
-    for li, spec in enumerate(net.specs):
-        w_mat = net.weights[li]
+    first, preact = resume or (0, None)
+    for li in range(first, len(net.specs)):
+        spec, w_mat = net.specs[li], net.weights[li]
+        if preact is not None and li == first:
+            inp, product = None, preact
+        else:
+            if spec.kind == "conv":
+                inp = _augment(extract_patches(current, spec.kernel_size, spec.stride))
+            else:  # fresh when not yet written: its layout (column-major) sets how BLAS rounds
+                inp = aug if aug is not None else _augment(current.reshape(n, -1).T if current.ndim == 4 else current)
+            if li == stop:
+                return inp
+            product = partial(np.matmul, w_mat, inp)
+        if record:
+            aug_inputs.append(inp)
         if spec.kind == "dense":
-            if aug is None:  # fresh in both modes: its layout (column-major) sets how BLAS rounds
-                aug = _augment(current.reshape(n, -1).T if current.ndim == 4 else current)
             if record:
-                aug_inputs.append(aug)
                 preacts.append(None)
             if li + 1 == len(net.specs):
-                current = np.matmul(w_mat, aug, out=out)  # the identity logit head
+                current = product(out=out)  # the identity logit head
             else:  # a dense layer only ever feeds a dense layer
                 rows = w_mat.shape[0] + 1
                 nxt = np.empty((rows, n)) if buffers is None else buffers[li % 2][: rows * n].reshape(rows, n)
                 nxt[-1] = 1.0
-                np.matmul(w_mat, aug, out=nxt[:-1])
+                product(out=nxt[:-1])
                 if spec.activation == "relu":
                     np.maximum(nxt[:-1], 0.0, out=nxt[:-1])
                 aug = nxt
         else:
-            patches = _augment(extract_patches(current, spec.kernel_size, spec.stride))
-            z_cols = w_mat @ patches
+            z_cols = product(out=None)
             if record:
-                aug_inputs.append(patches)
                 preacts.append(z_cols)
             o, ho, wo = net._plan[li][1]
             maps_out = z_cols.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
@@ -322,14 +335,25 @@ def map_shares(fn, items) -> list:
     return out
 
 
+def _block_buffers(net: Network, n: int, resume_at=None) -> list:
+    """The two flat `_layers` buffers for blocks of up to n rows, each sized for the layers that write it.
+
+    With `resume_at=p` the caller resumes at layer p with them reversed: layer p's output overwrites its input.
+    """
+    sizes = [0, 0]
+    for li, spec in enumerate(net.specs[:-1]):
+        if spec.kind == "dense":
+            slot = (li + (resume_at is not None and li >= resume_at)) % 2
+            sizes[slot] = max(sizes[slot], (spec.out_features + 1) * n)
+    return [np.empty(size) for size in sizes]
+
+
 def _score_blocks(net: Network, x: np.ndarray, logits: np.ndarray, starts) -> None:
     """Write the logits of the row blocks beginning at `starts` into their columns of `logits`.
 
     Two ping-pong buffers, allocated once, serve every block.
     """
-    widest = max((spec.out_features for spec in net.specs[:-1] if spec.kind == "dense"), default=0) + 1
-    size = widest * min(SCORE_BLOCK, x.shape[0])
-    buffers = (np.empty(size), np.empty(size))
+    buffers = _block_buffers(net, min(SCORE_BLOCK, x.shape[0]))
     for start in starts:
         stop = start + SCORE_BLOCK
         _layers(net, x[start:stop], buffers, out=logits[:, start:stop])
@@ -343,8 +367,8 @@ def forward(net: Network, batch, record: bool = False):
     in blocks of SCORE_BLOCK, dealt into one share per worker and run by
     `map_shares`; each share reuses two buffers for the hidden dense layers
     of its blocks and writes their logits straight into the result.  A
-    batch of one block, or a forward inside another share (a contour row),
-    runs on the calling thread.  Each block's logits are checked for
+    batch of one block, or a forward inside another share, runs on the
+    calling thread.  Each block's logits are checked for
     non-finite values.  Blocks depend only on the row count, so the logits
     are the same bits for any number of threads.  Against one product over
     every row, BLAS may round a block's last few columns differently (by

@@ -460,3 +460,19 @@ def load_csv_loop(path, n_classes):
         labels=np.asarray(labels, dtype=np.int64),
         n_classes=n_classes,
     )
+
+
+def loss_contour_per_cell(net, null_dir, off_dir, alphas, betas, remaining_set):
+    """The contour grid as one full forward per cell: losses[i][j] = nn.mean_loss at theta + alphas[i] N + betas[j] O."""
+    losses = []
+    for a in alphas:
+        probe = net.copy()
+        row = []
+        for b in betas:
+            for w, w0, nb, ob in zip(probe.weights, net.weights, null_dir, off_dir):
+                np.copyto(w, w0)
+                w += a * nb
+                w += b * ob
+            row.append(nn.mean_loss(probe, remaining_set.features, remaining_set.labels))
+        losses.append(row)
+    return losses

@@ -493,9 +493,11 @@ def test_an_unlearned_checkpoint_records_its_lineage_not_the_originals_training(
         assert run(runner, cfg_path, workdir, *_SHORT, step).exit_code == 0, step
     original = json.loads((pathlib.Path(workdir) / "original.json").read_text())["metadata"]
     assert {"best_epoch", "best_val_accuracy", "epochs_run", "final_lr", "train_seed"} <= set(original)
+    source = cli._file_hash(cli.checkpoint_path(workdir, "original"))
     for variant in unlearn.VARIANTS:
         meta = json.loads((pathlib.Path(workdir) / f"unlearned_{variant}.json").read_text())["metadata"]
-        assert sorted(meta) == ["config_hash", "data_hash", "root_seed"], variant
+        assert sorted(meta) == ["config_hash", "data_hash", "root_seed", "source_checkpoint_hash"], variant
+        assert meta["source_checkpoint_hash"] == source, variant
 
 
 def test_unlearn_writes_no_checkpoint_unless_every_variant_runs(env, monkeypatch):
@@ -562,6 +564,25 @@ def test_subspaces_from_another_original_are_refused(env):
         result = run(runner, cfg_path, workdir, *step)
         assert result.exit_code == cli.EXIT_VALIDATION, step
         assert "source checkpoint hash" in stderr_error(result)["message"]
+
+
+def test_evaluate_refuses_unlearned_checkpoints_from_another_original(env):
+    # A train rerun under another BLAS thread count rewrites original.json
+    # with the same config and data hashes; one ulp stands in for it here.
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train", "subspace", "unlearn"):
+        assert run(runner, cfg_path, workdir, *_SHORT, step).exit_code == 0, step
+    path = cli.checkpoint_path(workdir, "original")
+    before = cli._file_hash(path)
+    net = nn.load_checkpoint(path)
+    net.weights[0][0, 0] = np.nextafter(net.weights[0][0, 0], np.inf)
+    nn.save_checkpoint(net, path)
+    result = run(runner, cfg_path, workdir, *_SHORT, "evaluate")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    message = stderr_error(result)["message"]
+    assert "unlearned_" in message and "source checkpoint hash" in message
+    assert before in message and cli._file_hash(path) in message
+    assert not os.path.exists(os.path.join(workdir, "evaluate.json"))
 
 
 _SHORT = ("--set", "train.epochs=2", "--set", "train.milestones=[1]")

@@ -272,6 +272,98 @@ def test_contour_validation(fitted):
         evaluate.loss_contour(net, good[:1], unit_blocks(net, 2), [0.0], [0.0], sp.test_remaining)
 
 
+_DENSE = (
+    nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=24),
+    nn.LayerSpec(kind="dense", activation="relu", in_features=24, out_features=24),
+    nn.LayerSpec(kind="dense", activation="identity", in_features=24, out_features=3),
+)
+# (1, 5, 5) -> conv k2 s1 -> (2, 4, 4) -> conv k2 s2 -> (3, 2, 2) -> dense -> head
+_CONV = (
+    nn.LayerSpec(kind="conv", activation="relu", in_channels=1, out_channels=2, kernel_size=2, stride=1),
+    nn.LayerSpec(kind="conv", activation="relu", in_channels=2, out_channels=3, kernel_size=2, stride=2),
+    nn.LayerSpec(kind="dense", activation="relu", in_features=12, out_features=6),
+    nn.LayerSpec(kind="dense", activation="identity", in_features=6, out_features=3),
+)
+
+
+def contour_case(specs, input_shape, p):
+    """A net, unit directions whose first p null blocks are zero, and 700 random rows (two score blocks)."""
+    net = nn.init_network(specs, input_shape=input_shape, seed=7)
+    null_dir = unit_blocks(net, 1)
+    null_dir[:p] = [np.zeros_like(w) for w in net.weights[:p]]
+    rng = np.random.default_rng(3)
+    rows = data.Dataset(
+        features=rng.standard_normal((700, int(np.prod(input_shape)))), labels=rng.integers(0, 3, 700), n_classes=3
+    )
+    return net, null_dir, unit_blocks(net, 2), rows
+
+
+@pytest.mark.parametrize(
+    "specs, input_shape, p",
+    [
+        (_DENSE, (4,), 0),  # every null block live
+        (_DENSE, (4,), 1),  # the toy preset's shape: the input layer's basis spans its input
+        (_DENSE, (4,), 2),  # only the head moves with alpha
+        *((_CONV, (1, 5, 5), p) for p in range(4)),
+    ],
+)
+def test_contour_matches_one_forward_per_cell(specs, input_shape, p):
+    net, null_dir, off_dir, rows = contour_case(specs, input_shape, p)
+    alphas, betas = [-0.3, -0.1, 0.0, 0.2, 0.4], [-0.25, 0.0, 0.5]
+    grid = evaluate.loss_contour(net, null_dir, off_dir, alphas, betas, rows)
+    expect = oracles.loss_contour_per_cell(net, null_dir, off_dir, alphas, betas, rows)
+    npt.assert_allclose(grid.losses, expect, rtol=1e-12, atol=0.0)
+    center = nn.mean_loss(net, rows.features, rows.labels)
+    assert grid.base_loss == center
+    assert grid.losses[2][1] == center
+
+
+def test_contour_runs_fewer_forwards_than_cells(monkeypatch):
+    net, null_dir, off_dir, rows = contour_case(_DENSE, (4,), 1)
+    calls = []
+
+    def counted(name):
+        real = getattr(nn, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in ("forward", "mean_loss"):
+        monkeypatch.setattr(nn, name, counted(name))
+    axes = [-0.5, -0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    evaluate.loss_contour(net, null_dir, off_dir, axes, axes, rows)
+    assert len(calls) < 121, calls
+
+
+def test_contour_peak_memory(monkeypatch):
+    # The toy preset's net on 1000 rows with its null block zero at the
+    # input layer, one worker: about 2.96 MiB above the start, against
+    # 1.86 MiB when each cell ran its own forward.
+    specs = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=2, out_features=192),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=192, out_features=192),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=192, out_features=4),
+    )
+    net = nn.init_network(specs, input_shape=(2,), seed=1)
+    null_dir = [np.zeros_like(net.weights[0]), *unit_blocks(net, 1)[1:]]
+    off_dir = unit_blocks(net, 2)
+    rng = np.random.default_rng(0)
+    rows = data.Dataset(features=rng.standard_normal((1000, 2)), labels=rng.integers(0, 4, 1000), n_classes=4)
+    axes = [-0.5, -0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    monkeypatch.setattr(nn, "_WORKERS", 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate.loss_contour(net, null_dir, off_dir, axes, axes, rows)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20, f"peak traced memory {peak / 2**20:.2f} MiB"
+
+
 def test_contour_csv_format(fitted, tmp_path):
     net, sp = fitted
     grid = evaluate.loss_contour(

@@ -312,6 +312,47 @@ def test_more_share_threads_than_cores_give_the_one_worker_merge_and_contour(mon
     assert got == [expect] * 20
 
 
+def test_more_share_threads_than_cores_give_the_one_worker_contour_with_a_frozen_input_layer(monkeypatch):
+    # The toy preset's case: the input layer's null block is zero, so each
+    # beta line shares layer 1's input across its alphas.  A line's buffers
+    # or products lost to another thread would differ from the one-worker bits.
+    specs = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=24),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=24, out_features=24),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=24, out_features=3),
+    )
+    net = nn.init_network(specs, input_shape=(4,), seed=2)
+    remaining = blob_splits(seed=3, n_per_class=500).train  # 750 rows: two scoring blocks per line
+    rng = np.random.default_rng(5)
+    null_dir, off_dir = [], []
+    for li, w in enumerate(net.weights):
+        g, h = rng.standard_normal(w.shape), rng.standard_normal(w.shape)
+        null_dir.append(np.zeros_like(w) if li == 0 else g / np.linalg.norm(g))
+        off_dir.append(h / np.linalg.norm(h))
+    alphas, betas = [-0.5, -0.25, 0.0, 0.25, 0.5], [-0.5, -0.25, 0.0, 0.25, 0.5]
+
+    def grid():
+        return np.array(evaluate.loss_contour(net, null_dir, off_dir, alphas, betas, remaining).losses).tobytes()
+
+    monkeypatch.setattr(nn, "_WORKERS", 1)
+    expect = grid()
+    monkeypatch.setattr(nn, "_WORKERS", 4)
+    pool = ThreadPoolExecutor(max_workers=3, thread_name_prefix="nn-share-test")
+    monkeypatch.setattr(nn, "_pool", pool)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.extend(grid() for _ in range(20)))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    assert got == [expect] * 20
+
+
 def test_sgd_loops_never_use_the_pool(monkeypatch):
     # Training and unlearning steps are too fine-grained for the pool: at the
     # toy preset's shapes, a full-batch train and every unlearn variant run

@@ -61,22 +61,21 @@ class PortableRng:
         return z[:count].reshape(shape)
 
     def integers_below(self, bounds) -> np.ndarray:
-        """One uniform draw in [0, bound_i) per entry of bounds (each >= 1)."""
+        """One uniform draw in [0, bound_i) per entry of bounds (each >= 1); rejected entries redraw in index order."""
         bounds = np.asarray(bounds, dtype=np.uint64).reshape(-1)
         if (bounds < 1).any():
             raise ValueError("bounds must all be >= 1")
-        out = np.zeros(bounds.shape, dtype=np.uint64)
-        pending = np.ones(bounds.shape, dtype=bool)
-        while pending.any():
-            idx = np.flatnonzero(pending)
+        # Reject a word in the short tail [2**64 - (2**64 % b), 2**64), empty when b divides 2**64.
+        # In uint64, 0 - b wraps to 2**64 - b, and (2**64 - b) % b == 2**64 % b.
+        tail = (np.uint64(0) - bounds) % bounds
+        first_rejected = np.uint64(0) - tail
+        words = self.raw(bounds.size)
+        out = words % bounds
+        idx = np.flatnonzero((tail != 0) & (words >= first_rejected))
+        while idx.size:
             words = self.raw(idx.size)
-            b = bounds[idx]
-            # Accept unless the word falls in the short tail [2**64 - (2**64 % b), 2**64).
-            # In uint64, 0 - b wraps to 2**64 - b, and (2**64 - b) % b == 2**64 % b.
-            tail = (np.uint64(0) - b) % b
-            accept = (tail == 0) | (words < (np.zeros_like(tail) - tail))
-            out[idx[accept]] = words[accept] % b[accept]
-            pending[idx[accept]] = False
+            out[idx] = words % bounds[idx]
+            idx = idx[(tail[idx] != 0) & (words >= first_rejected[idx])]
         return out
 
     def permutation(self, n: int) -> np.ndarray:

@@ -229,15 +229,17 @@ def _batch_matrix(net: Network, batch) -> np.ndarray:
     return x
 
 
-def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resume=None):
+def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resume=None, inputs=None):
     """Run every layer on a checked batch x; return (logits, aug_inputs, preacts) in column form.
 
-    Non-finite logits raise NumericError.  Without buffers every array is
-    fresh, and each layer's augmented input and, for a conv layer, its
-    pre-activation (None for a dense layer) are kept.  With buffers, the
-    two flat arrays of `_block_buffers`, hidden dense layer li writes into
-    the front of buffers[li % 2], the logit head writes into `out`, and both
-    lists come back empty.  A hidden dense layer writes W @ aug straight
+    Non-finite logits raise NumericError.  Without buffers each layer's
+    augmented input and, for a conv layer, its pre-activation (None for a
+    dense layer) are kept, fresh unless `inputs` (`_step_buffers`) holds
+    them: dense layer 0 then reads inputs[0], which the caller fills.  With
+    buffers, the two flat arrays of `_block_buffers`, hidden dense layer li
+    writes into the front of buffers[li % 2] and both lists come back empty.
+    The logit head writes into `out` (None: fresh).  A hidden dense layer
+    writes W @ aug straight
     into the next dense layer's augmented input and applies its activation
     there in place, so its relu mask is that input's positive entries.
 
@@ -252,7 +254,7 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resu
     n = x.shape[0]
     # flat columns (d, n) or image maps (n, c, h, w)
     current = x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
-    aug = None  # the next dense layer's augmented input, when already written
+    aug = None if inputs is None else inputs[0]  # the next dense layer's augmented input, when already written
     first, preact = resume or (0, None)
     for li in range(first, len(net.specs)):
         spec, w_mat = net.specs[li], net.weights[li]
@@ -275,7 +277,8 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resu
                 current = product(out=out)  # the identity logit head
             else:  # a dense layer only ever feeds a dense layer
                 rows = w_mat.shape[0] + 1
-                nxt = np.empty((rows, n)) if buffers is None else buffers[li % 2][: rows * n].reshape(rows, n)
+                nxt = (inputs[li + 1] if inputs is not None
+                       else np.empty((rows, n)) if buffers is None else buffers[li % 2][: rows * n].reshape(rows, n))
                 nxt[-1] = 1.0
                 product(out=nxt[:-1])
                 if spec.activation == "relu":
@@ -413,12 +416,34 @@ def _weight_grad(li: int, dz: np.ndarray, aug: np.ndarray, project) -> np.ndarra
     return dz @ project(li, aug.T)
 
 
-def loss_and_grads(net: Network, batch, labels, project=None):
-    """Mean softmax cross-entropy and its exact per-layer weight gradients.
+def _step_buffers(net: Network, n: int) -> dict:
+    """What an `SGDStep` call writes for n rows: logits, softmax and, per layer, input and relu mask.
 
-    The GradientSet also carries the forward pass's logits.  Each delta is
-    a fresh array, so relu masks are applied to it in place; layer 0's
-    input gradient, which nothing reads, is not computed.
+    An input is kept for each dense layer fed by a dense layer, or by the
+    caller at layer 0, whose input is column-major like the `vstack` of
+    x.T: that layout sets how BLAS rounds the gradient product.  Once its
+    layer's gradient is taken, a later input also holds the delta that
+    layer propagates back.
+    """
+    specs, k = net.specs, net.n_classes
+    bufs = {"inputs": [], "masks": [], "logits": np.empty((k, n)), "probs": np.empty((k, n))}
+    for li, spec in enumerate(specs):
+        dense = spec.kind == "dense"
+        fed = dense and (li == 0 or specs[li - 1].kind == "dense")
+        bufs["inputs"].append(np.ones((spec.weight_shape()[1], n), order="F" if li == 0 else "C") if fed else None)
+        bufs["masks"].append(np.empty((spec.out_features, n), dtype=bool) if dense and spec.activation == "relu" else None)
+    return bufs
+
+
+class SGDStep:
+    """Mean softmax cross-entropy and its exact per-layer weight gradients over rows of one checked set.
+
+    The constructor checks features, labels and shapes once.  Each call
+    takes row indices (None: every row, in order) and returns (loss,
+    GradientSet) at the network's current weights, checking only logits
+    and loss.  Calls reuse one set of `_step_buffers` per row count; the
+    GradientSet's logits are one, valid until the next call, and the
+    gradients are fresh.  Layer 0's input gradient is not computed.
 
     With `project`, a function project(li, rows) that returns `rows` with
     layer li's retained directions removed, each gradient comes back
@@ -431,51 +456,73 @@ def loss_and_grads(net: Network, batch, labels, project=None):
     layers, else the input's transpose, as for a wide hidden dense layer
     against a small batch.  The loss and logits do not depend on `project`.
     """
-    x = _batch_matrix(net, batch)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = x.shape[0]
-    if y.size != n:
-        raise ValueError(f"{n} samples but {y.size} labels")
-    if n == 0:
-        raise ValueError("empty batch")
-    if (y < 0).any() or (y >= net.n_classes).any():
-        raise ValueError(f"labels must lie in [0, {net.n_classes})")
-    logits, aug_inputs, preacts = _layers(net, x)
-    loss = cross_entropy(logits, y)
-    if not math.isfinite(loss):
-        raise NumericError("loss is non-finite")
-    probs = softmax(logits)
-    onehot = np.zeros_like(probs)
-    onehot[y, np.arange(n)] = 1.0
-    delta = (probs - onehot) / n  # gradient wrt logits, (K, n)
 
-    grads = [None] * len(net.specs)
-    # Subgradient at exactly 0 is taken as 0 for relu.
-    for li in range(len(net.specs) - 1, -1, -1):
-        spec = net.specs[li]
-        shape = net._plan[li][0]
-        if spec.kind == "dense":
-            dz = delta
-            if spec.activation == "relu":  # never the head, so layer li + 1 is dense
-                dz *= aug_inputs[li + 1][:-1] > 0.0
-            grads[li] = _weight_grad(li, dz, aug_inputs[li], project)
-            if li == 0:
-                break
-            back = (net.weights[li].T @ dz)[:-1]  # drop the constant-1 row
-            if len(shape) == 3:
-                back = back.T.reshape((n,) + shape)
-            delta = back
-        else:
-            # delta arrives as maps (n, O, ho, wo); apply activation mask there.
-            dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
-            if spec.activation == "relu":
-                dz_cols *= preacts[li] > 0.0
-            grads[li] = _weight_grad(li, dz_cols, aug_inputs[li], project)
-            if li == 0:
-                break
-            back_cols = (net.weights[li].T @ dz_cols)[:-1]
-            delta = _scatter_patches(back_cols, net._plan[li], n, spec.kernel_size, spec.stride)
-    return loss, GradientSet(per_layer=grads, logits=logits)
+    def __init__(self, net: Network, features, labels, project=None):
+        x = _batch_matrix(net, features)
+        y = np.asarray(labels, dtype=np.int64).reshape(-1)
+        if y.size != x.shape[0]:
+            raise ValueError(f"{x.shape[0]} samples but {y.size} labels")
+        if y.size == 0:
+            raise ValueError("empty batch")
+        if (y < 0).any() or (y >= net.n_classes).any():
+            raise ValueError(f"labels must lie in [0, {net.n_classes})")
+        self.net, self.x, self.y, self.project, self._buffers = net, x, y, project, {}
+
+    def __call__(self, rows=None):
+        net = self.net
+        x, y = (self.x, self.y) if rows is None else (self.x[rows], self.y[rows])
+        n = y.size
+        bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n))
+        if bufs["inputs"][0] is not None:
+            bufs["inputs"][0][:-1] = x.T
+        logits, aug_inputs, preacts = _layers(net, x, out=bufs["logits"], inputs=bufs["inputs"])
+        for li, mask in enumerate(bufs["masks"]):  # before the backward pass overwrites the inputs
+            if mask is not None:
+                np.greater(aug_inputs[li + 1][:-1], 0.0, out=mask)
+        # One exp serves loss and softmax; delta = (softmax - onehot) / n is the gradient wrt logits, (K, n).
+        delta = np.subtract(logits, logits.max(axis=0, keepdims=True), out=bufs["probs"])
+        picked = delta[y, np.arange(n)]
+        sums = np.exp(delta, out=delta).sum(axis=0)
+        loss = float(np.mean(np.log(sums) - picked))
+        if not math.isfinite(loss):
+            raise NumericError("loss is non-finite")
+        delta /= sums
+        delta[y, np.arange(n)] -= 1.0
+        delta /= n
+
+        grads = [None] * len(net.specs)
+        # Subgradient at exactly 0 is taken as 0 for relu.
+        for li in range(len(net.specs) - 1, -1, -1):
+            spec = net.specs[li]
+            shape = net._plan[li][0]
+            if spec.kind == "dense":
+                dz = delta
+                if spec.activation == "relu":  # never the head, so layer li + 1 is dense
+                    dz *= bufs["masks"][li]
+                grads[li] = _weight_grad(li, dz, aug_inputs[li], self.project)
+                if li == 0:
+                    break
+                # The input's last read was above: its buffer, if any, takes the delta; drop the constant-1 row.
+                back = np.matmul(net.weights[li].T, dz, out=bufs["inputs"][li])[:-1]
+                if len(shape) == 3:
+                    back = back.T.reshape((n,) + shape)
+                delta = back
+            else:
+                # delta arrives as maps (n, O, ho, wo); apply activation mask there.
+                dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
+                if spec.activation == "relu":
+                    dz_cols *= preacts[li] > 0.0
+                grads[li] = _weight_grad(li, dz_cols, aug_inputs[li], self.project)
+                if li == 0:
+                    break
+                back_cols = (net.weights[li].T @ dz_cols)[:-1]
+                delta = _scatter_patches(back_cols, net._plan[li], n, spec.kernel_size, spec.stride)
+        return loss, GradientSet(per_layer=grads, logits=logits)
+
+
+def loss_and_grads(net: Network, batch, labels, project=None):
+    """The loss and gradients of one batch: a one-shot `SGDStep`, so every array it returns is fresh."""
+    return SGDStep(net, batch, labels, project)()
 
 
 def predict_proba(net: Network, batch) -> np.ndarray:
@@ -545,17 +592,17 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
     identical inputs train bit-identically.  When that full batch is also
     the validation set, each epoch's gradient forward gives the previous
     epoch's validation accuracy, and only the final weights are scored by a
-    separate forward.  The SGD step is written into the gradient's buffer,
-    which becomes the new weight list.
+    separate forward.  One `SGDStep` checks the train set once and reuses
+    its buffers for every batch; each update goes into the step's fresh
+    gradient array, which becomes the new weight.
     """
-    x_tr = as_matrix(train_set.features, "train features")
-    y_tr = np.asarray(train_set.labels, dtype=np.int64)
+    out = net.copy()
+    step = SGDStep(out, train_set.features, train_set.labels)
     x_val = as_matrix(val_set.features, "val features")
     y_val = np.asarray(val_set.labels, dtype=np.int64)
-    n = x_tr.shape[0]
+    n = step.y.size
     full_batch = schedule.batch_size >= n
-    fused = full_batch and np.array_equal(x_tr, x_val) and np.array_equal(y_tr, y_val)
-    out = net.copy()
+    fused = full_batch and np.array_equal(step.x, x_val) and np.array_equal(step.y, y_val)
     rng = PortableRng(derive_seed(schedule.seed, "shuffle"))
     lr = schedule.lr
     best_acc, best_epoch, best_weights = -1.0, 0, out.weights
@@ -563,7 +610,7 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
         # Score the weights after `epoch` epochs, then train epoch + 1.
         grads = None
         if fused and epoch < schedule.epochs:
-            _, grads = loss_and_grads(out, x_tr, y_tr)
+            _, grads = step()
             val_acc = float(np.mean(np.argmax(grads.logits, axis=0) == y_val))
         else:
             val_acc = accuracy(out, x_val, y_val)
@@ -578,8 +625,7 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
         order = None if full_batch else rng.permutation(n)
         for start in range(0, n, schedule.batch_size):
             if grads is None:
-                idx = slice(None) if full_batch else order[start : start + schedule.batch_size]
-                _, grads = loss_and_grads(out, x_tr[idx], y_tr[idx])
+                _, grads = step(None if full_batch else order[start : start + schedule.batch_size])
             # w - lr * g goes into g's fresh buffer; the list is rebound, so a
             # kept best list stays as it was.
             out.weights = [

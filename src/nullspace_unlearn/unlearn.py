@@ -5,7 +5,7 @@ best prediction outside the unlearn classes, then fine-tunes with each
 gradient block projected off the retained basis B of the remaining classes'
 activations, g - (g B) B^T, so updates stay in its null space.  A weight
 gradient is dz a^T, so the projection is applied to whichever factor is
-smaller, the layer input a or the gradient (see `nn.loss_and_grads`).  A
+smaller, the layer input a or the gradient (see `nn.SGDStep`).  A
 leading layer whose basis spans its whole input has an empty null space and
 is frozen: the forget set goes through the spanned leading layers once, and
 each step trains only the layers after them.  Baselines
@@ -150,10 +150,10 @@ def _finetune(
 
     The whole forget set is reshuffled each epoch from one seeded stream, so
     runs are bit-reproducible.  Every step is projected off the same retained
-    basis, the one that excludes the whole unlearn set.  `nn.loss_and_grads`
-    applies the projection to the smaller factor of each layer's gradient,
-    the layer input or the gradient itself, so every step is g - (g B) B^T
-    without projecting a wide hidden-layer gradient.  Leading layers whose
+    basis, the one that excludes the whole unlearn set.  One `nn.SGDStep`
+    per run checks rows and labels once, reuses its buffers for every batch
+    and projects each gradient's smaller factor, the layer input or the
+    gradient, so no wide hidden-layer gradient is projected.  Leading layers whose
     basis spans their input (see `_frozen_prefix`) only ever step by zero,
     so a projected run forwards the forget set through them once and
     fine-tunes the layers after them, which share the returned network's
@@ -179,9 +179,9 @@ def _finetune(
                 weights=out.weights[frozen:],
                 input_shape=(out.specs[frozen].in_features,),
             )
-    project = None if projector is None else (
+    step = nn.SGDStep(tuned, feats, y_train, None if projector is None else (
         lambda li, rows: apply_projection(rows, projector.bases[frozen + li])
-    )
+    ))
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
     chance = math.log(out.n_classes)
@@ -191,11 +191,11 @@ def _finetune(
         perm = rng.permutation(y_train.size)
         for start in range(0, perm.size, plan.batch_size):
             sel = perm[start : start + plan.batch_size]
-            loss, grads = nn.loss_and_grads(tuned, feats[sel], y_train[sel], project=project)
+            loss, grads = step(sel)
             total += loss * sel.size
             seen += sel.size
             for w, g in zip(tuned.weights, grads.per_layer):
-                w += sign * plan.lr * g
+                w += np.multiply(g, sign * plan.lr, out=g)
             if plan.ascend and total / seen > chance:
                 break
         epoch_loss = total / seen

@@ -46,6 +46,16 @@ def dense_net(seed=0, hidden=8, n_classes=3, d=4):
     return nn.init_network(dense_specs(hidden, n_classes, d), input_shape=(d,), seed=seed)
 
 
+def toy_net(seed=0):
+    """The toy preset's network: 2 -> 192 -> 192 -> 4."""
+    specs = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=2, out_features=192),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=192, out_features=192),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=192, out_features=4),
+    )
+    return nn.init_network(specs, input_shape=(2,), seed=seed)
+
+
 def conv_specs(n_classes=3):
     # (1, 4, 4) -> conv k2 s1 -> (2, 3, 3) -> dense head.
     return (

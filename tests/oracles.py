@@ -318,6 +318,22 @@ def reference_projected_finetune(net, labeled, bases, plan):
     return out.weights, losses
 
 
+def integers_below_loop(rng, bounds):
+    """PortableRng.integers_below as it first ran: every round redraws the pending entries, the first round all of them."""
+    bounds = np.asarray(bounds, dtype=np.uint64).reshape(-1)
+    out = np.zeros(bounds.shape, dtype=np.uint64)
+    pending = np.ones(bounds.shape, dtype=bool)
+    while pending.any():
+        idx = np.flatnonzero(pending)
+        words = rng.raw(idx.size)
+        b = bounds[idx]
+        tail = (np.uint64(0) - b) % b
+        accept = (tail == 0) | (words < (np.zeros_like(tail) - tail))
+        out[idx[accept]] = words[accept] % b[accept]
+        pending[idx[accept]] = False
+    return out
+
+
 def numpy_swap_permutation(rng, n):
     """PortableRng.permutation as it first ran: the descending Fisher-Yates swaps on a numpy array."""
     a = np.arange(n)

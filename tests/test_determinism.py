@@ -20,6 +20,23 @@ def test_integers_below_rejects_exactly_the_short_tail(bound, monkeypatch):
     assert next(words, None) is None
 
 
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_integers_below_matches_the_pending_loop_when_draws_are_rejected(seed):
+    # 2**63 + 1 rejects about half of all words and 3 * 2**62 + 1 a quarter,
+    # so several rounds of redraws run; the draws and the stream position
+    # after them match the loop that redraws every pending entry each round.
+    bounds = np.array([2**63 + 1] * 40 + [1, 2, 3, 2**64 - 1, 3 * 2**62 + 1, 2**63 + 5, 50] * 3, dtype=np.uint64)
+    rng, ref_rng = PortableRng(seed), PortableRng(seed)
+    drawn = []
+    raw = ref_rng.raw
+    ref_rng.raw = lambda n: drawn.append(n) or raw(n)
+    got, ref = rng.integers_below(bounds), oracles.integers_below_loop(ref_rng, bounds)
+    assert len(drawn) > 2 and sum(drawn) > bounds.size
+    assert got.dtype == np.uint64 and got.tobytes() == ref.tobytes()
+    assert (got < bounds).all()
+    assert rng.raw(1) == raw(1)
+
+
 def test_seeded_permutation_is_pinned():
     perm = PortableRng(12345).permutation(5000)
     assert sorted(perm.tolist()) == list(range(5000))

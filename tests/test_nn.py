@@ -19,6 +19,7 @@ from conftest import (
     dense_net,
     dense_specs,
     image_batch,
+    toy_net,
     trained_dense_net,
 )
 from nullspace_unlearn import cli, data, evaluate, linalg, nn, subspace, unlearn
@@ -552,11 +553,22 @@ def _kernel_cases():
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["dense-relu", "dense-identity-hidden", "conv-stride2-dense"])
+TOY_ROWS = (1, 25, 200)
+
+
+@pytest.mark.parametrize(
+    "case", range(3 + len(TOY_ROWS)),
+    ids=["dense-relu", "dense-identity-hidden", "conv-stride2-dense"] + [f"toy-{n}" for n in TOY_ROWS],
+)
 def test_loss_and_grads_bit_equal_reference_kernel(case):
-    # Writing into the next layer's input, masking deltas in place and
-    # skipping layer 0's input gradient change no float.
-    net, x = _kernel_cases()[case]
+    # Writing into the next layer's input, masking deltas in place, one exp
+    # for loss and softmax and skipping layer 0's input gradient change no
+    # float.  The toy preset's shapes catch a layer-0 input whose layout
+    # makes BLAS round the gradient product differently.
+    if case < 3:
+        net, x = _kernel_cases()[case]
+    else:
+        net, x = toy_net(seed=45), np.random.default_rng(46).standard_normal((TOY_ROWS[case - 3], 2))
     y = np.random.default_rng(case).integers(0, 3, size=len(x))
     loss, grads = nn.loss_and_grads(net, x, y)
     ref_loss, ref_grads, ref_logits = oracles.reference_loss_and_grads(net, x, y)
@@ -564,6 +576,33 @@ def test_loss_and_grads_bit_equal_reference_kernel(case):
     assert grads.logits.tobytes() == ref_logits.tobytes()
     for g, ref in zip(grads.per_layer, ref_grads):
         assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", ["toy", "conv-stride2-dense"])
+def test_sgd_step_reuses_its_buffers_without_changing_a_bit(case):
+    # Row selections of several sizes, in any order, each give the one-shot
+    # reference's bits, whatever earlier calls left in the reused buffers;
+    # gradients stay fresh arrays across calls.
+    rng = np.random.default_rng(47)
+    if case == "toy":
+        net, x = toy_net(seed=48), rng.standard_normal((60, 2))
+    else:
+        net, x = _kernel_cases()[2][0], rng.uniform(0.0, 1.0, size=(60, 36))
+    y = rng.integers(0, 3, size=len(x))
+    step = nn.SGDStep(net, x, y)
+    perm = rng.permutation(len(x))
+    kept = []
+    for rows in (perm[:25], perm[25:50], perm[50:], None, perm[:25][::-1]):
+        loss, grads = step(rows)
+        sel = slice(None) if rows is None else rows
+        ref_loss, ref_grads, ref_logits = oracles.reference_loss_and_grads(net, x[sel], y[sel])
+        assert loss == ref_loss
+        assert grads.logits.tobytes() == ref_logits.tobytes()
+        for g, ref in zip(grads.per_layer, ref_grads):
+            assert g.tobytes() == ref.tobytes()
+        kept.append((grads.per_layer, ref_grads))
+    for grads, ref_grads in kept:
+        assert all(g.tobytes() == ref.tobytes() for g, ref in zip(grads, ref_grads))
 
 
 def _orthonormal(rng, n, k):
@@ -736,20 +775,20 @@ def test_full_batch_training_matches_the_two_forward_loop(name):
 
 
 def test_full_batch_training_runs_one_forward_per_epoch(monkeypatch):
-    calls = {"accuracy": 0, "loss_and_grads": 0}
-    for fn in calls:
-        original = getattr(nn, fn)
+    calls = {"accuracy": 0, "step": 0}
+    for owner, attr, key in ((nn, "accuracy", "accuracy"), (nn.SGDStep, "__call__", "step")):
+        original = getattr(owner, attr)
 
-        def spy(*args, _fn=fn, _original=original):
-            calls[_fn] += 1
+        def spy(*args, _key=key, _original=original):
+            calls[_key] += 1
             return _original(*args)
 
-        monkeypatch.setattr(nn, fn, spy)
+        monkeypatch.setattr(owner, attr, spy)
     train_set = blob_splits(seed=40).train
     schedule = nn.TrainSchedule(lr=0.3, epochs=12, batch_size=len(train_set) + 5, patience=None)
     out = nn.train(dense_net(seed=40), train_set, train_set, schedule)
     assert out.metadata["epochs_run"] == 12
-    assert calls == {"accuracy": 1, "loss_and_grads": 12}
+    assert calls == {"accuracy": 1, "step": 12}
 
 
 def test_minibatch_training_is_pinned():
@@ -768,18 +807,15 @@ def test_minibatch_training_is_pinned():
 
 def test_full_batch_training_peak_memory():
     # The toy preset's shapes: 200 rows of 2 features -> 192 -> 192 -> 4.
-    # Measured peak above the start: about 2.1 MB, against 3.6 MB when each
-    # epoch kept pre-activations, float masks and a separate SGD temporary.
-    specs = (
-        nn.LayerSpec(kind="dense", activation="relu", in_features=2, out_features=192),
-        nn.LayerSpec(kind="dense", activation="relu", in_features=192, out_features=192),
-        nn.LayerSpec(kind="dense", activation="identity", in_features=192, out_features=4),
-    )
+    # Measured peak above the start: about 1.9 MiB with one step's buffers
+    # serving every epoch, 2.1 MiB with fresh arrays per epoch, and 3.6 MB
+    # when each epoch kept pre-activations, float masks and a separate SGD
+    # temporary.
     rng = np.random.default_rng(0)
     train_set = data.Dataset(
         features=rng.standard_normal((200, 2)), labels=rng.integers(0, 4, 200), n_classes=4
     )
-    net = nn.init_network(specs, input_shape=(2,), seed=1)
+    net = toy_net(seed=1)
     schedule = nn.TrainSchedule(lr=0.5, epochs=5, batch_size=200, patience=None)
     tracemalloc.start()
     try:

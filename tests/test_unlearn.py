@@ -9,11 +9,12 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from conftest import dense_specs, trained_dense_net
+from conftest import dense_net, dense_specs, trained_dense_net
 from test_nn import _kernel_cases
 from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
 from nullspace_unlearn.config import load_config
 from nullspace_unlearn.determinism import PortableRng, derive_seed
+from nullspace_unlearn.linalg import NumericError
 
 
 @pytest.fixture(scope="module")
@@ -329,17 +330,17 @@ def test_projected_finetune_matches_projecting_each_full_gradient(preset, mode):
 def _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen):
     """Run a projected fine-tune; check it against the oracle, with every spanned layer untouched.
 
-    A spy on `nn.loss_and_grads` checks that every step sees the
+    A spy on `nn.SGDStep` calls checks that every step sees the
     (layers - frozen)-layer suffix.
     """
     depths = set()
-    real = nn.loss_and_grads
+    real = nn.SGDStep.__call__
 
-    def spy(tuned, *args, **kwargs):
-        depths.add(len(tuned.specs))
-        return real(tuned, *args, **kwargs)
+    def spy(step, *args, **kwargs):
+        depths.add(len(step.net.specs))
+        return real(step, *args, **kwargs)
 
-    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    monkeypatch.setattr(nn.SGDStep, "__call__", spy)
     res = unlearn._finetune(net, labeled, projector, run)
     weights, losses = oracles.reference_projected_finetune(net, labeled, projector.bases, run)
     assert depths == {len(net.specs) - frozen}
@@ -351,6 +352,56 @@ def _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen):
         else:
             assert (w != w0).any()
             assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_projected_finetune_with_a_short_last_batch_matches_the_oracle(preset, monkeypatch):
+    # Batch 16 over the 50-row forget set: three full batches and one of 2
+    # rows per epoch, so the step keeps buffers for two row counts.
+    cfg, sp, net_o, caches = preset
+    projector = caches["preset"].for_excluded(0)
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=5, batch_size=16)
+    labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
+    assert len(labeled.assigned_labels) == 50
+    _finetune_against_oracle(monkeypatch, net_o, labeled, projector, run, frozen=1)
+
+
+@pytest.mark.parametrize("fault", ["nan-feature", "label-out-of-range"])
+@pytest.mark.parametrize("runner", ["train", "finetune"])
+def test_bad_rows_fail_the_run_before_its_first_step(monkeypatch, runner, fault):
+    # The step checks features and labels once, when the run builds it: a
+    # NaN feature raises NumericError (exit 4) and a label outside
+    # [0, classes) ValueError (exit 3), and no step runs.
+    steps = []
+    real = nn.SGDStep.__call__
+    monkeypatch.setattr(nn.SGDStep, "__call__", lambda step, *args: steps.append(args) or real(step, *args))
+    net = dense_net(seed=60)
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((12, 4))
+    y = rng.integers(0, 3, size=12)
+    if fault == "nan-feature":
+        x[7, 2] = np.nan
+        error, code = NumericError, cli.EXIT_NUMERIC
+    else:
+        y[5] = 3
+        error, code = ValueError, cli.EXIT_VALIDATION
+    if runner == "train":
+        rows = types.SimpleNamespace(features=x, labels=y)
+        schedule = nn.TrainSchedule(lr=0.1, epochs=3, batch_size=4)
+
+        def run():
+            return nn.train(net, rows, rows, schedule)
+    else:
+        labeled = unlearn.PseudoLabeledSet(features=x, original_labels=y, assigned_labels=y, labeling="keep")
+
+        def run():
+            return unlearn._finetune(net, labeled, None, plan(variant="gradient-ascent", epochs=3, batch_size=4))
+
+    with pytest.raises(error):
+        run()
+    with pytest.raises(SystemExit) as caught:
+        cli._guarded(run)()
+    assert (caught.value.code, cli.EXIT_NUMERIC, cli.EXIT_VALIDATION) == (code, 4, 3)
+    assert steps == []
 
 
 @pytest.mark.parametrize("mode", ["preset", "exact"])
@@ -459,14 +510,14 @@ def test_gradient_ascent_stops_at_the_step_its_running_mean_passes_chance(fitted
     # Batch 1 gives one step per forget sample; the stop rule runs after each step.
     net, sp, _ = fitted
     losses = []
-    real = nn.loss_and_grads
+    real = nn.SGDStep.__call__
 
     def spy(*args, **kwargs):
         loss, grads = real(*args, **kwargs)
         losses.append(loss)
         return loss, grads
 
-    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    monkeypatch.setattr(nn.SGDStep, "__call__", spy)
     ga = plan(variant="gradient-ascent", lr=1.0, epochs=3, batch_size=1)
     res = unlearn.baseline_unlearn(net, sp.d_u, ga)
     assert len(losses) < len(sp.d_u)

@@ -110,7 +110,8 @@ def run_unlearn_variant(cfg: RunConfig, net_o, sp, cache, variant: str) -> unlea
     """The config's plan for `variant`, run by `unlearn.baseline_unlearn`.
 
     In the CLI only `unlearn` calls it, once per `unlearn.VARIANTS` row.
-    `cache`, a ProjectorCache or the run's basis, is used only if the variant projects.
+    `cache`, a ProjectorCache or the run's NullProjector (the CLI passes
+    the latter), is used only if the variant projects.
     """
     return unlearn.baseline_unlearn(net_o, sp.d_u, cfg.unlearn_plan(variant), cache)
 

@@ -10,7 +10,9 @@ Layout conventions, used everywhere in this module:
 
 * batches arrive as (samples, features) rows, matching the dataset layout;
 * inside a network samples live in columns, so logits come out (classes, samples);
-* a dense layer's recorded input is (fan_in + 1, samples);
+* a dense layer's recorded input is (fan_in + 1, samples); in an `SGDStep`
+  layer 0's is column-major like the `vstack` of x.T, except in a
+  projecting step, which gathers it from a row-major copy of every row's;
 * a conv layer's recorded input is the augmented patch matrix
   (in_channels * k * k + 1, samples * patches), columns sample-major then
   patch-position row-major, rows ordered (channel, kernel_row, kernel_col).
@@ -404,34 +406,28 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
     return float(np.mean(log_z - picked))
 
 
-def _weight_grad(li: int, dz: np.ndarray, aug: np.ndarray, project) -> np.ndarray:
-    """Layer li's weight gradient dz @ aug^T, projected through its smaller factor (see loss_and_grads).
-
-    `aug` is never projected in place: layer li - 1's relu mask reads it.
-    """
-    if project is None:
-        return dz @ aug.T
-    if dz.shape[0] <= aug.shape[1]:
-        return project(li, dz @ aug.T)
-    return dz @ project(li, aug.T)
-
-
-def _step_buffers(net: Network, n: int) -> dict:
+def _step_buffers(net: Network, n: int, cached: bool) -> dict:
     """What an `SGDStep` call writes for n rows: logits, softmax and, per layer, input and relu mask.
 
     An input is kept for each dense layer fed by a dense layer, or by the
     caller at layer 0, whose input is column-major like the `vstack` of
-    x.T: that layout sets how BLAS rounds the gradient product.  Once its
-    layer's gradient is taken, a later input also holds the delta that
-    layer propagates back.
+    x.T: that layout sets how BLAS rounds the gradient product.  With
+    `cached`, layer 0's input is gathered from the step's row-major cache
+    instead, so it is row-major, and "projected0" takes the rows of the
+    projected cache.  Once its layer's gradient is taken, a later input
+    also holds the delta that layer propagates back.  "cols" indexes the n
+    columns.
     """
     specs, k = net.specs, net.n_classes
-    bufs = {"inputs": [], "masks": [], "logits": np.empty((k, n)), "probs": np.empty((k, n))}
+    bufs = {"inputs": [], "masks": [], "logits": np.empty((k, n)), "probs": np.empty((k, n)), "cols": np.arange(n)}
     for li, spec in enumerate(specs):
         dense = spec.kind == "dense"
         fed = dense and (li == 0 or specs[li - 1].kind == "dense")
-        bufs["inputs"].append(np.ones((spec.weight_shape()[1], n), order="F" if li == 0 else "C") if fed else None)
+        order = "F" if li == 0 and not cached else "C"
+        bufs["inputs"].append(np.ones((spec.weight_shape()[1], n), order=order) if fed else None)
         bufs["masks"].append(np.empty((spec.out_features, n), dtype=bool) if dense and spec.activation == "relu" else None)
+    if cached:
+        bufs["projected0"] = np.empty((n, specs[0].weight_shape()[1]))
     return bufs
 
 
@@ -439,10 +435,10 @@ class SGDStep:
     """Mean softmax cross-entropy and its exact per-layer weight gradients over rows of one checked set.
 
     The constructor checks features, labels and shapes once.  Each call
-    takes row indices (None: every row, in order) and returns (loss,
-    GradientSet) at the network's current weights, checking only logits
-    and loss.  Calls reuse one set of `_step_buffers` per row count; the
-    GradientSet's logits are one, valid until the next call, and the
+    takes integer row indices (None: every row, in order) and returns
+    (loss, GradientSet) at the network's current weights, checking only
+    logits and loss.  Calls reuse one set of `_step_buffers` per row count;
+    the GradientSet's logits are one, valid until the next call, and the
     gradients are fresh.  Layer 0's input gradient is not computed.
 
     With `project`, a function project(li, rows) that returns `rows` with
@@ -454,7 +450,11 @@ class SGDStep:
     when it has no more rows than the input has columns (samples, or
     samples times patches), which holds for a narrow head and for conv
     layers, else the input's transpose, as for a wide hidden dense layer
-    against a small batch.  The loss and logits do not depend on `project`.
+    against a small batch.  A dense layer 0 sees the same rows in every
+    call, so a projecting step keeps its augmented input for every row,
+    row-major, and the first call that projects that input projects all of
+    its rows at once; each call then gathers its batch's columns and rows
+    from the two.  The loss and logits do not depend on `project`.
     """
 
     def __init__(self, net: Network, features, labels, project=None):
@@ -467,27 +467,51 @@ class SGDStep:
         if (y < 0).any() or (y >= net.n_classes).any():
             raise ValueError(f"labels must lie in [0, {net.n_classes})")
         self.net, self.x, self.y, self.project, self._buffers = net, x, y, project, {}
+        # Layer 0's augmented input for every row, and its projection once a call needs it.
+        self._x0 = _augment(x.T) if project is not None and net.specs[0].kind == "dense" else None
+        self._x0_projected = None
+
+    def _weight_grad(self, li: int, dz: np.ndarray, aug: np.ndarray, bufs: dict, sel) -> np.ndarray:
+        """Layer li's weight gradient dz @ aug^T, projected through its smaller factor; `sel` indexes the batch.
+
+        `aug` is never projected in place: layer li - 1's relu mask reads it.
+        """
+        project = self.project
+        if project is None:
+            return dz @ aug.T
+        if dz.shape[0] <= aug.shape[1]:
+            return project(li, dz @ aug.T)
+        if li == 0 and self._x0 is not None:
+            if self._x0_projected is None:
+                self._x0_projected = project(0, self._x0.T)
+            return dz @ np.take(self._x0_projected, sel, axis=0, out=bufs["projected0"], mode="wrap")
+        return dz @ project(li, aug.T)
 
     def __call__(self, rows=None):
-        net = self.net
-        x, y = (self.x, self.y) if rows is None else (self.x[rows], self.y[rows])
+        net, x0 = self.net, self._x0
+        y = self.y if rows is None else self.y[rows]  # indexing checks the rows
         n = y.size
-        bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n))
-        if bufs["inputs"][0] is not None:
-            bufs["inputs"][0][:-1] = x.T
+        bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n, x0 is not None))
+        sel = bufs["cols"] if rows is None else rows
+        if x0 is not None:  # the rows are in range, so "wrap" only maps negative ones, as indexing does
+            x = np.take(x0, sel, axis=1, out=bufs["inputs"][0], mode="wrap")[:-1].T
+        else:
+            x = self.x if rows is None else self.x[rows]
+            if bufs["inputs"][0] is not None:
+                bufs["inputs"][0][:-1] = x.T
         logits, aug_inputs, preacts = _layers(net, x, out=bufs["logits"], inputs=bufs["inputs"])
         for li, mask in enumerate(bufs["masks"]):  # before the backward pass overwrites the inputs
             if mask is not None:
                 np.greater(aug_inputs[li + 1][:-1], 0.0, out=mask)
         # One exp serves loss and softmax; delta = (softmax - onehot) / n is the gradient wrt logits, (K, n).
         delta = np.subtract(logits, logits.max(axis=0, keepdims=True), out=bufs["probs"])
-        picked = delta[y, np.arange(n)]
+        picked = delta[y, bufs["cols"]]
         sums = np.exp(delta, out=delta).sum(axis=0)
         loss = float(np.mean(np.log(sums) - picked))
         if not math.isfinite(loss):
             raise NumericError("loss is non-finite")
         delta /= sums
-        delta[y, np.arange(n)] -= 1.0
+        delta[y, bufs["cols"]] -= 1.0
         delta /= n
 
         grads = [None] * len(net.specs)
@@ -499,7 +523,7 @@ class SGDStep:
                 dz = delta
                 if spec.activation == "relu":  # never the head, so layer li + 1 is dense
                     dz *= bufs["masks"][li]
-                grads[li] = _weight_grad(li, dz, aug_inputs[li], self.project)
+                grads[li] = self._weight_grad(li, dz, aug_inputs[li], bufs, sel)
                 if li == 0:
                     break
                 # The input's last read was above: its buffer, if any, takes the delta; drop the constant-1 row.
@@ -512,7 +536,7 @@ class SGDStep:
                 dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
                 if spec.activation == "relu":
                     dz_cols *= preacts[li] > 0.0
-                grads[li] = _weight_grad(li, dz_cols, aug_inputs[li], self.project)
+                grads[li] = self._weight_grad(li, dz_cols, aug_inputs[li], bufs, sel)
                 if li == 0:
                     break
                 back_cols = (net.weights[li].T @ dz_cols)[:-1]

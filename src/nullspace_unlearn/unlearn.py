@@ -153,8 +153,10 @@ def _finetune(
     basis, the one that excludes the whole unlearn set.  One `nn.SGDStep`
     per run checks rows and labels once, reuses its buffers for every batch
     and projects each gradient's smaller factor, the layer input or the
-    gradient, so no wide hidden-layer gradient is projected.  Leading layers whose
-    basis spans their input (see `_frozen_prefix`) only ever step by zero,
+    gradient, so no wide hidden-layer gradient is projected.  The first
+    trained layer sees the same forget rows in every step, so a dense one
+    wider than the batch has its input projected once per run.  Leading
+    layers whose basis spans their input (see `_frozen_prefix`) only ever step by zero,
     so a projected run forwards the forget set through them once and
     fine-tunes the layers after them, which share the returned network's
     weight arrays: no step forwards, back-propagates into or projects a
@@ -216,13 +218,16 @@ def _label_for_plan(net_o: nn.Network, d_u, plan: UnlearnPlan) -> PseudoLabeledS
 
 
 def baseline_unlearn(
-    net_o: nn.Network, d_u, plan: UnlearnPlan, cache: ProjectorCache | None = None
+    net_o: nn.Network, d_u, plan: UnlearnPlan, cache: ProjectorCache | NullProjector | None = None
 ) -> UnlearnResult:
     """Run the plan's `VARIANTS` row; every variant, the full method included, runs here.
 
-    A zero epoch budget returns the original weights untouched.  A
-    projected plan with epochs to run is refused when the basis spans
-    every layer's input: each projected step would be zero.
+    `cache` gives the retained basis through `for_excluded`: a
+    ProjectorCache, or the unlearn set's own NullProjector, as the CLI
+    passes; only a projecting variant reads it.  A zero epoch budget
+    returns the original weights untouched.  A projected plan with epochs
+    to run is refused when the basis spans every layer's input: each
+    projected step would be zero.
     """
     if plan.use_null_space and cache is None:
         raise ValueError("plan requests null-space projection but no projector cache was supplied")

@@ -647,6 +647,42 @@ def test_projected_grads_match_projecting_the_reference_gradient(case, rank, row
             assert np.linalg.norm(g - linalg.apply_projection(ref, b)) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("side", ["input", "gradient"])
+def test_projecting_step_projects_layer_0s_input_once_per_step_object(side):
+    # 50 rows: a 192-unit layer 0 takes the input side of the smaller-factor
+    # rule for every selection below, so its input is projected once, all
+    # rows in one block, and each call gathers its rows; an 8-unit layer 0
+    # takes the gradient side and is projected per call.  Selections of
+    # several sizes, in any order, repeated or negative give the projected
+    # reference gradient.
+    rng = np.random.default_rng(49)
+    net = toy_net(seed=50) if side == "input" else dense_net(seed=50, hidden=8, d=2)
+    x = rng.standard_normal((50, 2))
+    y = rng.integers(0, 3, size=len(x))
+    bases = [_orthonormal(rng, w.shape[1], w.shape[1] // 2) for w in net.weights]
+    layer0 = []
+
+    def project(li, m):
+        if li == 0:
+            layer0.append(m.shape)
+        return linalg.apply_projection(m, bases[li])
+
+    step = nn.SGDStep(net, x, y, project=project)
+    perm = rng.permutation(len(x))
+    selections = (perm[:25], perm[25:], perm[:25][::-1], perm[40:], np.repeat(perm[:5], 5), None, perm[10:35] - 50)
+    for rows in selections:
+        loss, grads = step(rows)
+        sel = slice(None) if rows is None else rows
+        ref_loss, ref_grads, _ = oracles.reference_loss_and_grads(net, x[sel], y[sel])
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for g, ref, b in zip(grads.per_layer, ref_grads, bases):
+            assert np.linalg.norm(g - linalg.apply_projection(ref, b)) <= 1e-12 * np.linalg.norm(ref)
+    if side == "input":
+        assert layer0 == [(50, 3)]
+    else:
+        assert layer0 == [(8, 3)] * len(selections)
+
+
 def test_gradient_step_reduces_loss():
     net = dense_net(seed=19)
     rng = np.random.default_rng(20)

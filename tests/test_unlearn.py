@@ -294,24 +294,27 @@ def preset():
 
 @pytest.mark.parametrize("mode", ["preset", "exact"])
 def test_projection_gets_the_smaller_factor_of_each_gradient(preset, monkeypatch, mode):
-    # A hidden layer's 192-row gradient is never projected: its 25-row
-    # input is, while the 4-row head projects its own gradient.  Layer 0's
-    # basis spans its 3-wide input, so layer 0 is frozen and never projected.
+    # Layer 0's basis spans its 3-wide input, so layer 0 is frozen and never
+    # projected.  Layer 1 sees the same forget rows in every step, so its
+    # input is projected once per run, all rows in one block; the 4-row head
+    # projects its own gradient every step; no 192-row hidden-layer gradient
+    # is ever projected.
     cfg, sp, net_o, caches = preset
     bases = caches[mode].for_excluded(0).bases
-    batch = cfg.unlearn_plan().batch_size
-    seen = set()
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=2)
+    rows = len(sp.d_u.labels)
+    steps = run.epochs * math.ceil(rows / run.batch_size)
+    seen = []
     real = unlearn.apply_projection
 
-    def spy(rows, basis):
-        li = next(i for i, b in enumerate(bases) if b is basis)
-        assert rows.shape[0] <= min(net_o.weights[li].shape[0], batch)
-        seen.add((li, rows.shape))
-        return real(rows, basis)
+    def spy(m, basis):
+        seen.append((next(i for i, b in enumerate(bases) if b is basis), m.shape))
+        return real(m, basis)
 
     monkeypatch.setattr(unlearn, "apply_projection", spy)
-    unlearn.baseline_unlearn(net_o, sp.d_u, dataclasses.replace(cfg.unlearn_plan(), epochs=2), caches[mode])
-    assert seen == {(1, (25, 193)), (2, (4, 193))}
+    unlearn.baseline_unlearn(net_o, sp.d_u, run, caches[mode])
+    assert rows == 50 and steps == 4
+    assert sorted(seen) == [(1, (rows, 193))] + [(2, (4, 193))] * steps
 
 
 @pytest.mark.parametrize("mode", ["preset", "exact"])

@@ -8,6 +8,11 @@ and BLAS thread count rewrites byte-identical artifacts, each written
 atomically by `artifacts.write_atomic`.  Failures exit with a single-line
 JSON error on stderr: missing input file 2, validation 3, numeric
 breakdown 4.
+
+Steps that share a process parse and split the dataset once: the process
+keeps one dataset, read-only, under the hash it was written or read with.
+A later step still checks dataset.meta.json and hashes dataset.csv, but
+does not parse it.  A step in a process of its own parses it as before.
 """
 
 from __future__ import annotations
@@ -55,17 +60,37 @@ def checkpoint_path(workdir, name: str) -> str:
     return os.path.join(workdir, f"{name}.json")
 
 
+def _read_only(*sets: data.Dataset) -> None:
+    for ds in sets:
+        ds.features.flags.writeable = ds.labels.flags.writeable = False
+
+
+# The process's one kept dataset, so that steps sharing a process parse and split dataset.csv once:
+# the (data_hash, n_classes) it is kept under, the Dataset, and the Splits of the last split spec
+# asked for.  Every array it hands out is read-only, so no step can alter the next step's input.
+_kept = {"key": None, "dataset": None, "spec": None, "splits": None}
+
+
+def _keep(key: tuple, ds: data.Dataset) -> data.Dataset:
+    _read_only(ds)
+    _kept.update(key=key, dataset=ds, spec=None, splits=None)
+    return ds
+
+
 def generate_dataset(cfg: RunConfig, workdir) -> tuple:
-    """Write dataset.csv + dataset.meta.json; returns (dataset, data_hash)."""
+    """Write dataset.csv + dataset.meta.json and keep the dataset for later steps; returns (dataset, data_hash)."""
     os.makedirs(workdir, exist_ok=True)
     ds = cfg.dataset()
     data_hash = data.save_csv(ds, dataset_path(workdir))
     _write_record({"provenance": cfg.data_inputs()}, os.path.join(workdir, "dataset.meta.json"), cfg, data_hash)
-    return ds, data_hash
+    return _keep((data_hash, ds.n_classes), ds), data_hash
 
 
 def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
-    """Read back dataset.csv once, verified against its sidecar metadata and this config's data section."""
+    """dataset.csv, verified against its sidecar metadata and this config's data section.
+
+    The dataset kept under the recorded hash serves if the file still hashes to it; else one read parses and hashes it.
+    """
     path = dataset_path(workdir)
     meta = _read_json(os.path.join(workdir, "dataset.meta.json"))
     data_hash = meta.get("data_hash")
@@ -74,10 +99,17 @@ def load_dataset_artifact(cfg: RunConfig, workdir) -> tuple:
     provenance = meta.get("provenance")
     if not isinstance(provenance, dict):
         raise ConfigError(f"dataset.meta.json provenance must be a JSON object, got {provenance!r}")
-    differ = sorted(k for k, v in cfg.data_inputs().items() if provenance.get(k) != v)
+    inputs = cfg.data_inputs()
+    differ = sorted(k for k, v in inputs.items() if provenance.get(k) != v)
     if differ:
         raise ConfigError(f"dataset.meta.json records generator inputs {differ} other than this config's")
-    return data.load_csv(path, n_classes=len(cfg.data_inputs()["means"]), data_hash=data_hash), data_hash
+    key = (data_hash, len(inputs["means"]))
+    if _kept["key"] != key:
+        return _keep(key, data.load_csv(path, n_classes=key[1], data_hash=data_hash)), data_hash
+    found = _file_hash(path)
+    if found != data_hash:
+        raise ConfigError(f"{path} hash {found} does not match the recorded {data_hash}")
+    return _kept["dataset"], data_hash
 
 
 def train_original(cfg: RunConfig, sp: data.Splits) -> nn.Network:
@@ -202,7 +234,12 @@ def _inputs(ctx) -> tuple:
     """(cfg, workdir, splits, data_hash) for a step that reads the dataset artifact."""
     cfg, workdir = ctx.obj
     ds, data_hash = load_dataset_artifact(cfg, workdir)
-    return cfg, workdir, cfg.splits(ds), data_hash
+    spec = cfg.split_spec()
+    if _kept["spec"] != spec:
+        sp = cfg.splits(ds)
+        _read_only(sp.train, sp.val, sp.test, sp.d_u, sp.d_r, sp.val_remaining, sp.test_remaining, sp.test_unlearn)
+        _kept.update(spec=spec, splits=sp)
+    return cfg, workdir, _kept["splits"], data_hash
 
 
 @main.command("gen-data")

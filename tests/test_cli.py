@@ -151,17 +151,28 @@ def test_full_pipeline_produces_every_artifact(env, tmp_path):
 
 def test_pipeline_is_byte_reproducible(env, tmp_path):
     runner, cfg_path, _ = env
+    steps = ("gen-data", "train", "subspace", "unlearn")
     outs = []
     for sub in ("a", "b"):
         workdir = str(tmp_path / sub)
-        for step in (("gen-data",), ("train",), ("subspace",), ("unlearn",)):
-            result = run(runner, cfg_path, workdir, *step)
+        for step in steps:
+            result = run(runner, cfg_path, workdir, step)
             assert result.exit_code == 0, result.output
         outs.append(tmp_path / sub)
+    # One process per step: every step parses dataset.csv itself.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for step in steps:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nullspace_unlearn.cli", "--config", cfg_path, "--workdir", str(tmp_path / "c"),
+             step], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    outs.append(tmp_path / "c")
     names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for out in outs[1:]:
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
 
 
 _EXACT_PASS = ("train.epochs=200", "train.milestones=[160]", "subspace.epsilon=1.0", "subspace.build_batch=16")
@@ -733,16 +744,58 @@ def test_dataset_from_other_generator_inputs_is_refused(env):
     assert "seed" in stderr_error(result)["message"]
 
 
-def test_tampered_dataset_is_rejected(env, tmp_path):
+def _spy(monkeypatch, module, name) -> list:
+    """Calls of module.name from now on, one tuple of positional arguments per call."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def _fresh_process(monkeypatch) -> None:
+    """Drop the kept dataset, as a step started in a new process finds nothing kept."""
+    monkeypatch.setattr(cli, "_kept", dict.fromkeys(cli._kept))
+
+
+_SPLIT_SETS = ("train", "val", "test", "d_u", "d_r", "val_remaining", "test_remaining", "test_unlearn")
+
+
+def _same_splits(a: data.Splits, b: data.Splits) -> bool:
+    return a.unlearn_classes == b.unlearn_classes and all(
+        np.array_equal(getattr(a, v).features, getattr(b, v).features)
+        and np.array_equal(getattr(a, v).labels, getattr(b, v).labels)
+        for v in _SPLIT_SETS
+    )
+
+
+def test_tampered_dataset_is_rejected(env, tmp_path, monkeypatch):
     runner, cfg_path, workdir = env
-    run(runner, cfg_path, workdir, "gen-data")
+    for step in ("gen-data", "train"):
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
     csv_path = tmp_path / "work" / "dataset.csv"
-    lines = csv_path.read_text().splitlines()
+    kept = csv_path.read_bytes()
+    lines = kept.decode().splitlines()
     lines[1] = lines[1].replace(lines[1].split(",")[0], "9.9", 1)
     csv_path.write_text("\n".join(lines) + "\n")
+    parses = _spy(monkeypatch, data, "load_csv")
+    # The kept dataset is refused by the file's hash, without a parse.
+    result = run(runner, cfg_path, workdir, "retrain")
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "hash" in stderr_error(result)["message"]
+    assert parses == []
+    # Parsed in a new process, the bytes are refused by the hash of what was parsed.
+    _fresh_process(monkeypatch)
     result = run(runner, cfg_path, workdir, "train")
     assert result.exit_code == cli.EXIT_VALIDATION
     assert "hash" in stderr_error(result)["message"]
+    assert len(parses) == 1
+    # Another split section gets its own splits of the kept dataset.
+    csv_path.write_bytes(kept)
+    assert run(runner, cfg_path, workdir, "retrain").exit_code == 0
+    got = _spy(monkeypatch, cli, "train_retrain")
+    other = ("--set", "split.unlearn_classes=[1]")
+    assert run(runner, cfg_path, workdir, *other, "retrain").exit_code == 0
+    cfg = load_config(cfg_path, other[1:])
+    assert _same_splits(got[-1][1], cfg.splits(data.load_csv(csv_path, n_classes=3)))
     # A metadata file without a recorded hash cannot vouch for any dataset.
     _edit_artifact(workdir, "dataset.meta.json", ("data_hash",), None)
     result = run(runner, cfg_path, workdir, "train")
@@ -750,9 +803,11 @@ def test_tampered_dataset_is_rejected(env, tmp_path):
     assert "data_hash must be a string" in stderr_error(result)["message"]
 
 
+_READING_STEPS = ("train", "retrain", "subspace", "unlearn", "evaluate", "contour")
+
+
 def test_a_step_reads_dataset_csv_once(env, monkeypatch):
     runner, cfg_path, workdir = env
-    assert run(runner, cfg_path, workdir, "gen-data").exit_code == 0
     csv_path = os.path.join(workdir, "dataset.csv")
     opened = []
     real_open = open
@@ -762,13 +817,40 @@ def test_a_step_reads_dataset_csv_once(env, monkeypatch):
             opened.append(args[0] if args else kwargs.get("mode", "r"))
         return real_open(file, *args, **kwargs)
 
+    _fresh_process(monkeypatch)
+    parses, splits = _spy(monkeypatch, data, "load_csv"), _spy(monkeypatch, data, "split")
+    # In one process gen-data keeps what it wrote: no step parses, one splits, each hashes the file once.
+    opens = {}
+    for step in ("gen-data", *_READING_STEPS):
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
+        monkeypatch.setattr("builtins.open", real_open)
+        opens[step], opened[:] = list(opened), []
+    assert opens == {"gen-data": [], **{step: ["rb"] for step in _READING_STEPS}}
+    assert (len(parses), len(splits)) == (0, 1)
+    # A step in a new process parses the file once, hashing the bytes it parses.
+    _fresh_process(monkeypatch)
     monkeypatch.setattr("builtins.open", counting_open)
     ctx = types.SimpleNamespace(obj=(load_config(cfg_path), workdir))
     _, _, sp, data_hash = cli._inputs(ctx)
     assert opened == ["rb"]
     monkeypatch.undo()
+    assert (len(parses), len(splits)) == (1, 2)
     assert data_hash == cli._file_hash(csv_path)
     assert len(sp.train) + len(sp.val) + len(sp.test) == len(data.load_csv(csv_path, n_classes=3))
+
+
+def test_the_kept_dataset_is_read_only(env):
+    runner, cfg_path, workdir = env
+    for step in ("gen-data", "train"):
+        assert run(runner, cfg_path, workdir, step).exit_code == 0, step
+    _, _, sp, _ = cli._inputs(types.SimpleNamespace(obj=(load_config(cfg_path), workdir)))
+    with pytest.raises(ValueError, match="read-only"):
+        sp.train.features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sp.d_u.labels[0] = 1
+    sets = [cli._kept["dataset"], *(getattr(sp, v) for v in _SPLIT_SETS)]
+    assert not any(a.flags.writeable for ds in sets for a in (ds.features, ds.labels))
 
 
 def test_bad_config_file_exits_3(env, tmp_path):

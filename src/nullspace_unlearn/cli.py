@@ -329,6 +329,8 @@ def evaluate_cmd(ctx):
 
     Agreement scores the original model's pseudo-labels, the ones the
     calibrated run trains on, against the retrained model's predictions.
+    `weight_change` gives each unlearned model's per-layer relative weight
+    change against the original (`evaluate.weight_change`).
     """
     cfg, workdir, sp, data_hash = _inputs(ctx)
     source = _file_hash(checkpoint_path(workdir, "original"))
@@ -337,9 +339,11 @@ def evaluate_cmd(ctx):
         for name, fname in _CHECKPOINTS.items()
         if name == "original" or os.path.exists(checkpoint_path(workdir, fname))
     }
-    report = {"utility": {}, "mia": {}, "agreement": None}
+    report = {"utility": {}, "mia": {}, "agreement": None, "weight_change": {}}
     for name, net in nets.items():
         report["utility"][name] = asdict(evaluate.utility(net, sp.test_remaining, sp.test_unlearn))
+        if name in unlearn.VARIANTS:
+            report["weight_change"][name] = evaluate.weight_change(nets["original"], net)
     member, nonmember = cfg.mia_holdouts(sp)
     for name in ("original", "retrain", "calibrated"):
         if name in nets:

@@ -1,4 +1,4 @@
-"""Evaluation suite: utility, membership inference, orthogonality audit, loss contours.
+"""Evaluation suite: utility, membership inference, weight change, orthogonality audit, loss contours.
 
 Pure computation: nothing here writes a file.  Every report is a plain
 dataclass of JSON-native fields, so the CLI writes `dataclasses.asdict(report)`
@@ -119,6 +119,21 @@ def mia(net: nn.Network, d_u, member_holdout, nonmember_holdout) -> MiaReport:
         nonmember_confidence_mean=float(conf_n.mean()),
         unlearn_confidence_mean=float(conf_u.mean()),
     )
+
+
+def weight_change(net_o: nn.Network, net_u: nn.Network) -> list:
+    """Per layer, ||W_u - W_o||_F / ||W_o||_F: how far unlearning moved each weight matrix.
+
+    Exactly 0.0 for a layer that kept the original's bits; None where the
+    original layer is all zeros.
+    """
+    if [w.shape for w in net_o.weights] != [w.shape for w in net_u.weights]:
+        raise ValueError("networks disagree on weight shapes")
+    changes = []
+    for w_o, w_u in zip(net_o.weights, net_u.weights):
+        norm = float(np.linalg.norm(w_o))
+        changes.append(float(np.linalg.norm(w_u - w_o)) / norm if norm else None)
+    return changes
 
 
 @dataclass

@@ -12,7 +12,8 @@ Layout conventions, used everywhere in this module:
 * inside a network samples live in columns, so logits come out (classes, samples);
 * a dense layer's recorded input is (fan_in + 1, samples); in an `SGDStep`
   layer 0's is column-major like the `vstack` of x.T, except in a
-  projecting step, which gathers it from a row-major copy of every row's;
+  projecting step, which gathers it from a row-major copy of every row's,
+  and a call given layer 0's pre-activation, which has none;
 * a conv layer's recorded input is the augmented patch matrix
   (in_channels * k * k + 1, samples * patches), columns sample-major then
   patch-position row-major, rows ordered (channel, kernel_row, kernel_col).
@@ -172,6 +173,8 @@ class ActivationTrace:
 class GradientSet:
     """Per-layer loss gradients, shapes matching Network.weights, and the logits they came from.
 
+    A layer that `SGDStep` resumed from its pre-activation holds its output delta instead.
+
     logits (classes, samples) are those of the forward pass inside the
     gradient computation, i.e. of the weights before any step is taken.
     """
@@ -254,10 +257,10 @@ def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resu
     aug_inputs = []
     preacts = []
     n = x.shape[0]
-    # flat columns (d, n) or image maps (n, c, h, w)
-    current = x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
-    aug = None if inputs is None else inputs[0]  # the next dense layer's augmented input, when already written
     first, preact = resume or (0, None)
+    # flat columns (d, n) or image maps (n, c, h, w); a resumed pass sets it at layer `first`
+    current = None if preact is not None else x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
+    aug = None if inputs is None else inputs[0]  # the next dense layer's augmented input, when already written
     for li in range(first, len(net.specs)):
         spec, w_mat = net.specs[li], net.weights[li]
         if preact is not None and li == first:
@@ -455,6 +458,15 @@ class SGDStep:
     row-major, and the first call that projects that input projects all of
     its rows at once; each call then gathers its batch's columns and rows
     from the two.  The loss and logits do not depend on `project`.
+
+    A call given `preact0`, a function preact0(out=dest) that writes layer
+    0's pre-activation for the batch where W_0 @ input would go, starts
+    there (`_layers`' `resume`): it gathers no layer-0 input, and in place
+    of layer 0's weight gradient it returns that layer's output delta dz,
+    unprojected, a view of the step's buffers valid until the next call.
+    Given the bits of W_0 @ input, every other number is a plain call's
+    bits.  The unlearn fine-tune uses it to train its first layer in
+    forget-row coordinates (see `unlearn._finetune`).
     """
 
     def __init__(self, net: Network, features, labels, project=None):
@@ -475,8 +487,11 @@ class SGDStep:
         """Layer li's weight gradient dz @ aug^T, projected through its smaller factor; `sel` indexes the batch.
 
         `aug` is never projected in place: layer li - 1's relu mask reads it.
+        A layer resumed from its pre-activation has no input (`aug` None) and gets dz itself.
         """
         project = self.project
+        if aug is None:
+            return dz
         if project is None:
             return dz @ aug.T
         if dz.shape[0] <= aug.shape[1]:
@@ -487,19 +502,23 @@ class SGDStep:
             return dz @ np.take(self._x0_projected, sel, axis=0, out=bufs["projected0"], mode="wrap")
         return dz @ project(li, aug.T)
 
-    def __call__(self, rows=None):
+    def __call__(self, rows=None, preact0=None):
         net, x0 = self.net, self._x0
         y = self.y if rows is None else self.y[rows]  # indexing checks the rows
         n = y.size
         bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n, x0 is not None))
         sel = bufs["cols"] if rows is None else rows
-        if x0 is not None:  # the rows are in range, so "wrap" only maps negative ones, as indexing does
+        if preact0 is not None:
+            x = bufs["cols"][:, None]  # gives `_layers` only the row count
+        elif x0 is not None:  # the rows are in range, so "wrap" only maps negative ones, as indexing does
             x = np.take(x0, sel, axis=1, out=bufs["inputs"][0], mode="wrap")[:-1].T
         else:
             x = self.x if rows is None else self.x[rows]
             if bufs["inputs"][0] is not None:
                 bufs["inputs"][0][:-1] = x.T
-        logits, aug_inputs, preacts = _layers(net, x, out=bufs["logits"], inputs=bufs["inputs"])
+        logits, aug_inputs, preacts = _layers(
+            net, x, out=bufs["logits"], inputs=bufs["inputs"], resume=None if preact0 is None else (0, preact0)
+        )
         for li, mask in enumerate(bufs["masks"]):  # before the backward pass overwrites the inputs
             if mask is not None:
                 np.greater(aug_inputs[li + 1][:-1], 0.0, out=mask)

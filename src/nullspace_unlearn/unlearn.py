@@ -8,7 +8,13 @@ gradient is dz a^T, so the projection is applied to whichever factor is
 smaller, the layer input a or the gradient (see `nn.SGDStep`).  A
 leading layer whose basis spans its whole input has an empty null space and
 is frozen: the forget set goes through the spanned leading layers once, and
-each step trains only the layers after them.  Baselines
+each step trains only the layers after them.  The first trained layer then
+sees the same m forget rows at every step, so each projected update it takes
+is dz Q^T, Q those rows projected off the basis.  When it is dense and m is
+at most its augmented input width, the run keeps it as W_0 + C Q^T and
+trains the m-column coefficients C: a step costs one product with the
+m x m forget-row Gram block instead of a forward and a gradient product
+against the full input.  Baselines
 swap the labeling rule (random labels, kept labels with gradient ascent)
 and/or drop the projection, which is exactly the ablation grid the
 evaluation suite compares.  `VARIANTS` names each combination; it is the
@@ -153,14 +159,30 @@ def _finetune(
     basis, the one that excludes the whole unlearn set.  One `nn.SGDStep`
     per run checks rows and labels once, reuses its buffers for every batch
     and projects each gradient's smaller factor, the layer input or the
-    gradient, so no wide hidden-layer gradient is projected.  The first
-    trained layer sees the same forget rows in every step, so a dense one
-    wider than the batch has its input projected once per run.  Leading
+    gradient, so no wide hidden-layer gradient is projected.  Leading
     layers whose basis spans their input (see `_frozen_prefix`) only ever step by zero,
     so a projected run forwards the forget set through them once and
     fine-tunes the layers after them, which share the returned network's
     weight arrays: no step forwards, back-propagates into or projects a
-    frozen layer.  Ascent stops after the first step at which the epoch's
+    frozen layer.
+
+    The first trained layer sees the same m forget rows x_i in every step,
+    so its projected gradient on rows S is the sum over i in S of
+    dz_i q_i^T, q_i the projection of x_i, formed once per run.  When that
+    layer is dense and m is at most its augmented input width n_in, the
+    run keeps it as W_0 + sum_i c_i q_i^T, the c_i starting at zero.  Each
+    step passes `nn.SGDStep` the layer's pre-activation
+    W_0 x_i + sum_j c_j (q_j . x_i) for i in S, from the once-formed
+    W_0 x_i and q_j . x_i, gets the layer's output delta dz back in place
+    of its gradient and steps each c_i by lr dz_i (S holds no row twice);
+    the run writes the layer once, at the end.  A step then multiplies
+    out x m x batch where it multiplied out x n_in x batch twice, and
+    every update stays in the span of the q_i.  A conv first layer, a
+    plain run or m > n_in trains the layer on its projected gradients, a
+    dense one wider than the batch with its input projected once per run.
+    The two paths give the same weights up to rounding.
+
+    Ascent stops after the first step at which the epoch's
     running mean loss exceeds log(n_classes), the loss of a uniform guess:
     the model then does worse than chance on the forget set, and further
     ascent only inflates the weights until they overflow.  That partial
@@ -170,7 +192,7 @@ def _finetune(
     out.metadata = {}
     feats = labeled.features
     y_train = labeled.assigned_labels
-    tuned, frozen = out, 0
+    tuned, frozen, coef = out, 0, None
     if projector is not None and plan.epochs > 0:
         frozen = _frozen_prefix(out, projector)
         if frozen:
@@ -184,6 +206,14 @@ def _finetune(
     step = nn.SGDStep(tuned, feats, y_train, None if projector is None else (
         lambda li, rows: apply_projection(rows, projector.bases[frozen + li])
     ))
+    first = tuned.specs[0]
+    if projector is not None and plan.epochs > 0 and first.kind == "dense" and y_train.size <= first.in_features + 1:
+        # The first trained layer in forget-row coordinates, W = W_0 + coef^T q: one row of each per forget row.
+        rows = nn._augment(step.x.T).T
+        q = apply_projection(rows, projector.bases[frozen])
+        z0, k = rows @ tuned.weights[0].T, rows @ q.T  # row i: W_0 x_i, and q_j . x_i for every j
+        coef = np.zeros_like(z0)
+    skip = 0 if coef is None else 1  # a layer 0 in forget-row coordinates steps through coef
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
     chance = math.log(out.n_classes)
@@ -193,10 +223,14 @@ def _finetune(
         perm = rng.permutation(y_train.size)
         for start in range(0, perm.size, plan.batch_size):
             sel = perm[start : start + plan.batch_size]
-            loss, grads = step(sel)
+            if coef is None:
+                loss, grads = step(sel)
+            else:
+                loss, grads = step(sel, lambda out: np.add(z0[sel].T, np.matmul(coef.T, k[sel].T, out=out), out=out))
+                coef[sel] += (sign * plan.lr) * grads.per_layer[0].T  # sel is part of one permutation: no repeats
             total += loss * sel.size
             seen += sel.size
-            for w, g in zip(tuned.weights, grads.per_layer):
+            for w, g in zip(tuned.weights[skip:], grads.per_layer[skip:]):
                 w += np.multiply(g, sign * plan.lr, out=g)
             if plan.ascend and total / seen > chance:
                 break
@@ -206,6 +240,8 @@ def _finetune(
         losses.append(epoch_loss)
         if plan.ascend and epoch_loss > chance:
             break
+    if coef is not None:
+        tuned.weights[0] += coef.T @ q
     return UnlearnResult(network=out, epoch_losses=losses, labeled=labeled)
 
 

@@ -216,6 +216,26 @@ def test_a_pass_agrees_across_blas_thread_counts(tmp_path):
     assert set(accuracies[0]) == {"original", "calibrated", "random-label", "random-label+nullspace", "gradient-ascent"}
 
 
+def test_evaluate_records_how_far_each_unlearned_model_moved(tmp_path):
+    # The shortened preset at seed 1: layer 0's basis spans its input, so
+    # both projected runs keep its bits and move layers 1 and 2; the plain
+    # variants move every layer.
+    workdir = str(tmp_path / "work")
+    sets = [arg for item in ("train.epochs=200", "train.milestones=[160]") for arg in ("--set", item)]
+    runner = CliRunner()
+    for step in ("gen-data", "train", "subspace", "unlearn", "evaluate"):
+        result = runner.invoke(cli.main, ["--workdir", workdir, *sets, step], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    change = json.loads((tmp_path / "work" / "evaluate.json").read_text())["weight_change"]
+    assert set(change) == set(unlearn.VARIANTS)
+    for variant, (_, projected, _) in unlearn.VARIANTS.items():
+        if projected:
+            assert change[variant][0] == 0.0
+            assert min(change[variant][1:]) > 0.0
+        else:
+            assert min(change[variant]) > 0.0
+
+
 def test_missing_artifact_exits_2(env, tmp_path):
     runner, cfg_path, workdir = env
     result = run(runner, cfg_path, workdir, "train")

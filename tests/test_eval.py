@@ -227,6 +227,19 @@ def test_audit_shape_validation(fitted):
         evaluate.orthogonality_audit(net, net, short)
 
 
+def test_weight_change_is_each_layers_relative_frobenius_step(fitted):
+    net, _ = fitted
+    moved = net.copy()
+    moved.weights[1] = 1.25 * moved.weights[1]
+    assert evaluate.weight_change(net, net.copy()) == [0.0, 0.0]
+    assert evaluate.weight_change(net, moved) == [0.0, pytest.approx(0.25, rel=1e-12)]
+    zero = net.copy()
+    zero.weights[0] = np.zeros_like(zero.weights[0])
+    assert evaluate.weight_change(zero, net)[0] is None
+    with pytest.raises(ValueError, match="weight shapes"):
+        evaluate.weight_change(net, dense_net(seed=1, hidden=6))
+
+
 # ---------------------------------------------------------------------------
 # loss contour
 # ---------------------------------------------------------------------------

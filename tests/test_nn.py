@@ -605,6 +605,59 @@ def test_sgd_step_reuses_its_buffers_without_changing_a_bit(case):
         assert all(g.tobytes() == ref.tobytes() for g, ref in zip(grads, ref_grads))
 
 
+def _resume_cases():
+    rng = np.random.default_rng(51)
+    head = (nn.LayerSpec(kind="dense", activation="identity", in_features=4, out_features=3),)
+    on_image = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=9, out_features=5),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=5, out_features=3),
+    )
+    return {
+        "dense-relu": _kernel_cases()[0],
+        "dense-identity-hidden": _kernel_cases()[1],
+        "toy": (toy_net(seed=52), rng.standard_normal((50, 2))),
+        "head-only": (nn.init_network(head, input_shape=(4,), seed=53), rng.standard_normal((7, 4))),
+        "dense-on-image": (nn.init_network(on_image, input_shape=(1, 3, 3), seed=54), rng.standard_normal((7, 9))),
+    }
+
+
+@pytest.mark.parametrize("projecting", [False, True], ids=["plain", "projecting"])
+@pytest.mark.parametrize("case", ["dense-relu", "dense-identity-hidden", "toy", "head-only", "dense-on-image"])
+def test_a_call_given_layer_0s_preactivation_keeps_every_later_bit(case, projecting):
+    # Given the bits of W_0 @ a, computed as a plain call computes them, the
+    # loss, the logits and every later layer's gradient are a normal call's
+    # bits; layer 0 comes back as its output delta dz, unprojected, and
+    # dz a^T, taken as the oracle takes it, is the oracle's layer-0 gradient
+    # to the bit.  A projecting step projects no layer-0 factor.
+    net, x = _resume_cases()[case]
+    y = np.random.default_rng(55).integers(0, net.n_classes, size=len(x))
+    rows = np.random.default_rng(56).permutation(len(x))[: max(len(x) // 2, 3)]
+    bases = [_orthonormal(np.random.default_rng(57 + li), w.shape[1], w.shape[1] // 2)
+             for li, w in enumerate(net.weights)]
+    projected = []
+
+    def project(li, m):
+        projected.append(li)
+        return linalg.apply_projection(m, bases[li])
+
+    plain_loss, plain = nn.SGDStep(net, x, y, project if projecting else None)(rows)
+    del projected[:]
+    step = nn.SGDStep(net, x, y, project if projecting else None)
+    # A plain call's layer-0 input: column-major, or row-major in a projecting step.
+    a = np.array(np.vstack([x[rows].T, np.ones((1, len(rows)))]), order="C" if projecting else "F")
+    loss, grads = step(rows, lambda out: np.matmul(net.weights[0], a, out=out))
+    assert loss == plain_loss
+    assert grads.logits.tobytes() == plain.logits.tobytes()
+    for g, ref in zip(grads.per_layer[1:], plain.per_layer[1:]):
+        assert g.tobytes() == ref.tobytes()
+    assert 0 not in projected
+    dz = grads.per_layer[0]
+    _, ref_grads, _ = oracles.reference_loss_and_grads(net, x[rows], y[rows])
+    _, ref_inputs, _ = oracles.reference_forward(net, x[rows])
+    assert dz.shape == (net.weights[0].shape[0], len(rows))
+    assert (dz @ ref_inputs[0].T).tobytes() == ref_grads[0].tobytes()
+
+
 def _orthonormal(rng, n, k):
     return np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
 

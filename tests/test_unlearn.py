@@ -330,23 +330,25 @@ def test_projected_finetune_matches_projecting_each_full_gradient(preset, mode):
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen):
+def _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen, factored):
     """Run a projected fine-tune; check it against the oracle, with every spanned layer untouched.
 
     A spy on `nn.SGDStep` calls checks that every step sees the
-    (layers - frozen)-layer suffix.
+    (layers - frozen)-layer suffix and, when `factored`, hands the step its
+    first layer's pre-activation (the forget-row coordinates of
+    `unlearn._finetune`), else none.
     """
-    depths = set()
+    calls = set()
     real = nn.SGDStep.__call__
 
-    def spy(step, *args, **kwargs):
-        depths.add(len(step.net.specs))
-        return real(step, *args, **kwargs)
+    def spy(step, rows=None, preact0=None):
+        calls.add((len(step.net.specs), preact0 is not None))
+        return real(step, rows, preact0)
 
     monkeypatch.setattr(nn.SGDStep, "__call__", spy)
     res = unlearn._finetune(net, labeled, projector, run)
     weights, losses = oracles.reference_projected_finetune(net, labeled, projector.bases, run)
-    assert depths == {len(net.specs) - frozen}
+    assert calls == {(len(net.specs) - frozen, factored)}
     npt.assert_allclose(res.epoch_losses, losses, rtol=1e-12, atol=0.0)
     for li, (w0, w, ref, b) in enumerate(zip(net.weights, res.network.weights, weights, projector.bases)):
         assert b.shape[1] == b.shape[0] or li >= frozen
@@ -365,7 +367,7 @@ def test_projected_finetune_with_a_short_last_batch_matches_the_oracle(preset, m
     run = dataclasses.replace(cfg.unlearn_plan(), epochs=5, batch_size=16)
     labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
     assert len(labeled.assigned_labels) == 50
-    _finetune_against_oracle(monkeypatch, net_o, labeled, projector, run, frozen=1)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, projector, run, frozen=1, factored=True)
 
 
 @pytest.mark.parametrize("fault", ["nan-feature", "label-out-of-range"])
@@ -416,7 +418,19 @@ def test_projected_run_freezes_the_spanned_input_layer(preset, monkeypatch, mode
     assert projector.bases[0].shape == (3, 3)
     run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
     labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
-    _finetune_against_oracle(monkeypatch, net_o, labeled, projector, run, frozen=1)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, projector, run, frozen=1, factored=True)
+
+
+@pytest.mark.parametrize("mode", ["preset", "exact"])
+def test_the_full_calibrated_plan_matches_the_oracle(preset, monkeypatch, mode):
+    # The preset's own plan, 50 epochs of batch 25: layer 1 trains in
+    # forget-row coordinates for 100 steps and stays within rounding of
+    # projecting each full gradient.
+    cfg, sp, net_o, caches = preset
+    run = cfg.unlearn_plan()
+    assert (run.epochs, run.batch_size) == (50, 25)
+    labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, caches[mode].for_excluded(0), run, frozen=1, factored=True)
 
 
 def test_basis_that_spans_no_layer_trains_the_full_network(preset, monkeypatch):
@@ -429,7 +443,24 @@ def test_basis_that_spans_no_layer_trains_the_full_network(preset, monkeypatch):
     )
     run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
     labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
-    _finetune_against_oracle(monkeypatch, net_o, labeled, cut, run, frozen=0)
+    # 50 forget rows against layer 0's 3 inputs: the layer trains on full gradients.
+    _finetune_against_oracle(monkeypatch, net_o, labeled, cut, run, frozen=0, factored=False)
+
+
+@pytest.mark.parametrize("rows, factored", [(3, True), (4, False)])
+def test_forget_rows_against_the_first_layers_width_choose_its_path(preset, monkeypatch, rows, factored):
+    # Layer 0 takes 3 augmented inputs: up to 3 forget rows it trains in
+    # forget-row coordinates, from 4 on on full gradients.
+    cfg, sp, net_o, caches = preset
+    projector = caches["preset"].for_excluded(0)
+    cut = dataclasses.replace(
+        projector,
+        bases=[projector.bases[0][:, :2]] + projector.bases[1:],
+        ranks=(2,) + projector.ranks[1:],
+    )
+    run = dataclasses.replace(cfg.unlearn_plan(), epochs=5, batch_size=2)
+    labeled = unlearn.pseudo_label_set(net_o, sp.d_u.subset(np.arange(rows)), run.unlearn_classes)
+    _finetune_against_oracle(monkeypatch, net_o, labeled, cut, run, frozen=0, factored=factored)
 
 
 def test_identity_bases_on_two_layers_freeze_both(preset, monkeypatch):
@@ -442,14 +473,16 @@ def test_identity_bases_on_two_layers_freeze_both(preset, monkeypatch):
     )
     run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
     labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
-    _finetune_against_oracle(monkeypatch, net_o, labeled, identity, run, frozen=2)
+    # The head alone trains, in forget-row coordinates: 50 rows against its 193 inputs.
+    _finetune_against_oracle(monkeypatch, net_o, labeled, identity, run, frozen=2, factored=True)
 
 
 @pytest.mark.parametrize("spanned, frozen", [(1, 0), (2, 2)], ids=["conv0-falls-back", "conv-prefix"])
 def test_spanning_conv_layers_freeze_only_in_front_of_a_dense_layer(monkeypatch, spanned, frozen):
     # conv -> conv (stride 2) -> dense -> dense.  A spanned conv0 alone feeds a
-    # conv layer, so the full network trains; spanned conv0 and conv1 feed
-    # the first dense layer and are frozen.
+    # conv layer, so the full network trains on full gradients; spanned conv0
+    # and conv1 feed the first dense layer and are frozen, and its 17 inputs
+    # take the 7 forget rows in forget-row coordinates.
     net, x = _kernel_cases()[2]
     rng = np.random.default_rng(7)
     bases = []
@@ -466,7 +499,7 @@ def test_spanning_conv_layers_freeze_only_in_front_of_a_dense_layer(monkeypatch,
     y = rng.integers(0, 3, size=len(x))
     labeled = unlearn.PseudoLabeledSet(features=x, original_labels=y, assigned_labels=y, labeling="keep")
     run = plan(lr=0.1, epochs=3, batch_size=3)
-    _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen=frozen)
+    _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen=frozen, factored=frozen > 0)
 
 
 def test_zero_epochs_and_plain_runs_forward_no_prefix(preset, monkeypatch):

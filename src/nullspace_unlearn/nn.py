@@ -11,9 +11,8 @@ Layout conventions, used everywhere in this module:
 * batches arrive as (samples, features) rows, matching the dataset layout;
 * inside a network samples live in columns, so logits come out (classes, samples);
 * a dense layer's recorded input is (fan_in + 1, samples); in an `SGDStep`
-  layer 0's is column-major like the `vstack` of x.T, except in a
-  projecting step, which gathers it from a row-major copy of every row's,
-  and a call given layer 0's pre-activation, which has none;
+  layer 0's is column-major like the `vstack` of x.T, and a call given
+  layer 0's pre-activation has none;
 * a conv layer's recorded input is the augmented patch matrix
   (in_channels * k * k + 1, samples * patches), columns sample-major then
   patch-position row-major, rows ordered (channel, kernel_row, kernel_col).
@@ -173,14 +172,16 @@ class ActivationTrace:
 class GradientSet:
     """Per-layer loss gradients, shapes matching Network.weights, and the logits they came from.
 
-    A layer that `SGDStep` resumed from its pre-activation holds its output delta instead.
-
     logits (classes, samples) are those of the forward pass inside the
     gradient computation, i.e. of the weights before any step is taken.
+    `delta0` is set only by an `SGDStep` call given layer 0's
+    pre-activation: that layer's output delta, whose gradient
+    `per_layer[0]` is then None.
     """
 
     per_layer: list
     logits: np.ndarray
+    delta0: np.ndarray | None = None
 
 
 def extract_patches(feature_map, kernel_size: int, stride: int = 1) -> np.ndarray:
@@ -409,28 +410,22 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
     return float(np.mean(log_z - picked))
 
 
-def _step_buffers(net: Network, n: int, cached: bool) -> dict:
+def _step_buffers(net: Network, n: int) -> dict:
     """What an `SGDStep` call writes for n rows: logits, softmax and, per layer, input and relu mask.
 
     An input is kept for each dense layer fed by a dense layer, or by the
     caller at layer 0, whose input is column-major like the `vstack` of
-    x.T: that layout sets how BLAS rounds the gradient product.  With
-    `cached`, layer 0's input is gathered from the step's row-major cache
-    instead, so it is row-major, and "projected0" takes the rows of the
-    projected cache.  Once its layer's gradient is taken, a later input
-    also holds the delta that layer propagates back.  "cols" indexes the n
-    columns.
+    x.T: that layout sets how BLAS rounds the gradient product.  Once its
+    layer's gradient is taken, a later input also holds the delta that
+    layer propagates back.  "cols" indexes the n columns.
     """
     specs, k = net.specs, net.n_classes
     bufs = {"inputs": [], "masks": [], "logits": np.empty((k, n)), "probs": np.empty((k, n)), "cols": np.arange(n)}
     for li, spec in enumerate(specs):
         dense = spec.kind == "dense"
         fed = dense and (li == 0 or specs[li - 1].kind == "dense")
-        order = "F" if li == 0 and not cached else "C"
-        bufs["inputs"].append(np.ones((spec.weight_shape()[1], n), order=order) if fed else None)
+        bufs["inputs"].append(np.ones((spec.weight_shape()[1], n), order="F" if li == 0 else "C") if fed else None)
         bufs["masks"].append(np.empty((spec.out_features, n), dtype=bool) if dense and spec.activation == "relu" else None)
-    if cached:
-        bufs["projected0"] = np.empty((n, specs[0].weight_shape()[1]))
     return bufs
 
 
@@ -453,20 +448,17 @@ class SGDStep:
     when it has no more rows than the input has columns (samples, or
     samples times patches), which holds for a narrow head and for conv
     layers, else the input's transpose, as for a wide hidden dense layer
-    against a small batch.  A dense layer 0 sees the same rows in every
-    call, so a projecting step keeps its augmented input for every row,
-    row-major, and the first call that projects that input projects all of
-    its rows at once; each call then gathers its batch's columns and rows
-    from the two.  The loss and logits do not depend on `project`.
+    against a small batch.  The loss and logits do not depend on `project`.
 
-    A call given `preact0`, a function preact0(out=dest) that writes layer
-    0's pre-activation for the batch where W_0 @ input would go, starts
-    there (`_layers`' `resume`): it gathers no layer-0 input, and in place
-    of layer 0's weight gradient it returns that layer's output delta dz,
-    unprojected, a view of the step's buffers valid until the next call.
-    Given the bits of W_0 @ input, every other number is a plain call's
-    bits.  The unlearn fine-tune uses it to train its first layer in
-    forget-row coordinates (see `unlearn._finetune`).
+    A call given `preact0`, a function preact0(out=dest) that writes a
+    dense layer 0's pre-activation for the batch where W_0 @ input would
+    go, starts there (`_layers`' `resume`): it gathers no layer-0 input and
+    takes no layer-0 gradient.  Its GradientSet holds None for that layer
+    and, as `delta0`, the layer's output delta dz, unprojected, a view of
+    the step's buffers valid until the next call.  Given the bits of
+    W_0 @ input, every other number is a plain call's bits.  The unlearn
+    fine-tune uses it to train its first layer in forget-row coordinates
+    (see `unlearn._finetune`).
     """
 
     def __init__(self, net: Network, features, labels, project=None):
@@ -479,39 +471,26 @@ class SGDStep:
         if (y < 0).any() or (y >= net.n_classes).any():
             raise ValueError(f"labels must lie in [0, {net.n_classes})")
         self.net, self.x, self.y, self.project, self._buffers = net, x, y, project, {}
-        # Layer 0's augmented input for every row, and its projection once a call needs it.
-        self._x0 = _augment(x.T) if project is not None and net.specs[0].kind == "dense" else None
-        self._x0_projected = None
 
-    def _weight_grad(self, li: int, dz: np.ndarray, aug: np.ndarray, bufs: dict, sel) -> np.ndarray:
-        """Layer li's weight gradient dz @ aug^T, projected through its smaller factor; `sel` indexes the batch.
+    def _weight_grad(self, li: int, dz: np.ndarray, aug: np.ndarray) -> np.ndarray:
+        """Layer li's weight gradient dz @ aug^T, projected through its smaller factor.
 
         `aug` is never projected in place: layer li - 1's relu mask reads it.
-        A layer resumed from its pre-activation has no input (`aug` None) and gets dz itself.
         """
         project = self.project
-        if aug is None:
-            return dz
         if project is None:
             return dz @ aug.T
         if dz.shape[0] <= aug.shape[1]:
             return project(li, dz @ aug.T)
-        if li == 0 and self._x0 is not None:
-            if self._x0_projected is None:
-                self._x0_projected = project(0, self._x0.T)
-            return dz @ np.take(self._x0_projected, sel, axis=0, out=bufs["projected0"], mode="wrap")
         return dz @ project(li, aug.T)
 
     def __call__(self, rows=None, preact0=None):
-        net, x0 = self.net, self._x0
+        net = self.net
         y = self.y if rows is None else self.y[rows]  # indexing checks the rows
         n = y.size
-        bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n, x0 is not None))
-        sel = bufs["cols"] if rows is None else rows
+        bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n))
         if preact0 is not None:
             x = bufs["cols"][:, None]  # gives `_layers` only the row count
-        elif x0 is not None:  # the rows are in range, so "wrap" only maps negative ones, as indexing does
-            x = np.take(x0, sel, axis=1, out=bufs["inputs"][0], mode="wrap")[:-1].T
         else:
             x = self.x if rows is None else self.x[rows]
             if bufs["inputs"][0] is not None:
@@ -542,7 +521,9 @@ class SGDStep:
                 dz = delta
                 if spec.activation == "relu":  # never the head, so layer li + 1 is dense
                     dz *= bufs["masks"][li]
-                grads[li] = self._weight_grad(li, dz, aug_inputs[li], bufs, sel)
+                if li == 0 and preact0 is not None:
+                    return loss, GradientSet(per_layer=grads, logits=logits, delta0=dz)
+                grads[li] = self._weight_grad(li, dz, aug_inputs[li])
                 if li == 0:
                     break
                 # The input's last read was above: its buffer, if any, takes the delta; drop the constant-1 row.
@@ -555,7 +536,7 @@ class SGDStep:
                 dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
                 if spec.activation == "relu":
                     dz_cols *= preacts[li] > 0.0
-                grads[li] = self._weight_grad(li, dz_cols, aug_inputs[li], bufs, sel)
+                grads[li] = self._weight_grad(li, dz_cols, aug_inputs[li])
                 if li == 0:
                     break
                 back_cols = (net.weights[li].T @ dz_cols)[:-1]

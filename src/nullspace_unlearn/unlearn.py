@@ -10,11 +10,10 @@ leading layer whose basis spans its whole input has an empty null space and
 is frozen: the forget set goes through the spanned leading layers once, and
 each step trains only the layers after them.  The first trained layer then
 sees the same m forget rows at every step, so each projected update it takes
-is dz Q^T, Q those rows projected off the basis.  When it is dense and m is
-at most its augmented input width, the run keeps it as W_0 + C Q^T and
-trains the m-column coefficients C: a step costs one product with the
-m x m forget-row Gram block instead of a forward and a gradient product
-against the full input.  Baselines
+is dz Q^T, Q those rows projected off the basis.  When it is dense, the
+run keeps it as W_0 + C Q^T and trains the m-column coefficients C: a step
+costs one product with the m x m block Q X^T instead of a forward and a
+gradient product against the full input.  Baselines
 swap the labeling rule (random labels, kept labels with gradient ascent)
 and/or drop the projection, which is exactly the ablation grid the
 evaluation suite compares.  `VARIANTS` names each combination; it is the
@@ -169,18 +168,17 @@ def _finetune(
     The first trained layer sees the same m forget rows x_i in every step,
     so its projected gradient on rows S is the sum over i in S of
     dz_i q_i^T, q_i the projection of x_i, formed once per run.  When that
-    layer is dense and m is at most its augmented input width n_in, the
-    run keeps it as W_0 + sum_i c_i q_i^T, the c_i starting at zero.  Each
-    step passes `nn.SGDStep` the layer's pre-activation
-    W_0 x_i + sum_j c_j (q_j . x_i) for i in S, from the once-formed
-    W_0 x_i and q_j . x_i, gets the layer's output delta dz back in place
-    of its gradient and steps each c_i by lr dz_i (S holds no row twice);
-    the run writes the layer once, at the end.  A step then multiplies
-    out x m x batch where it multiplied out x n_in x batch twice, and
-    every update stays in the span of the q_i.  A conv first layer, a
-    plain run or m > n_in trains the layer on its projected gradients, a
-    dense one wider than the batch with its input projected once per run.
-    The two paths give the same weights up to rounding.
+    layer is dense, the run keeps it as W_0 + sum_i c_i q_i^T, the c_i
+    starting at zero.  Each step passes `nn.SGDStep` the layer's
+    pre-activation W_0 x_i + sum_j c_j (q_j . x_i) for i in S, from the
+    once-formed W_0 x_i and the m x m block of q_j . x_i, gets the layer's
+    output delta dz back and steps each c_i by lr dz_i (S holds no row
+    twice); the run writes the layer once, at the end.  A step then
+    multiplies out x m x batch where it would multiply out x n_in x batch
+    twice (n_in the layer's augmented input width), and every update stays
+    in the span of the q_i, within rounding of projecting each full
+    gradient.  A conv first layer or a plain run trains the layer on its
+    (projected) gradients.
 
     Ascent stops after the first step at which the epoch's
     running mean loss exceeds log(n_classes), the loss of a uniform guess:
@@ -188,26 +186,25 @@ def _finetune(
     ascent only inflates the weights until they overflow.  That partial
     mean is the last epoch loss.
     """
-    out = net.copy()
-    out.metadata = {}
+    net_u = net.copy()
+    net_u.metadata = {}
     feats = labeled.features
     y_train = labeled.assigned_labels
-    tuned, frozen, coef = out, 0, None
+    tuned, frozen, coef = net_u, 0, None
     if projector is not None and plan.epochs > 0:
-        frozen = _frozen_prefix(out, projector)
+        frozen = _frozen_prefix(net_u, projector)
         if frozen:
-            _, trace = nn.forward(out, feats, record=True)
+            _, trace = nn.forward(net_u, feats, record=True)
             feats = np.ascontiguousarray(trace.per_layer[frozen][:-1].T)  # drop the constant-1 row
             tuned = nn.Network(
-                specs=out.specs[frozen:],
-                weights=out.weights[frozen:],
-                input_shape=(out.specs[frozen].in_features,),
+                specs=net_u.specs[frozen:],
+                weights=net_u.weights[frozen:],
+                input_shape=(net_u.specs[frozen].in_features,),
             )
     step = nn.SGDStep(tuned, feats, y_train, None if projector is None else (
         lambda li, rows: apply_projection(rows, projector.bases[frozen + li])
     ))
-    first = tuned.specs[0]
-    if projector is not None and plan.epochs > 0 and first.kind == "dense" and y_train.size <= first.in_features + 1:
+    if projector is not None and plan.epochs > 0 and tuned.specs[0].kind == "dense":
         # The first trained layer in forget-row coordinates, W = W_0 + coef^T q: one row of each per forget row.
         rows = nn._augment(step.x.T).T
         q = apply_projection(rows, projector.bases[frozen])
@@ -216,7 +213,7 @@ def _finetune(
     skip = 0 if coef is None else 1  # a layer 0 in forget-row coordinates steps through coef
     rng = PortableRng(derive_seed(plan.seed, "unlearn-shuffle"))
     sign = 1.0 if plan.ascend else -1.0
-    chance = math.log(out.n_classes)
+    chance = math.log(net_u.n_classes)
     losses = []
     for _ in range(plan.epochs):
         total, seen = 0.0, 0
@@ -227,7 +224,7 @@ def _finetune(
                 loss, grads = step(sel)
             else:
                 loss, grads = step(sel, lambda out: np.add(z0[sel].T, np.matmul(coef.T, k[sel].T, out=out), out=out))
-                coef[sel] += (sign * plan.lr) * grads.per_layer[0].T  # sel is part of one permutation: no repeats
+                coef[sel] += (sign * plan.lr) * grads.delta0.T  # sel is part of one permutation: no repeats
             total += loss * sel.size
             seen += sel.size
             for w, g in zip(tuned.weights[skip:], grads.per_layer[skip:]):
@@ -242,7 +239,7 @@ def _finetune(
             break
     if coef is not None:
         tuned.weights[0] += coef.T @ q
-    return UnlearnResult(network=out, epoch_losses=losses, labeled=labeled)
+    return UnlearnResult(network=net_u, epoch_losses=losses, labeled=labeled)
 
 
 def _label_for_plan(net_o: nn.Network, d_u, plan: UnlearnPlan) -> PseudoLabeledSet:

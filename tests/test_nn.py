@@ -626,9 +626,10 @@ def _resume_cases():
 def test_a_call_given_layer_0s_preactivation_keeps_every_later_bit(case, projecting):
     # Given the bits of W_0 @ a, computed as a plain call computes them, the
     # loss, the logits and every later layer's gradient are a normal call's
-    # bits; layer 0 comes back as its output delta dz, unprojected, and
-    # dz a^T, taken as the oracle takes it, is the oracle's layer-0 gradient
-    # to the bit.  A projecting step projects no layer-0 factor.
+    # bits; layer 0 has no gradient and comes back as its output delta dz,
+    # unprojected, and dz a^T, taken as the oracle takes it, is the
+    # oracle's layer-0 gradient to the bit.  A projecting step projects no
+    # layer-0 factor.
     net, x = _resume_cases()[case]
     y = np.random.default_rng(55).integers(0, net.n_classes, size=len(x))
     rows = np.random.default_rng(56).permutation(len(x))[: max(len(x) // 2, 3)]
@@ -643,15 +644,15 @@ def test_a_call_given_layer_0s_preactivation_keeps_every_later_bit(case, project
     plain_loss, plain = nn.SGDStep(net, x, y, project if projecting else None)(rows)
     del projected[:]
     step = nn.SGDStep(net, x, y, project if projecting else None)
-    # A plain call's layer-0 input: column-major, or row-major in a projecting step.
-    a = np.array(np.vstack([x[rows].T, np.ones((1, len(rows)))]), order="C" if projecting else "F")
+    a = np.asfortranarray(np.vstack([x[rows].T, np.ones((1, len(rows)))]))  # a plain call's: column-major
     loss, grads = step(rows, lambda out: np.matmul(net.weights[0], a, out=out))
     assert loss == plain_loss
     assert grads.logits.tobytes() == plain.logits.tobytes()
     for g, ref in zip(grads.per_layer[1:], plain.per_layer[1:]):
         assert g.tobytes() == ref.tobytes()
     assert 0 not in projected
-    dz = grads.per_layer[0]
+    assert grads.per_layer[0] is None and plain.delta0 is None
+    dz = grads.delta0
     _, ref_grads, _ = oracles.reference_loss_and_grads(net, x[rows], y[rows])
     _, ref_inputs, _ = oracles.reference_forward(net, x[rows])
     assert dz.shape == (net.weights[0].shape[0], len(rows))
@@ -698,42 +699,6 @@ def test_projected_grads_match_projecting_the_reference_gradient(case, rank, row
             assert not g.any()
         else:
             assert np.linalg.norm(g - linalg.apply_projection(ref, b)) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("side", ["input", "gradient"])
-def test_projecting_step_projects_layer_0s_input_once_per_step_object(side):
-    # 50 rows: a 192-unit layer 0 takes the input side of the smaller-factor
-    # rule for every selection below, so its input is projected once, all
-    # rows in one block, and each call gathers its rows; an 8-unit layer 0
-    # takes the gradient side and is projected per call.  Selections of
-    # several sizes, in any order, repeated or negative give the projected
-    # reference gradient.
-    rng = np.random.default_rng(49)
-    net = toy_net(seed=50) if side == "input" else dense_net(seed=50, hidden=8, d=2)
-    x = rng.standard_normal((50, 2))
-    y = rng.integers(0, 3, size=len(x))
-    bases = [_orthonormal(rng, w.shape[1], w.shape[1] // 2) for w in net.weights]
-    layer0 = []
-
-    def project(li, m):
-        if li == 0:
-            layer0.append(m.shape)
-        return linalg.apply_projection(m, bases[li])
-
-    step = nn.SGDStep(net, x, y, project=project)
-    perm = rng.permutation(len(x))
-    selections = (perm[:25], perm[25:], perm[:25][::-1], perm[40:], np.repeat(perm[:5], 5), None, perm[10:35] - 50)
-    for rows in selections:
-        loss, grads = step(rows)
-        sel = slice(None) if rows is None else rows
-        ref_loss, ref_grads, _ = oracles.reference_loss_and_grads(net, x[sel], y[sel])
-        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
-        for g, ref, b in zip(grads.per_layer, ref_grads, bases):
-            assert np.linalg.norm(g - linalg.apply_projection(ref, b)) <= 1e-12 * np.linalg.norm(ref)
-    if side == "input":
-        assert layer0 == [(50, 3)]
-    else:
-        assert layer0 == [(8, 3)] * len(selections)
 
 
 def test_gradient_step_reduces_loss():

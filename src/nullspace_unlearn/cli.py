@@ -171,13 +171,21 @@ def _load_net(cfg: RunConfig, workdir, name: str, data_hash: str, source=None) -
     return net
 
 
-def _load_basis(cfg: RunConfig, workdir, data_hash: str, source: str) -> subspace.NullProjector:
-    """The run's retained basis, refused unless this run built it from `source`, the current original.json's hash."""
+def _load_basis(cfg: RunConfig, workdir, data_hash: str, source: str, net: nn.Network) -> subspace.NullProjector:
+    """The run's retained basis, refused unless this run built it from `source`, the current original.json's hash.
+
+    It must also fit `net`: one basis per layer, as tall as the layer's augmented input.
+    """
     path = os.path.join(workdir, "subspace.json")
     proj, stamp = subspace.load_subspace(path)
     made_by = tuple(stamp.get(k) for k in ("source_checkpoint_hash", "config_hash", "data_hash"))
     expected = (source, cfg.hash, data_hash)
     _require_lineage(f"{path} (source checkpoint hash, config hash, data hash)", made_by, expected)
+    if len(proj.bases) != len(net.weights):
+        raise ConfigError(f"{path} holds {len(proj.bases)} bases, but the network has {len(net.weights)} layers")
+    for li, (b, w) in enumerate(zip(proj.bases, net.weights)):
+        if b.shape[0] != w.shape[1]:
+            raise ConfigError(f"{path} basis {li} has {b.shape[0]} rows, but layer {li}'s input is {w.shape[1]} wide")
     return proj
 
 
@@ -304,7 +312,7 @@ def unlearn_cmd(ctx):
     cfg, workdir, sp, data_hash = _inputs(ctx)
     net_o = _load_net(cfg, workdir, "original", data_hash)
     source = _file_hash(checkpoint_path(workdir, "original"))
-    basis = _load_basis(cfg, workdir, data_hash, source)
+    basis = _load_basis(cfg, workdir, data_hash, source, net_o)
     results = {v: run_unlearn_variant(cfg, net_o, sp, basis, v) for v in unlearn.VARIANTS}
     for variant, res in results.items():
         name = _CHECKPOINTS[variant]
@@ -365,7 +373,7 @@ def contour_cmd(ctx, model):
     cfg, workdir, sp, data_hash = _inputs(ctx)
     source = _file_hash(checkpoint_path(workdir, "original"))
     net = _load_net(cfg, workdir, _CHECKPOINTS[model], data_hash, source)
-    basis = _load_basis(cfg, workdir, data_hash, source)
+    basis = _load_basis(cfg, workdir, data_hash, source, net)
     null_dir, off_dir = evaluate.contour_directions(basis, net, cfg.seed_for("contour-dirs"))
     axes = cfg.contour_axes()
     grid = evaluate.loss_contour(net, null_dir, off_dir, axes, axes, cfg.contour_eval_set(sp))

@@ -233,9 +233,9 @@ def loss_contour(net: nn.Network, null_dir, off_dir, alphas, betas, remaining_se
     a line of constant beta is (W_p + beta O_p) a + alpha (N_p a), its input
     a shared by the whole line.  Each beta line is one `nn.map_shares` job:
     per `nn.SCORE_BLOCK` block of `nn.forward`, it forms those two products
-    once, then runs the layers after p per cell, in buffers it allocates
-    once.  The center cell is bit-equal to `nn.mean_loss` and the grid the
-    same bits for any thread count; other cells agree to rounding, ~1e-16.
+    once, then runs the layers after p per cell, in one `nn.Workspace`.
+    The center cell is bit-equal to `nn.mean_loss` and the grid the same
+    bits for any thread count; other cells agree to rounding, ~1e-16.
     """
     n_blocks = _check_direction(null_dir, net.weights, "null_dir")
     o_blocks = _check_direction(off_dir, net.weights, "off_dir")
@@ -256,12 +256,12 @@ def loss_contour(net: nn.Network, null_dir, off_dir, alphas, betas, remaining_se
             np.multiply(ob, b, out=w)
             w += w0
         tail = list(zip(probe.weights, net.weights, n_blocks, o_blocks))[p + 1 :]
-        buffers = nn._block_buffers(net, rows, resume_at=p)
+        ws = nn.Workspace(probe, rows)
         c_flat, d_flat = np.empty((2, math.prod(net._plan[p][1]) * rows))  # layer p's outputs per block
         logits = np.empty((len(alphas), net.n_classes, len(x)))
         for start in range(0, len(x), nn.SCORE_BLOCK):
             block = slice(start, start + nn.SCORE_BLOCK)
-            a = nn._layers(probe, x[block], buffers, stop=p)
+            a = ws.forward(x[block], stop=p)
             size = net.weights[p].shape[0] * a.shape[1]
             c = np.matmul(probe.weights[p], a, out=c_flat[:size].reshape(-1, a.shape[1]))
             d = np.matmul(n_blocks[p], a, out=d_flat[:size].reshape(-1, a.shape[1]))
@@ -270,8 +270,8 @@ def loss_contour(net: nn.Network, null_dir, off_dir, alphas, betas, remaining_se
                     np.multiply(nb, alpha, out=w)
                     w += w0
                     w += b * ob
-                nn._layers(probe, x[block], buffers[::-1], out=cell[:, block],
-                           resume=(p, lambda out=None: np.add(c, np.multiply(d, alpha, out=out), out=out)))
+                ws.forward(x[block], out=cell[:, block], start=p,
+                           preact=lambda out=None: np.add(c, np.multiply(d, alpha, out=out), out=out))
         return [nn.cross_entropy(cell, y) for cell in logits]
 
     losses = [list(row) for row in zip(*nn.map_shares(line, betas))]

@@ -10,9 +10,9 @@ Layout conventions, used everywhere in this module:
 
 * batches arrive as (samples, features) rows, matching the dataset layout;
 * inside a network samples live in columns, so logits come out (classes, samples);
-* a dense layer's recorded input is (fan_in + 1, samples); in an `SGDStep`
-  layer 0's is column-major like the `vstack` of x.T, and a call given
-  layer 0's pre-activation has none;
+* a dense layer's recorded input is (fan_in + 1, samples), layer 0's
+  column-major like the `vstack` of x.T (that layout sets how BLAS rounds
+  its products) and a later one's row-major; `Workspace` keeps them;
 * a conv layer's recorded input is the augmented patch matrix
   (in_channels * k * k + 1, samples * patches), columns sample-major then
   patch-position row-major, rows ordered (channel, kernel_row, kernel_col).
@@ -222,10 +222,6 @@ def _augment(cols: np.ndarray) -> np.ndarray:
     return np.vstack([cols, np.ones((1, cols.shape[1]))])
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if activation == "relu" else z
-
-
 def _batch_matrix(net: Network, batch) -> np.ndarray:
     """The batch as a finite (samples, features) matrix as wide as the network's input."""
     x = as_matrix(batch, "batch")
@@ -235,71 +231,83 @@ def _batch_matrix(net: Network, batch) -> np.ndarray:
     return x
 
 
-def _layers(net: Network, x: np.ndarray, buffers=None, out=None, stop=None, resume=None, inputs=None):
-    """Run every layer on a checked batch x; return (logits, aug_inputs, preacts) in column form.
+class Workspace:
+    """The one layer loop: runs a network on blocks of m <= n rows, in buffers it keeps.
 
-    Non-finite logits raise NumericError.  Without buffers each layer's
-    augmented input and, for a conv layer, its pre-activation (None for a
-    dense layer) are kept, fresh unless `inputs` (`_step_buffers`) holds
-    them: dense layer 0 then reads inputs[0], which the caller fills.  With
-    buffers, the two flat arrays of `_block_buffers`, hidden dense layer li
-    writes into the front of buffers[li % 2] and both lists come back empty.
-    The logit head writes into `out` (None: fresh).  A hidden dense layer
-    writes W @ aug straight
-    into the next dense layer's augmented input and applies its activation
-    there in place, so its relu mask is that input's positive entries.
+    Each dense layer that reads the batch or a dense layer's output owns one
+    flat buffer, allocated on first use and grown when a use needs more.
+    Its front holds the layer's augmented input for the block: layer 0's
+    column-major like the `vstack` of x.T, a later layer's row-major.  A
+    hidden dense layer writes W @ aug straight into the next layer's input
+    and applies its activation there in place, so its relu mask is that
+    input's positive entries.  Conv layers, and a dense layer after one,
+    take fresh arrays.  A pass that begins at layer p's pre-activation
+    writes layer p's output into the buffer of the input it did not read,
+    so a caller that keeps that input's products needs no second hidden
+    buffer.
 
-    `stop=p` runs only the layers before p and returns layer p's augmented
-    input.  `resume=(p, preact)` starts at layer p, whose pre-activation
-    `preact(out=dest)` writes where W_p @ input would (dest None: a fresh
-    array), so x gives only the row count.
+    After a pass, `inputs[li]` is the augmented input layer li read and
+    `preacts[li]` its pre-activation if it is a conv layer; each is None
+    otherwise, and a buffer view is valid until the next pass.
     """
-    record = buffers is None
-    aug_inputs = []
-    preacts = []
-    n = x.shape[0]
-    first, preact = resume or (0, None)
-    # flat columns (d, n) or image maps (n, c, h, w); a resumed pass sets it at layer `first`
-    current = None if preact is not None else x.T if len(net.input_shape) == 1 else x.reshape((n,) + net.input_shape)
-    aug = None if inputs is None else inputs[0]  # the next dense layer's augmented input, when already written
-    for li in range(first, len(net.specs)):
-        spec, w_mat = net.specs[li], net.weights[li]
-        if preact is not None and li == first:
-            inp, product = None, preact
-        else:
-            if spec.kind == "conv":
-                inp = _augment(extract_patches(current, spec.kernel_size, spec.stride))
-            else:  # fresh when not yet written: its layout (column-major) sets how BLAS rounds
-                inp = aug if aug is not None else _augment(current.reshape(n, -1).T if current.ndim == 4 else current)
-            if li == stop:
-                return inp
-            product = partial(np.matmul, w_mat, inp)
-        if record:
-            aug_inputs.append(inp)
-        if spec.kind == "dense":
-            if record:
-                preacts.append(None)
-            if li + 1 == len(net.specs):
-                current = product(out=out)  # the identity logit head
-            else:  # a dense layer only ever feeds a dense layer
-                rows = w_mat.shape[0] + 1
-                nxt = (inputs[li + 1] if inputs is not None
-                       else np.empty((rows, n)) if buffers is None else buffers[li % 2][: rows * n].reshape(rows, n))
-                nxt[-1] = 1.0
-                product(out=nxt[:-1])
-                if spec.activation == "relu":
-                    np.maximum(nxt[:-1], 0.0, out=nxt[:-1])
-                aug = nxt
-        else:
-            z_cols = product(out=None)
-            if record:
-                preacts.append(z_cols)
-            o, ho, wo = net._plan[li][1]
-            maps_out = z_cols.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
-            current = _activate(maps_out, spec.activation)
-    if not np.isfinite(current).all():
-        raise NumericError("forward pass produced non-finite logits")
-    return current, aug_inputs, preacts
+
+    def __init__(self, net: Network, n: int):
+        self.net, self.n, self._flat = net, n, [None] * len(net.specs)
+        self.inputs, self.preacts = [], []
+
+    def _front(self, li: int, rows: int, m: int) -> np.ndarray:
+        """The first rows * m entries of layer li's buffer, which holds rows * n."""
+        flat = self._flat[li]
+        if flat is None or flat.size < rows * self.n:
+            flat = self._flat[li] = np.empty(rows * self.n)
+        return flat[: rows * m]
+
+    def forward(self, x: np.ndarray, out=None, start=0, stop=None, preact=None) -> np.ndarray:
+        """The logits (classes, m) of a checked (m, features) block x, written into `out` (None: fresh).
+
+        Non-finite logits raise NumericError.  `stop=p` runs only the layers
+        before p and returns layer p's augmented input.  `preact`, a
+        function preact(out=dest) that writes layer `start`'s pre-activation
+        where W @ input would go (dest None: a fresh array), begins the pass
+        there, so x gives only the row count; without it `start` is 0.
+        """
+        net = self.net
+        m = x.shape[0]
+        self.inputs, self.preacts = [None] * len(net.specs), [None] * len(net.specs)
+        current = None if preact is not None else x.reshape((m,) + net.input_shape)  # flat rows or image maps
+        aug = None  # the next dense layer's augmented input, once a dense layer wrote it
+        for li in range(start, len(net.specs)):
+            spec, w_mat = net.specs[li], net.weights[li]
+            if preact is not None and li == start:
+                inp, product = None, preact
+            else:
+                if spec.kind == "conv":
+                    inp = _augment(extract_patches(current, spec.kernel_size, spec.stride))
+                elif li == 0:  # its layout sets how BLAS rounds
+                    inp = self._front(0, w_mat.shape[1], m).reshape(m, -1).T
+                    inp[:-1], inp[-1] = x.T, 1.0
+                else:
+                    inp = aug if aug is not None else _augment(current.reshape(m, -1).T)
+                self.inputs[li] = inp
+                if li == stop:
+                    return inp
+                product = partial(np.matmul, w_mat, inp)
+            if spec.kind == "dense":
+                if li + 1 == len(net.specs):
+                    current = product(out=out)  # the identity logit head
+                else:  # a dense layer only ever feeds a dense layer
+                    aug = self._front(li + (inp is not None), w_mat.shape[0] + 1, m).reshape(-1, m)
+                    aug[-1] = 1.0
+                    product(out=aug[:-1])
+                    if spec.activation == "relu":
+                        np.maximum(aug[:-1], 0.0, out=aug[:-1])
+            else:
+                z_cols = self.preacts[li] = product(out=None)
+                maps = z_cols.reshape(-1, m, *net._plan[li][1][1:]).transpose(1, 0, 2, 3)
+                current = np.maximum(maps, 0.0) if spec.activation == "relu" else maps
+        if not np.isfinite(current).all():
+            raise NumericError("forward pass produced non-finite logits")
+        return current
 
 
 # Rows per scoring block, a multiple of 8.  The block layout depends only on
@@ -344,49 +352,32 @@ def map_shares(fn, items) -> list:
     return out
 
 
-def _block_buffers(net: Network, n: int, resume_at=None) -> list:
-    """The two flat `_layers` buffers for blocks of up to n rows, each sized for the layers that write it.
-
-    With `resume_at=p` the caller resumes at layer p with them reversed: layer p's output overwrites its input.
-    """
-    sizes = [0, 0]
-    for li, spec in enumerate(net.specs[:-1]):
-        if spec.kind == "dense":
-            slot = (li + (resume_at is not None and li >= resume_at)) % 2
-            sizes[slot] = max(sizes[slot], (spec.out_features + 1) * n)
-    return [np.empty(size) for size in sizes]
-
-
 def _score_blocks(net: Network, x: np.ndarray, logits: np.ndarray, starts) -> None:
-    """Write the logits of the row blocks beginning at `starts` into their columns of `logits`.
-
-    Two ping-pong buffers, allocated once, serve every block.
-    """
-    buffers = _block_buffers(net, min(SCORE_BLOCK, x.shape[0]))
+    """Write the logits of the row blocks beginning at `starts` into their columns of `logits`, in one workspace."""
+    ws = Workspace(net, min(SCORE_BLOCK, x.shape[0]))
     for start in starts:
         stop = start + SCORE_BLOCK
-        _layers(net, x[start:stop], buffers, out=logits[:, start:stop])
+        ws.forward(x[start:stop], out=logits[:, start:stop])
 
 
 def forward(net: Network, batch, record: bool = False):
     """Logits (classes, samples) for a (samples, features) batch; optionally the trace.
 
-    record=True runs the whole batch at once and returns every layer's
-    augmented input as the ActivationTrace.  Without it the rows are scored
-    in blocks of SCORE_BLOCK, dealt into one share per worker and run by
-    `map_shares`; each share reuses two buffers for the hidden dense layers
-    of its blocks and writes their logits straight into the result.  A
-    batch of one block, or a forward inside another share, runs on the
-    calling thread.  Each block's logits are checked for
-    non-finite values.  Blocks depend only on the row count, so the logits
-    are the same bits for any number of threads.  Against one product over
-    every row, BLAS may round a block's last few columns differently (by
-    about 1e-16).
+    record=True runs the whole batch at once in one `Workspace` and returns
+    its inputs as the ActivationTrace.  Without it the rows are scored in
+    blocks of SCORE_BLOCK, dealt into one share per worker and run by
+    `map_shares`; each share runs its blocks in one workspace and writes
+    their logits straight into the result.  A batch of one block, or a
+    forward inside another share, runs on the calling thread.  Each block's
+    logits are checked for non-finite values.  Blocks depend only on the
+    row count, so the logits are the same bits for any number of threads.
+    Against one product over every row, BLAS may round a block's last few
+    columns differently (by about 1e-16).
     """
     x = _batch_matrix(net, batch)
     if record:
-        logits, aug_inputs, _ = _layers(net, x)
-        return logits, ActivationTrace(per_layer=aug_inputs)
+        ws = Workspace(net, x.shape[0])
+        return ws.forward(x), ActivationTrace(per_layer=ws.inputs)
     logits = np.empty((net.n_classes, x.shape[0]))
     starts = range(0, x.shape[0], SCORE_BLOCK)
     workers = min(_WORKERS, len(starts))
@@ -410,34 +401,18 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
     return float(np.mean(log_z - picked))
 
 
-def _step_buffers(net: Network, n: int) -> dict:
-    """What an `SGDStep` call writes for n rows: logits, softmax and, per layer, input and relu mask.
-
-    An input is kept for each dense layer fed by a dense layer, or by the
-    caller at layer 0, whose input is column-major like the `vstack` of
-    x.T: that layout sets how BLAS rounds the gradient product.  Once its
-    layer's gradient is taken, a later input also holds the delta that
-    layer propagates back.  "cols" indexes the n columns.
-    """
-    specs, k = net.specs, net.n_classes
-    bufs = {"inputs": [], "masks": [], "logits": np.empty((k, n)), "probs": np.empty((k, n)), "cols": np.arange(n)}
-    for li, spec in enumerate(specs):
-        dense = spec.kind == "dense"
-        fed = dense and (li == 0 or specs[li - 1].kind == "dense")
-        bufs["inputs"].append(np.ones((spec.weight_shape()[1], n), order="F" if li == 0 else "C") if fed else None)
-        bufs["masks"].append(np.empty((spec.out_features, n), dtype=bool) if dense and spec.activation == "relu" else None)
-    return bufs
-
-
 class SGDStep:
     """Mean softmax cross-entropy and its exact per-layer weight gradients over rows of one checked set.
 
     The constructor checks features, labels and shapes once.  Each call
     takes integer row indices (None: every row, in order) and returns
     (loss, GradientSet) at the network's current weights, checking only
-    logits and loss.  Calls reuse one set of `_step_buffers` per row count;
-    the GradientSet's logits are one, valid until the next call, and the
-    gradients are fresh.  Layer 0's input gradient is not computed.
+    logits and loss.  Per row count it keeps one `Workspace`, the relu
+    masks, the logits and the softmax; the GradientSet's logits are that
+    buffer, valid until the next call, and the gradients are fresh.  The
+    backward pass writes each layer's input delta into the workspace buffer
+    of that layer's input, once the gradient has read it.  Layer 0's input
+    gradient is not computed.
 
     With `project`, a function project(li, rows) that returns `rows` with
     layer li's retained directions removed, each gradient comes back
@@ -452,7 +427,7 @@ class SGDStep:
 
     A call given `preact0`, a function preact0(out=dest) that writes a
     dense layer 0's pre-activation for the batch where W_0 @ input would
-    go, starts there (`_layers`' `resume`): it gathers no layer-0 input and
+    go, begins its workspace pass there: it gathers no layer-0 input and
     takes no layer-0 gradient.  Its GradientSet holds None for that layer
     and, as `delta0`, the layer's output delta dz, unprojected, a view of
     the step's buffers valid until the next call.  Given the bits of
@@ -488,28 +463,26 @@ class SGDStep:
         net = self.net
         y = self.y if rows is None else self.y[rows]  # indexing checks the rows
         n = y.size
-        bufs = self._buffers.get(n) or self._buffers.setdefault(n, _step_buffers(net, n))
-        if preact0 is not None:
-            x = bufs["cols"][:, None]  # gives `_layers` only the row count
-        else:
-            x = self.x if rows is None else self.x[rows]
-            if bufs["inputs"][0] is not None:
-                bufs["inputs"][0][:-1] = x.T
-        logits, aug_inputs, preacts = _layers(
-            net, x, out=bufs["logits"], inputs=bufs["inputs"], resume=None if preact0 is None else (0, preact0)
-        )
-        for li, mask in enumerate(bufs["masks"]):  # before the backward pass overwrites the inputs
+        if n not in self._buffers:
+            masks = [np.empty((s.out_features, n), dtype=bool) if s.kind == "dense" and s.activation == "relu"
+                     else None for s in net.specs]
+            k = net.n_classes
+            self._buffers[n] = Workspace(net, n), masks, np.empty((k, n)), np.empty((k, n)), np.arange(n)
+        ws, masks, logits, probs, cols = self._buffers[n]
+        x = cols[:, None] if preact0 is not None else self.x if rows is None else self.x[rows]
+        ws.forward(x, out=logits, preact=preact0)
+        for li, mask in enumerate(masks):  # before the backward pass overwrites the inputs
             if mask is not None:
-                np.greater(aug_inputs[li + 1][:-1], 0.0, out=mask)
+                np.greater(ws.inputs[li + 1][:-1], 0.0, out=mask)
         # One exp serves loss and softmax; delta = (softmax - onehot) / n is the gradient wrt logits, (K, n).
-        delta = np.subtract(logits, logits.max(axis=0, keepdims=True), out=bufs["probs"])
-        picked = delta[y, bufs["cols"]]
+        delta = np.subtract(logits, logits.max(axis=0, keepdims=True), out=probs)
+        picked = delta[y, cols]
         sums = np.exp(delta, out=delta).sum(axis=0)
         loss = float(np.mean(np.log(sums) - picked))
         if not math.isfinite(loss):
             raise NumericError("loss is non-finite")
         delta /= sums
-        delta[y, bufs["cols"]] -= 1.0
+        delta[y, cols] -= 1.0
         delta /= n
 
         grads = [None] * len(net.specs)
@@ -520,14 +493,15 @@ class SGDStep:
             if spec.kind == "dense":
                 dz = delta
                 if spec.activation == "relu":  # never the head, so layer li + 1 is dense
-                    dz *= bufs["masks"][li]
+                    dz *= masks[li]
                 if li == 0 and preact0 is not None:
                     return loss, GradientSet(per_layer=grads, logits=logits, delta0=dz)
-                grads[li] = self._weight_grad(li, dz, aug_inputs[li])
+                grads[li] = self._weight_grad(li, dz, ws.inputs[li])
                 if li == 0:
                     break
-                # The input's last read was above: its buffer, if any, takes the delta; drop the constant-1 row.
-                back = np.matmul(net.weights[li].T, dz, out=bufs["inputs"][li])[:-1]
+                # The input's last read was above: its workspace buffer, if any, takes the delta; drop the constant row.
+                fed = net.specs[li - 1].kind == "dense"
+                back = np.matmul(net.weights[li].T, dz, out=ws.inputs[li] if fed else None)[:-1]
                 if len(shape) == 3:
                     back = back.T.reshape((n,) + shape)
                 delta = back
@@ -535,8 +509,8 @@ class SGDStep:
                 # delta arrives as maps (n, O, ho, wo); apply activation mask there.
                 dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
                 if spec.activation == "relu":
-                    dz_cols *= preacts[li] > 0.0
-                grads[li] = self._weight_grad(li, dz_cols, aug_inputs[li])
+                    dz_cols *= ws.preacts[li] > 0.0
+                grads[li] = self._weight_grad(li, dz_cols, ws.inputs[li])
                 if li == 0:
                     break
                 back_cols = (net.weights[li].T @ dz_cols)[:-1]

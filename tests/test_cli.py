@@ -641,6 +641,34 @@ def test_a_malformed_model_state_field_exits_3_naming_the_file(env, name, keys, 
 
 
 @pytest.mark.parametrize(
+    "layers, named",
+    [
+        ([0], "holds 1 bases, but the network has 2 layers"),
+        ([0, 1, 1], "holds 3 bases, but the network has 2 layers"),
+        ([0, 0], "basis 1 has 3 rows, but layer 1's input is 25 wide"),
+    ],
+    ids=["too-few", "one-too-many", "too-short"],
+)
+def test_a_basis_that_does_not_fit_the_network_exits_3(env, layers, named):
+    # subspace.json keeps its stamps and holds consistent bases and ranks,
+    # taken from its own layers, so only the network's shapes can refuse it.
+    runner, cfg_path, workdir = env
+    for made in ("gen-data", "train", "subspace"):
+        assert run(runner, cfg_path, workdir, *_SHORT, made).exit_code == 0
+    path = os.path.join(workdir, "subspace.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["bases"], doc["ranks"] = [doc["bases"][li] for li in layers], [doc["ranks"][li] for li in layers]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for step in (("unlearn",), ("contour", "--model", "original")):
+        result = run(runner, cfg_path, workdir, *_SHORT, *step)
+        assert result.exit_code == cli.EXIT_VALIDATION, result.output
+        assert stderr_error(result)["message"] == f"{path} {named}"
+    assert not [name for name in os.listdir(workdir) if name.startswith(("unlearned_", "run_", "contour"))]
+
+
+@pytest.mark.parametrize(
     "name, keys, value, step, named",
     [
         ("dataset.meta.json", (), [], "train", "dataset.meta.json"),

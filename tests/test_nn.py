@@ -659,6 +659,28 @@ def test_a_call_given_layer_0s_preactivation_keeps_every_later_bit(case, project
     assert (dz @ ref_inputs[0].T).tobytes() == ref_grads[0].tobytes()
 
 
+@pytest.mark.parametrize("case", ["dense-relu", "toy", "head-only"])
+def test_one_step_alternating_plain_and_preactivation_calls_gives_fresh_bits(case):
+    # At one row count a call given layer 0's pre-activation writes layer
+    # 1's input into the buffer that holds layer 0's column-major input in a
+    # plain call.  Alternating the two kinds of call, each still gives a
+    # fresh step's bits.
+    net, x = _resume_cases()[case]
+    rng = np.random.default_rng(58)
+    y = rng.integers(0, net.n_classes, size=len(x))
+    step = nn.SGDStep(net, x, y)
+    for call in range(6):
+        rows = rng.permutation(len(x))[: max(len(x) // 2, 3)]
+        a = np.asfortranarray(np.vstack([x[rows].T, np.ones((1, len(rows)))]))
+        preact0 = (lambda out: np.matmul(net.weights[0], a, out=out)) if call % 2 else None
+        loss, grads = step(rows, preact0)
+        fresh_loss, fresh = nn.SGDStep(net, x, y)(rows, preact0)
+        assert loss == fresh_loss
+        assert grads.logits.tobytes() == fresh.logits.tobytes()
+        for g, ref in zip(grads.per_layer + [grads.delta0], fresh.per_layer + [fresh.delta0]):
+            assert (g is None and ref is None) or g.tobytes() == ref.tobytes()
+
+
 def _orthonormal(rng, n, k):
     return np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
 

@@ -319,6 +319,10 @@ SCORE_BLOCK = 512
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1), thread_name_prefix="nn-share")
 _in_share = contextvars.ContextVar("nn_in_share", default=False)
+# Multiply-adds from which an `SGDStep` weight-gradient product goes to the
+# pool: at the toy preset's 192 x 193 layer, pairing paid from 27 rows
+# (1.00 M) and not at 25 (0.93 M); see `SGDStep`.
+SHARE_MACS = 1_000_000
 
 
 def _run_share(fn, share) -> list:
@@ -332,8 +336,10 @@ def map_shares(fn, items) -> list:
     The caller runs share 0 and `_pool` the rest, each in a copy of the
     caller's context (np.errstate carries over); a call from inside a share
     runs inline, so no share waits on the pool.  An exception reaches the
-    caller once every share has finished.  Only coarse jobs gain: on a
-    2-core VM an idle pool thread takes 130-400 us to wake.
+    caller once every share has finished.  On a 2-core VM a round trip
+    through the pool took 9 us at the median and 15-31 us at p90 after
+    0.5 ms idle, 27-30 us and 41-49 us after 2 ms; the finest jobs that
+    gain are an `SGDStep`'s paired products, about 100 us each.
     """
     items = list(items)
     workers = min(_WORKERS, len(items))
@@ -350,6 +356,22 @@ def map_shares(fn, items) -> list:
     for w, results in enumerate([first, *(job.result() for job in jobs)]):
         out[w::workers] = results
     return out
+
+
+def start_share(fn):
+    """fn() begun on `_pool` as a share, where `map_shares` would use the pool: its Future, else None.
+
+    The job runs in a copy of the caller's context, so np.errstate carries
+    over and a `map_shares` call inside it runs inline.  The caller ends it
+    by stealing it back: a Future the pool has not started yet is cancelled
+    and fn run on the calling thread, so a slow pool wake costs one submit,
+    not a wait.
+    """
+    if _WORKERS <= 1 or _in_share.get():
+        return None
+    ctx = contextvars.copy_context()
+    ctx.run(_in_share.set, True)  # in the job's own context copy only
+    return _pool.submit(ctx.run, fn)
 
 
 def _score_blocks(net: Network, x: np.ndarray, logits: np.ndarray, starts) -> None:
@@ -414,6 +436,23 @@ class SGDStep:
     of that layer's input, once the gradient has read it.  Layer 0's input
     gradient is not computed.
 
+    A layer above layer 0 whose weight-gradient product takes at least
+    `SHARE_MACS` multiply-adds sends that product to the pool
+    (`start_share`), while the calling thread writes the layer's input
+    delta W^T dz into a spare buffer, kept per row count, and goes on down
+    the lower layers.  The call joins every job before it returns or
+    raises, and steals back each one the pool has not started: it is
+    cancelled and run on the caller.  A product runs as one whole BLAS
+    call, the same on either thread, so every bit is the same for any
+    worker count.  No product is split: with this OpenBLAS, halving a
+    192 x 193 by 193 x n product by rows changed bits at 14 values of n in
+    27-52, and by columns at 23 in 18-53 (n = 16-64 tried).  At the
+    toy preset's widths (2 cores, one BLAS thread), steps of 200, 100, 40
+    and 27 rows took 0.76x, 0.80x, 0.85x and 0.89x the serial time, 25
+    and 22 rows 1.00x and 1.06x; with a pool that took 400 us to start a
+    job, a 200-row step took 1.02x.  Unlearn steps of batch 25 and the
+    4-row head stay on the caller.
+
     With `project`, a function project(li, rows) that returns `rows` with
     layer li's retained directions removed, each gradient comes back
     projected, g (I - B B^T).  A weight gradient is the product dz a^T of
@@ -467,8 +506,8 @@ class SGDStep:
             masks = [np.empty((s.out_features, n), dtype=bool) if s.kind == "dense" and s.activation == "relu"
                      else None for s in net.specs]
             k = net.n_classes
-            self._buffers[n] = Workspace(net, n), masks, np.empty((k, n)), np.empty((k, n)), np.arange(n)
-        ws, masks, logits, probs, cols = self._buffers[n]
+            self._buffers[n] = Workspace(net, n), masks, np.empty((k, n)), np.empty((k, n)), np.arange(n), {}
+        ws, masks, logits, probs, cols, spares = self._buffers[n]
         x = cols[:, None] if preact0 is not None else self.x if rows is None else self.x[rows]
         ws.forward(x, out=logits, preact=preact0)
         for li, mask in enumerate(masks):  # before the backward pass overwrites the inputs
@@ -485,37 +524,47 @@ class SGDStep:
         delta[y, cols] -= 1.0
         delta /= n
 
-        grads = [None] * len(net.specs)
-        # Subgradient at exactly 0 is taken as 0 for relu.
-        for li in range(len(net.specs) - 1, -1, -1):
-            spec = net.specs[li]
-            shape = net._plan[li][0]
-            if spec.kind == "dense":
-                dz = delta
-                if spec.activation == "relu":  # never the head, so layer li + 1 is dense
-                    dz *= masks[li]
-                if li == 0 and preact0 is not None:
-                    return loss, GradientSet(per_layer=grads, logits=logits, delta0=dz)
-                grads[li] = self._weight_grad(li, dz, ws.inputs[li])
+        grads, delta0, jobs = [None] * len(net.specs), None, []  # jobs: (layer, its gradient, its Future)
+        try:
+            # Subgradient at exactly 0 is taken as 0 for relu.
+            for li in range(len(net.specs) - 1, -1, -1):
+                spec, inp = net.specs[li], ws.inputs[li]
+                if spec.kind == "dense":
+                    dz = delta
+                    if spec.activation == "relu":  # never the head, so layer li + 1 is dense
+                        dz *= masks[li]
+                    if li == 0 and preact0 is not None:
+                        delta0 = dz
+                        break
+                else:  # delta arrives as maps (n, O, ho, wo); apply the activation mask to its columns
+                    dz = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
+                    if spec.activation == "relu":
+                        dz *= ws.preacts[li] > 0.0
+                grad = partial(self._weight_grad, li, dz, inp)
                 if li == 0:
+                    grads[li] = grad()
                     break
-                # The input's last read was above: its workspace buffer, if any, takes the delta; drop the constant row.
-                fed = net.specs[li - 1].kind == "dense"
-                back = np.matmul(net.weights[li].T, dz, out=ws.inputs[li] if fed else None)[:-1]
-                if len(shape) == 3:
-                    back = back.T.reshape((n,) + shape)
-                delta = back
-            else:
-                # delta arrives as maps (n, O, ho, wo); apply activation mask there.
-                dz_cols = delta.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
-                if spec.activation == "relu":
-                    dz_cols *= ws.preacts[li] > 0.0
-                grads[li] = self._weight_grad(li, dz_cols, ws.inputs[li])
-                if li == 0:
-                    break
-                back_cols = (net.weights[li].T @ dz_cols)[:-1]
-                delta = _scatter_patches(back_cols, net._plan[li], n, spec.kernel_size, spec.stride)
-        return loss, GradientSet(per_layer=grads, logits=logits)
+                fed = spec.kind == "dense" and net.specs[li - 1].kind == "dense"  # inp is a workspace buffer
+                job = start_share(grad) if dz.shape[0] * dz.shape[1] * inp.shape[0] >= SHARE_MACS else None
+                if job is None:
+                    grads[li], out = grad(), inp  # that was the input's last read: its buffer takes the delta
+                else:  # the job reads inp until it is joined: the delta goes to the layer's spare buffer
+                    jobs.append((li, grad, job))
+                    if fed and li not in spares:
+                        spares[li] = np.empty(inp.shape)
+                    out = spares.get(li)
+                back = np.matmul(net.weights[li].T, dz, out=out if fed else None)[:-1]  # drop the constant row
+                shape = net._plan[li][0]
+                if spec.kind == "conv":
+                    delta = _scatter_patches(back, net._plan[li], n, spec.kernel_size, spec.stride)
+                else:
+                    delta = back.T.reshape((n,) + shape) if len(shape) == 3 else back
+            for li, grad, job in jobs:  # a job the pool has not started is run here instead
+                grads[li] = grad() if job.cancel() else job.result()
+        finally:  # no job outlives the call, whatever raised; a cancelled one never starts
+            if jobs:
+                wait([job for _, _, job in jobs if not job.cancel()])
+        return loss, GradientSet(per_layer=grads, logits=logits, delta0=delta0)
 
 
 def loss_and_grads(net: Network, batch, labels, project=None):
@@ -592,7 +641,12 @@ def train(net: Network, train_set, val_set, schedule: TrainSchedule) -> Network:
     epoch's validation accuracy, and only the final weights are scored by a
     separate forward.  One `SGDStep` checks the train set once and reuses
     its buffers for every batch; each update goes into the step's fresh
-    gradient array, which becomes the new weight.
+    gradient array, which becomes the new weight.  A full-batch step at
+    the toy preset's widths pairs its 192 x 193 layer's weight gradient
+    with the back-propagation on two threads (see `SGDStep`), with the same
+    bits as on one: on the full preset, one process per step on a 2-core
+    VM, `train` took 1.71-1.82 s against 2.17-2.24 s serial, and `retrain`
+    1.46-1.59 s against 1.80-1.91 s.
     """
     out = net.copy()
     step = SGDStep(out, train_set.features, train_set.labels)

@@ -10,10 +10,11 @@ leading layer whose basis spans its whole input has an empty null space and
 is frozen: the forget set goes through the spanned leading layers once, and
 each step trains only the layers after them.  The first trained layer then
 sees the same m forget rows at every step, so each projected update it takes
-is dz Q^T, Q those rows projected off the basis.  When it is dense, the
-run keeps it as W_0 + C Q^T and trains the m-column coefficients C: a step
-costs one product with the m x m block Q X^T instead of a forward and a
-gradient product against the full input.  Baselines
+is dz Q^T, Q those rows projected off the basis.  When it is dense and m
+is at most 1.5 times its input width, the run keeps it as W_0 + C Q^T and
+trains the m-column coefficients C: a step costs one product with the
+m x m block Q X^T instead of a forward and a gradient product against the
+full input.  Baselines
 swap the labeling rule (random labels, kept labels with gradient ascent)
 and/or drop the projection, which is exactly the ablation grid the
 evaluation suite compares.  `VARIANTS` names each combination; it is the
@@ -168,17 +169,22 @@ def _finetune(
     The first trained layer sees the same m forget rows x_i in every step,
     so its projected gradient on rows S is the sum over i in S of
     dz_i q_i^T, q_i the projection of x_i, formed once per run.  When that
-    layer is dense, the run keeps it as W_0 + sum_i c_i q_i^T, the c_i
-    starting at zero.  Each step passes `nn.SGDStep` the layer's
+    layer is dense and m <= 1.5 n_in (n_in the layer's augmented input
+    width), the run keeps it as W_0 + sum_i c_i q_i^T, the c_i starting at
+    zero.  Each step passes `nn.SGDStep` the layer's
     pre-activation W_0 x_i + sum_j c_j (q_j . x_i) for i in S, from the
     once-formed W_0 x_i and the m x m block of q_j . x_i, gets the layer's
     output delta dz back and steps each c_i by lr dz_i (S holds no row
     twice); the run writes the layer once, at the end.  A step then
     multiplies out x m x batch where it would multiply out x n_in x batch
-    twice (n_in the layer's augmented input width), and every update stays
+    twice, and every update stays
     in the span of the q_i, within rounding of projecting each full
-    gradient.  A conv first layer or a plain run trains the layer on its
-    (projected) gradients.
+    gradient.  The m x m block grows as 8 m^2 bytes, and past the cut-over
+    a step costs more than the two products it replaces: at n_in = 193
+    and batch 25, a 50-epoch run took 0.058 s both ways at m = 300, and
+    1.06-1.12x and 1.28-1.34x the gradient path's time at m = 386 and
+    500.  A larger forget set, a conv first layer or a plain run trains
+    the layer on its (projected) gradients.
 
     Ascent stops after the first step at which the epoch's
     running mean loss exceeds log(n_classes), the loss of a uniform guess:
@@ -204,7 +210,8 @@ def _finetune(
     step = nn.SGDStep(tuned, feats, y_train, None if projector is None else (
         lambda li, rows: apply_projection(rows, projector.bases[frozen + li])
     ))
-    if projector is not None and plan.epochs > 0 and tuned.specs[0].kind == "dense":
+    if (projector is not None and plan.epochs > 0 and tuned.specs[0].kind == "dense"
+            and y_train.size <= 1.5 * tuned.weights[0].shape[1]):
         # The first trained layer in forget-row coordinates, W = W_0 + coef^T q: one row of each per forget row.
         rows = nn._augment(step.x.T).T
         q = apply_projection(rows, projector.bases[frozen])

@@ -936,3 +936,34 @@ def test_numeric_failure_keeps_stderr_to_one_json_line(env):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "numeric"
+
+
+def test_an_overflowing_full_batch_train_on_two_workers_keeps_stderr_to_one_json_line(tmp_path):
+    # The toy preset trains in full batches of 200 rows, so with two workers
+    # each step's layer-1 weight gradient runs on a pool thread while the
+    # caller goes on to layer 0.  Scaling the gradient's factors by 1e300
+    # makes that product overflow there, and the next forward fails.  The
+    # job runs in the caller's error state, so stderr holds only the JSON
+    # error and no RuntimeWarning from a matmul on the pool thread.
+    workdir = str(tmp_path / "work")
+    assert CliRunner().invoke(cli.main, ["--workdir", workdir, "gen-data"]).exit_code == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import time\n"
+        "from nullspace_unlearn import cli, nn\n"
+        "real = nn.SGDStep._weight_grad\n"
+        "def overflowing(step, li, dz, aug):\n"
+        "    if li == 0:\n"
+        "        time.sleep(0.05)  # the pool starts layer 1's job meanwhile\n"
+        "    return real(step, li, dz * 1e300, aug * 1e300)\n"
+        "nn._WORKERS, nn.SGDStep._weight_grad = 2, overflowing\n"
+        "cli.main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--workdir", workdir, "--set", "train.epochs=5", "train"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERIC
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "numeric"

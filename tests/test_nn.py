@@ -6,7 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -354,10 +354,9 @@ def test_more_share_threads_than_cores_give_the_one_worker_contour_with_a_frozen
     assert got == [expect] * 20
 
 
-def test_sgd_loops_never_use_the_pool(monkeypatch):
-    # Training and unlearning steps are too fine-grained for the pool: at the
-    # toy preset's shapes, a full-batch train and every unlearn variant run
-    # on the calling thread alone.
+def test_unlearn_steps_never_use_the_pool(monkeypatch):
+    # Unlearning steps are too fine-grained for the pool: at the toy preset's
+    # shapes, every unlearn variant runs on the calling thread alone.
     cfg = load_config(None, ["train.epochs=20", "unlearn.epochs=2"])
     sp = cfg.splits(cfg.dataset())
     net_o = cli.train_original(cfg, sp)
@@ -370,10 +369,177 @@ def test_sgd_loops_never_use_the_pool(monkeypatch):
 
     monkeypatch.setattr(nn, "_WORKERS", 2)
     monkeypatch.setattr(nn, "_pool", NoPool())
-    assert cfg.train_schedule(n_train=len(sp.train), tag="train").batch_size >= len(sp.train)
-    cli.train_original(cfg, sp)
     for variant in unlearn.VARIANTS:
         cli.run_unlearn_variant(cfg, net_o, sp, basis, variant)
+
+
+def test_a_full_batch_preset_width_train_submits_one_gradient_job_per_step(monkeypatch):
+    # At the toy preset's widths a full-batch step sends layer 1's weight
+    # gradient (192 x 193 x 200 multiply-adds) to the pool while the caller
+    # propagates the delta; the head's and layer 0's gradients stay on the
+    # caller.
+    cfg = load_config(None, ["train.epochs=20"])
+    sp = cfg.splits(cfg.dataset())
+    assert cfg.train_schedule(n_train=len(sp.train), tag="train").batch_size >= len(sp.train)
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    pool = CountingPool(nn._pool)
+    monkeypatch.setattr(nn, "_pool", pool)
+    steps = []
+    call = nn.SGDStep.__call__
+    monkeypatch.setattr(nn.SGDStep, "__call__", lambda self, *args: steps.append(args) or call(self, *args))
+    cli.train_original(cfg, sp)
+    assert len(steps) == 20
+    assert pool.submits == 20
+
+
+def _paired_cases():
+    """Nets with two weight gradients per step at or above `nn.SHARE_MACS`, one batch each.
+
+    Dense: two 48-unit hidden layers over 500 rows (48 x 49 x 500
+    multiply-adds each), so two jobs are in flight at once.  Conv: a conv
+    layer over 64 * 36 patch columns and the dense layer it feeds, whose
+    delta goes to a fresh array.
+    """
+    rng = np.random.default_rng(61)
+    dense = (
+        nn.LayerSpec(kind="dense", activation="relu", in_features=4, out_features=48),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=48, out_features=48),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=48, out_features=48),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=48, out_features=3),
+    )
+    conv = (
+        nn.LayerSpec(kind="conv", activation="relu", in_channels=1, out_channels=6, kernel_size=3),
+        nn.LayerSpec(kind="conv", activation="relu", in_channels=6, out_channels=12, kernel_size=3),
+        nn.LayerSpec(kind="dense", activation="relu", in_features=12 * 6 * 6, out_features=64),
+        nn.LayerSpec(kind="dense", activation="identity", in_features=64, out_features=3),
+    )
+    return {
+        "dense": (nn.init_network(dense, input_shape=(4,), seed=62), rng.standard_normal((500, 4))),
+        "conv": (nn.init_network(conv, input_shape=(1, 10, 10), seed=63), rng.uniform(0.0, 1.0, size=(64, 100))),
+    }
+
+
+PAIRED_EPOCHS = 3
+
+
+def _paired_bytes(case, projecting):
+    """The bytes of one `loss_and_grads` and of a full-batch `nn.train`, each taking two pool jobs per step."""
+    net, x = _paired_cases()[case]
+    y = np.random.default_rng(64).integers(0, 3, size=len(x))
+    bases = [_orthonormal(np.random.default_rng(65 + li), w.shape[1], w.shape[1] // 3)
+             for li, w in enumerate(net.weights)]
+    project = (lambda li, m: linalg.apply_projection(m, bases[li])) if projecting else None
+    loss, grads = nn.loss_and_grads(net, x, y, project)
+    rows = data.Dataset(x, y, 3)
+    schedule = nn.TrainSchedule(lr=0.1, epochs=PAIRED_EPOCHS, batch_size=len(x), patience=None)
+    trained = nn.train(net, rows, rows, schedule)
+    return [np.float64(loss).tobytes(), grads.logits.tobytes(), *(g.tobytes() for g in grads.per_layer),
+            *(w.tobytes() for w in trained.weights)]
+
+
+def _in_a_thread(fn):
+    """fn() run on a fresh thread under a 1 us switch interval, so threads interleave at every chance."""
+    got = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: got.append(fn()), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert got, "the runner raised"
+    return got[0]
+
+
+@pytest.mark.parametrize("projecting", [False, True], ids=["plain", "projecting"])
+@pytest.mark.parametrize("case", ["dense", "conv"])
+def test_paired_steps_give_the_one_worker_bits_for_any_worker_count(monkeypatch, case, projecting):
+    # More threads than cores and a short switch interval: a gradient taken
+    # from a buffer the caller had already overwritten, or a delta written
+    # where a job still reads, would differ from the one-worker bits.
+    monkeypatch.setattr(nn, "_WORKERS", 1)
+    expect = _paired_bytes(case, projecting)
+    pool = CountingPool(ThreadPoolExecutor(max_workers=3, thread_name_prefix="nn-share-test"))
+    monkeypatch.setattr(nn, "_pool", pool)
+    try:
+        for workers in (2, 4):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            assert _in_a_thread(lambda: [_paired_bytes(case, projecting) for _ in range(5)]) == [expect] * 5
+    finally:
+        pool.pool.shutdown(wait=True)
+    assert pool.submits == 2 * 5 * 2 * (1 + PAIRED_EPOCHS)  # jobs per step, repeats, worker counts, steps
+
+
+class UnstartedPool:
+    """A pool stand-in that never starts a job: the caller steals every one back."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, *args):
+        self.jobs.append(Future())
+        return self.jobs[-1]
+
+
+@pytest.mark.parametrize("projecting", [False, True], ids=["plain", "projecting"])
+@pytest.mark.parametrize("case", ["dense", "conv"])
+def test_paired_steps_whose_jobs_never_start_give_the_same_bits(monkeypatch, case, projecting):
+    # As behind a pool too slow to wake: each job is cancelled and run on the caller.
+    monkeypatch.setattr(nn, "_WORKERS", 1)
+    expect = _paired_bytes(case, projecting)
+    pool = UnstartedPool()
+    monkeypatch.setattr(nn, "_pool", pool)
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    assert _in_a_thread(lambda: _paired_bytes(case, projecting)) == expect
+    assert len(pool.jobs) == 2 * (1 + PAIRED_EPOCHS)
+    assert all(job.cancelled() for job in pool.jobs)
+
+
+@pytest.mark.parametrize("raising", ["job", "caller"])
+def test_a_failing_paired_step_ends_its_jobs_and_the_next_call_is_fresh(monkeypatch, raising):
+    # "job": layer 1's projection raises inside its pool job, while the
+    # caller is still at layer 0.  "caller": layer 0's raises on the caller
+    # while the pool jobs still run.  Either way the exception reaches the
+    # caller only once no job runs, and the same step's next call gives a
+    # fresh step's bits.
+    net, x = _paired_cases()["dense"]
+    y = np.random.default_rng(66).integers(0, 3, size=len(x))
+    bases = [_orthonormal(np.random.default_rng(67 + li), w.shape[1], w.shape[1] // 3)
+             for li, w in enumerate(net.weights)]
+    armed, running = [True], []
+
+    def project(li, m):
+        if armed[0] and li in (1, 2):  # the pool jobs
+            running.append(li)
+            time.sleep(0.05 if raising == "job" else 0.3)
+            running.remove(li)
+            if raising == "job" and li == 1:
+                raise KeyError("job")
+        if armed[0] and li == 0:  # on the caller, after both jobs were submitted
+            time.sleep(0.2 if raising == "job" else 0.05)
+            if raising == "caller":
+                raise KeyError("caller")
+        return linalg.apply_projection(m, bases[li])
+
+    monkeypatch.setattr(nn, "_WORKERS", 2)
+    pool = ThreadPoolExecutor(max_workers=3, thread_name_prefix="nn-share-test")
+    monkeypatch.setattr(nn, "_pool", pool)
+    try:
+        step = nn.SGDStep(net, x, y, project)
+        with pytest.raises(KeyError, match=raising):
+            step()
+        assert running == []
+        armed[0] = False
+        loss, grads = step()
+    finally:
+        pool.shutdown(wait=True)
+    monkeypatch.setattr(nn, "_WORKERS", 1)
+    fresh_loss, fresh = nn.SGDStep(net, x, y, project)()
+    assert loss == fresh_loss
+    assert grads.logits.tobytes() == fresh.logits.tobytes()
+    assert [g.tobytes() for g in grads.per_layer] == [g.tobytes() for g in fresh.per_layer]
 
 
 def test_scoring_threads_keep_the_callers_error_state(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from conftest import dense_net, dense_specs, trained_dense_net
+from conftest import dense_net, dense_specs, toy_net, trained_dense_net
 from test_nn import _kernel_cases
 from nullspace_unlearn import cli, data, evaluate, nn, subspace, unlearn
 from nullspace_unlearn.config import load_config
@@ -443,8 +444,8 @@ def test_basis_that_spans_no_layer_trains_the_full_network(preset, monkeypatch):
     )
     run = dataclasses.replace(cfg.unlearn_plan(), epochs=5)
     labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
-    # 50 forget rows, more than layer 0's 3 inputs, still train it in forget-row coordinates.
-    _finetune_against_oracle(monkeypatch, net_o, labeled, cut, run, frozen=0, factored=True)
+    # 50 forget rows, more than 1.5 times layer 0's 3 inputs: it trains on its projected gradients.
+    _finetune_against_oracle(monkeypatch, net_o, labeled, cut, run, frozen=0, factored=False)
 
 
 def test_identity_bases_on_two_layers_freeze_both(preset, monkeypatch):
@@ -459,6 +460,55 @@ def test_identity_bases_on_two_layers_freeze_both(preset, monkeypatch):
     labeled = unlearn.pseudo_label_set(net_o, sp.d_u, run.unlearn_classes)
     # The head alone trains, in forget-row coordinates.
     _finetune_against_oracle(monkeypatch, net_o, labeled, identity, run, frozen=2, factored=True)
+
+
+def _wide_forget_set(m):
+    """The toy network, m random forget rows and a basis that spans layer 0 and half of each later layer."""
+    net = toy_net(seed=70)
+    rng = np.random.default_rng(71)
+    bases = [np.eye(3)] + [np.linalg.qr(rng.standard_normal((n, n)))[0][:, : n // 2] for n in (193, 193)]
+    projector = subspace.NullProjector(
+        merged_classes=(1, 2, 3),
+        excluded_classes=(0,),
+        epsilons=(1.0,) * 3,
+        bases=bases,
+        ranks=tuple(b.shape[1] for b in bases),
+    )
+    x = rng.standard_normal((m, 2))
+    y = rng.integers(1, 4, size=m)
+    labeled = unlearn.PseudoLabeledSet(features=x, original_labels=np.zeros(m), assigned_labels=y, labeling="pseudo")
+    return net, labeled, projector
+
+
+@pytest.mark.parametrize("m", [289, 290])
+def test_forget_row_coordinates_reach_one_and_a_half_input_widths(monkeypatch, m):
+    # Layer 1 reads 193 augmented inputs: 289 forget rows train it in
+    # forget-row coordinates, 290 on its projected gradients; both match the oracle.
+    net, labeled, projector = _wide_forget_set(m)
+    run = plan(lr=0.01, epochs=2, batch_size=25)
+    _finetune_against_oracle(monkeypatch, net, labeled, projector, run, frozen=1, factored=m <= 289)
+
+
+def test_a_large_forget_set_takes_the_gradient_path_in_less_than_its_block(monkeypatch):
+    # 1600 forget rows: the m x m block of forget-row coordinates alone would
+    # take 8 m^2 bytes (20.5 MB).  The run trains layer 1 on its gradients
+    # and its peak stays below that.
+    m = 1600
+    net, labeled, projector = _wide_forget_set(m)
+    factored = []
+    real = nn.SGDStep.__call__
+    monkeypatch.setattr(
+        nn.SGDStep, "__call__", lambda step, rows=None, preact0=None: factored.append(preact0 is not None)
+        or real(step, rows, preact0),
+    )
+    tracemalloc.start()
+    try:
+        unlearn._finetune(net, labeled, projector, plan(lr=0.01, epochs=1, batch_size=25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factored == [False] * 64
+    assert peak < 8 * m * m
 
 
 @pytest.mark.parametrize("spanned, frozen", [(1, 0), (2, 2)], ids=["conv0-falls-back", "conv-prefix"])
